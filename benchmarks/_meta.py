@@ -52,7 +52,7 @@ def bench_meta(**extra) -> dict:
 
     Records the CPU budget, the NumPy/BLAS stack doing the FLOPs, the
     interpreter, and the measured commit.  Keyword arguments (e.g.
-    ``workers=2``, ``backend="process"``) are merged in verbatim so
+    ``workers=2``, ``small=True``) are merged in verbatim so
     each suite can add its own knobs.
     """
     meta = {

@@ -32,7 +32,7 @@ from repro.hwmgr import AccessPoint, ClientDevice
 from repro.orchestrator import RandomSearch
 from repro.orchestrator.multiplex import MultiplexStrategy
 from repro.orchestrator.tasks import reset_task_counter
-from repro.pipeline.workers import BatchEvaluator, ProcessPoolEvaluator
+from repro.pipeline.workers import BatchEvaluator
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
 
 FREQ = ghz(28)
@@ -55,11 +55,6 @@ PANEL_SIDE = 8 if SMALL else 16
 SOLVE_ITERATIONS = 8 if SMALL else 20
 SOLVE_POPULATION = 8 if SMALL else 16
 THREAD_WORKERS = 2
-PROCESS_WORKERS = 1
-
-#: Which evaluation backend carries the headline e2e speedup; CI runs
-#: the smoke variant once per backend and archives both artifacts.
-EVAL_BACKEND = os.environ.get("PERF_EVAL_BACKEND", "process")
 
 OUTPUT = Path(
     os.environ.get("PERF_BENCH_OUTPUT")
@@ -301,16 +296,22 @@ def _timed_reoptimize(system, evaluator=None, loop_kernel=False):
 
 
 def bench_end_to_end():
-    """The multi-task reoptimize() under every solve/backend variant.
+    """The multi-task reoptimize() under every solve/evaluator variant.
 
     Baseline: the pre-vectorization loop kernel plus one serial
     optimizer run per task.  Headline: vectorized kernels plus the
-    stacked cross-task solve evaluated on the selected backend.  All
+    stacked cross-task solve evaluated on a 2-worker thread pool.  All
     variants must produce bit-identical slot phases.
     """
     serial_system = build_multi_task_system(lockstep=False)
     loop_s, loop_phases = _timed_reoptimize(serial_system, loop_kernel=True)
     vec_s, vec_phases = _timed_reoptimize(serial_system)
+    with BatchEvaluator(
+        parallelism=THREAD_WORKERS, chunk=SOLVE_POPULATION
+    ) as thread_eval:
+        serial_thread_s, serial_thread_phases = _timed_reoptimize(
+            serial_system, evaluator=thread_eval
+        )
 
     lockstep_system = build_multi_task_system(lockstep=True)
     stacked_s, stacked_phases = _timed_reoptimize(lockstep_system)
@@ -320,19 +321,14 @@ def bench_end_to_end():
         thread_s, thread_phases = _timed_reoptimize(
             lockstep_system, evaluator=thread_eval
         )
-    with ProcessPoolEvaluator(
-        parallelism=PROCESS_WORKERS, chunk=SOLVE_POPULATION
-    ) as process_eval:
-        process_s, process_phases = _timed_reoptimize(
-            lockstep_system, evaluator=process_eval
-        )
 
     max_abs_diff = max(
         float(np.abs(np.asarray(a) - np.asarray(b)).max())
-        for variant in (loop_phases, stacked_phases, thread_phases, process_phases)
+        for variant in (
+            loop_phases, serial_thread_phases, stacked_phases, thread_phases
+        )
         for a, b in zip(vec_phases, variant)
     )
-    backend_s = process_s if EVAL_BACKEND == "process" else thread_s
     return {
         "tasks": NUM_CLIENTS,
         "elements": PANEL_SIDE * PANEL_SIDE,
@@ -340,13 +336,12 @@ def bench_end_to_end():
         "population": SOLVE_POPULATION,
         "scene_walls": SCENE_WALLS,
         "scene_boxes": SCENE_BOXES,
-        "backend": EVAL_BACKEND,
         "loop_ms": loop_s * 1e3,
         "vec_ms": vec_s * 1e3,
+        "serial_thread_ms": serial_thread_s * 1e3,
         "stacked_ms": stacked_s * 1e3,
         "thread_ms": thread_s * 1e3,
-        "process_ms": process_s * 1e3,
-        "speedup": loop_s / backend_s,
+        "speedup": loop_s / thread_s,
         "max_abs_diff": max_abs_diff,
     }
 
@@ -355,11 +350,7 @@ def run_perf_suite():
     e2e = bench_end_to_end()
     return {
         "small_scene": SMALL,
-        "meta": bench_meta(
-            backend=EVAL_BACKEND,
-            thread_workers=THREAD_WORKERS,
-            process_workers=PROCESS_WORKERS,
-        ),
+        "meta": bench_meta(thread_workers=THREAD_WORKERS),
         "kernel_segment_loss_db": bench_kernel(),
         "end_to_end_reoptimize": e2e,
         "solve_stacked_vs_per_task": {
@@ -367,10 +358,10 @@ def run_perf_suite():
             "stacked_ms": e2e["stacked_ms"],
             "speedup": e2e["vec_ms"] / e2e["stacked_ms"],
         },
-        "solve_process_vs_thread": {
-            "thread_ms": e2e["thread_ms"],
-            "process_ms": e2e["process_ms"],
-            "ratio": e2e["process_ms"] / e2e["thread_ms"],
+        "solve_stacked_thread_vs_per_task": {
+            "per_task_ms": e2e["vec_ms"],
+            "stacked_thread_ms": e2e["thread_ms"],
+            "speedup": e2e["vec_ms"] / e2e["thread_ms"],
         },
     }
 
@@ -413,25 +404,22 @@ def test_bench_perf_kernels(benchmark):
                     f"{e2e['loop_ms'] / e2e['stacked_ms']:.2f}x",
                 ),
                 (
+                    f"e2e serial + thread x{THREAD_WORKERS}",
+                    f"{e2e['serial_thread_ms']:.1f}",
+                    f"{e2e['loop_ms'] / e2e['serial_thread_ms']:.2f}x",
+                ),
+                (
                     f"e2e stacked + thread x{THREAD_WORKERS}",
                     f"{e2e['thread_ms']:.1f}",
                     f"{e2e['loop_ms'] / e2e['thread_ms']:.2f}x",
                 ),
-                (
-                    f"e2e stacked + process x{PROCESS_WORKERS}",
-                    f"{e2e['process_ms']:.1f}",
-                    f"{e2e['loop_ms'] / e2e['process_ms']:.2f}x",
-                ),
             ],
-            title=(
-                "Perf: vectorized kernels + stacked solve vs loops "
-                f"(headline backend: {e2e['backend']})"
-            ),
+            title="Perf: vectorized kernels + stacked solve vs loops",
         )
     )
     print(f"results written to {OUTPUT}")
     assert kernel["max_abs_diff"] <= 1e-9
-    # Every solve/backend variant must land bit-identical slot phases —
+    # Every solve/evaluator variant must land bit-identical slot phases —
     # the determinism contract, asserted in both bench modes.
     assert e2e["max_abs_diff"] == 0.0
     # Vectorization + stacking must pay for themselves; floors stay

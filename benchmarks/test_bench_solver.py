@@ -31,9 +31,9 @@ Gates:
 * determinism: two adaptive runs produce the same SNR digest.
 
 Results land in ``BENCH_solver.json`` at the repo root (override with
-``PERF_BENCH_OUTPUT``).  ``PERF_EVAL_BACKEND`` selects the candidate-
-evaluation backend (thread | process) — CI runs both and archives both
-artifacts.  Set ``PERF_BENCH_SMALL=1`` for the CI smoke variant.
+``PERF_BENCH_OUTPUT``).  Candidates are evaluated on a 2-worker
+thread pool (``eval_pool``).  Set ``PERF_BENCH_SMALL=1`` for the CI
+smoke variant.
 """
 
 import json
@@ -70,7 +70,6 @@ SEARCH_DECAY = 0.7
 SPEEDUP_GATE = 1.5
 QUALITY_TOLERANCE = 0.01
 
-EVAL_BACKEND = os.environ.get("PERF_EVAL_BACKEND", "thread")
 OUTPUT = Path(
     os.environ.get("PERF_BENCH_OUTPUT")
     or Path(__file__).resolve().parents[1] / "BENCH_solver.json"
@@ -95,7 +94,7 @@ def _config(adaptive: bool, seed: int) -> mobility.MobilityConfig:
         # path so floored quiescent solves replay exact prefixes of the
         # fixed baseline's solves (tests pin the early stop separately).
         early_stop_eps=None,
-        eval_backend=EVAL_BACKEND,
+        eval_pool=True,
         measure_wall=True,
     )
 
@@ -177,7 +176,7 @@ def test_bench_solver_adaptive_budgets(benchmark):
             title=(
                 f"Adaptive solve budgets: {STEPS} steps x {len(SEEDS)} "
                 f"seeds, {CLIENTS} client, {SOLVE_ITERATIONS} iters, "
-                f"{EVAL_BACKEND} backend"
+                "2-worker eval pool"
             ),
         )
     )
@@ -224,7 +223,7 @@ def test_bench_solver_adaptive_budgets(benchmark):
                     solve_iterations=SOLVE_ITERATIONS,
                     search_scale=SEARCH_SCALE,
                     search_decay=SEARCH_DECAY,
-                    eval_backend=EVAL_BACKEND,
+                    eval_pool=True,
                     speedup_gate=SPEEDUP_GATE,
                     quality_tolerance=QUALITY_TOLERANCE,
                 ),

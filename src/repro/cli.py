@@ -202,11 +202,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     frequency = ghz(28)
     sites = apartment_sites()
-    # With an evaluation backend bound, trace a population optimizer —
+    # With an evaluation pool bound, trace a population optimizer —
     # gradient descent never evaluates candidate batches, so Adam would
     # leave the evaluator (and its telemetry) idle.  Adaptive budgets
     # also need a budget-capable population optimizer with early stop.
-    if args.eval_backend or args.adaptive_budget:
+    if args.eval_pool or args.adaptive_budget:
         optimizer = RandomSearch(
             max_iterations=args.iterations,
             seed=0,
@@ -244,12 +244,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     system.orchestrator.optimize_coverage("bedroom")
     system.orchestrator.enhance_link("phone", snr=25.0)
     evaluator = None
-    if args.eval_backend:
-        from .pipeline import EvaluationConfig, build_evaluator
+    if args.eval_pool:
+        from .pipeline import BatchEvaluator
 
-        evaluator = build_evaluator(
-            EvaluationConfig(backend=args.eval_backend, parallelism=2)
-        )
+        evaluator = BatchEvaluator(parallelism=2)
         evaluator.bind_telemetry(system.telemetry)
         system.orchestrator.optimizer.bind_evaluator(evaluator)
     try:
@@ -314,7 +312,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         requests=args.requests,
         rate_hz=args.rate,
         seed=args.seed,
-        backend=args.eval_backend,
     )
     return finish(result, args.json, artifact_label="benchmark results")
 
@@ -329,7 +326,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         strategy=args.strategy,
         parallelism=args.workers,
-        backend=args.eval_backend,
         jsonl=args.jsonl,
         scene=args.scene,
     )
@@ -355,7 +351,7 @@ def _cmd_mobility(args: argparse.Namespace) -> int:
         channel_workers=args.workers,
         panel_size=args.panel_size,
         adaptive_budget=args.adaptive_budget,
-        eval_backend=args.eval_backend,
+        eval_pool=args.eval_pool,
     )
     result = mobility.run(config, jsonl=args.jsonl)
     code = finish(result, args.json, artifact_label="scenario results")
@@ -501,12 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--rounds", type=int, default=2, help="block-coordinate rounds"
     )
     trace.add_argument(
-        "--eval-backend",
-        choices=("thread", "process"),
-        default=None,
+        "--eval-pool",
+        action="store_true",
         help=(
-            "bind a candidate-evaluation backend for the traced pass "
-            "(bit-identical results; evaluator.* metrics land in the report)"
+            "evaluate candidates on a 2-worker thread pool for the traced "
+            "pass (bit-identical results; evaluator.* metrics land in the "
+            "report)"
         ),
     )
     trace.add_argument(
@@ -582,12 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument(
         "--json", metavar="FILE", help="write the comparison as JSON"
     )
-    pipeline.add_argument(
-        "--eval-backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="candidate-evaluation backend (bit-identical results)",
-    )
     pipeline.set_defaults(fn=_cmd_pipeline)
 
     fleet = sub.add_parser(
@@ -615,12 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="evaluation workers per shard (results identical at any N)",
-    )
-    fleet.add_argument(
-        "--eval-backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="candidate-evaluation backend (bit-identical results)",
     )
     fleet.add_argument(
         "--jsonl",
@@ -695,10 +679,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     mobility.add_argument(
-        "--eval-backend",
-        choices=("thread", "process"),
-        default=None,
-        help="candidate-evaluation backend (bit-identical results)",
+        "--eval-pool",
+        action="store_true",
+        help=(
+            "evaluate candidates on a 2-worker thread pool "
+            "(bit-identical results)"
+        ),
     )
     mobility.add_argument(
         "--jsonl",

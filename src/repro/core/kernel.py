@@ -201,34 +201,19 @@ class SurfOS:
         )
         return self
 
-    def attach_pipeline(self, config=None, backend=None):
+    def attach_pipeline(self, config=None):
         """Build a request pipeline over the broker and daemon clock.
 
         Returns the :class:`~repro.pipeline.RequestPipeline`, shared
         with the daemon so environment triggers (motion, degradation)
         coalesce with admission triggers.  Pass a
         :class:`~repro.pipeline.PipelineConfig` to tune queue capacity,
-        batch size, the coalescing window, and evaluation parallelism;
-        ``backend`` ("thread" | "process") overrides the evaluation
-        backend without spelling out a full config — either way results
-        are bit-identical, only where the NumPy work runs changes.
+        batch size, the coalescing window, and evaluation parallelism
+        (results are bit-identical at any worker count).
         """
         self._require_boot()
-        from ..pipeline import EvaluationConfig, PipelineConfig, RequestPipeline
+        from ..pipeline import RequestPipeline
 
-        if backend is not None:
-            from dataclasses import replace
-
-            base = config or PipelineConfig()
-            config = replace(
-                base,
-                evaluation=EvaluationConfig(
-                    backend=backend,
-                    parallelism=base.evaluation.parallelism,
-                    chunk=base.evaluation.chunk,
-                    start_method=base.evaluation.start_method,
-                ),
-            )
         self.pipeline = RequestPipeline(
             self.broker, clock=self.daemon.clock, config=config
         )

@@ -276,7 +276,6 @@ def run_serial(
     seed: int = 0,
     panel_size: int = PANEL_SIZE,
     optimizer: Optional[Optimizer] = None,
-    backend: str = "thread",
 ) -> ModeResult:
     """The pre-pipeline discipline: one full solve per arriving demand.
 
@@ -284,19 +283,17 @@ def run_serial(
     and the previous solve finished; its service time is the measured
     solve wall time plus the hardware settle the push paid.
 
-    The same evaluation backend the pipelined discipline uses is bound
+    The same 2-worker evaluator the pipelined discipline uses is bound
     here too, so the comparison isolates the control-plane discipline
     (per-request solves vs batched, coalesced solves) rather than
     mixing in evaluator differences.
     """
-    from ..pipeline import build_evaluator
+    from ..pipeline import BatchEvaluator
 
     system = build_system(
         requests, seed=seed, panel_size=panel_size, optimizer=optimizer
     )
-    evaluator = build_evaluator(
-        EvaluationConfig(backend=backend, parallelism=2)
-    )
+    evaluator = BatchEvaluator(parallelism=2)
     evaluator.bind_telemetry(system.telemetry)
     system.orchestrator.optimizer.bind_evaluator(evaluator)
     arrivals = arrival_times(requests, rate_hz, seed=seed)
@@ -333,7 +330,6 @@ def run_pipelined(
     config: Optional[PipelineConfig] = None,
     dt: Optional[float] = None,
     horizon_s: float = 600.0,
-    backend: str = "thread",
 ):
     """The pipelined discipline over the same trace; returns the pipeline.
 
@@ -351,7 +347,7 @@ def run_pipelined(
     config = config or PipelineConfig(
         adaptive=AdaptiveCoalesceConfig(max_window_s=COALESCE_WINDOW_S),
         charge_compute=True,
-        evaluation=EvaluationConfig(backend=backend, parallelism=2),
+        evaluation=EvaluationConfig(parallelism=2),
     )
     pipeline = system.attach_pipeline(config)
     demands = _demands(requests)
@@ -380,7 +376,6 @@ def run(
     panel_size: int = PANEL_SIZE,
     config: Optional[PipelineConfig] = None,
     dt: Optional[float] = None,
-    backend: str = "thread",
 ) -> ArrivalSweepResult:
     """Both disciplines over one seeded trace; the benchmark entry point."""
     serial = run_serial(
@@ -388,7 +383,6 @@ def run(
         rate_hz=rate_hz,
         seed=seed,
         panel_size=panel_size,
-        backend=backend,
     )
     pipeline = run_pipelined(
         requests,
@@ -397,7 +391,6 @@ def run(
         panel_size=panel_size,
         config=config,
         dt=dt,
-        backend=backend,
     )
     stats = pipeline.stats
     arrivals = arrival_times(requests, rate_hz, seed=seed)

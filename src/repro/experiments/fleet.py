@@ -87,7 +87,6 @@ def build_fleet(
     panel_size: int = PANEL_SIZE,
     queue_capacity: int = 64,
     parallelism: int = 1,
-    backend: str = "thread",
     scene: str = "two-room",
 ) -> FleetBroker:
     """A seeded N-shard fleet with reset id counters (determinism)."""
@@ -108,7 +107,6 @@ def build_fleet(
         specs,
         strategy=make_strategy(strategy, shards),
         parallelism=parallelism,
-        backend=backend,
     )
 
 
@@ -237,7 +235,6 @@ def run(
     strategy: str = "congestion",
     panel_size: int = PANEL_SIZE,
     parallelism: int = 1,
-    backend: str = "thread",
     jsonl: Optional[str] = None,
     fleet: Optional[FleetBroker] = None,
     horizon_s: float = 60.0,
@@ -252,8 +249,7 @@ def run(
             strategy=strategy,
             panel_size=panel_size,
             parallelism=parallelism,
-            backend=backend,
-            scene=scene,
+                scene=scene,
         )
     demands = _demands(requests, shards, seed)
     rng = np.random.default_rng(seed + 17)

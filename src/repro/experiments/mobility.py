@@ -105,9 +105,9 @@ class MobilityConfig:
         adaptive_budget: drift-aware adaptive solve budgets + solution
             memory + optimizer early-stop (off = fixed budgets,
             byte-identical to the pre-feature control plane).
-        eval_backend: pipeline evaluation backend override (``thread``
-            or ``process``, parallelism 2); ``None`` keeps the default
-            serial evaluation.  Bit-identical either way.
+        eval_pool: evaluate candidates on a 2-worker thread pool
+            instead of the default serial evaluation.  Bit-identical
+            either way.
         client_pause_s: dwell seconds at each client waypoint (0 keeps
             the legacy always-moving endpoints).  Dwells create
             quiescent reactions where the objective goes static — the
@@ -139,7 +139,7 @@ class MobilityConfig:
     leg_cache_size: Optional[int] = None
     measure_wall: bool = False
     adaptive_budget: bool = False
-    eval_backend: Optional[str] = None
+    eval_pool: bool = False
     client_pause_s: float = 0.0
     search_scale: float = 1.0
     search_decay: float = 0.9
@@ -395,10 +395,8 @@ def build_system(
     if config.leg_cache_size is not None:
         system.orchestrator.simulator.leg_cache_size = config.leg_cache_size
     pipeline_kwargs = {"adaptive": AdaptiveCoalesceConfig()}
-    if config.eval_backend:
-        pipeline_kwargs["evaluation"] = EvaluationConfig(
-            backend=config.eval_backend, parallelism=2
-        )
+    if config.eval_pool:
+        pipeline_kwargs["evaluation"] = EvaluationConfig(parallelism=2)
     system.attach_pipeline(PipelineConfig(**pipeline_kwargs))
     scene = system.scene
     if config.walkers and not scene.walker_loops:

@@ -65,7 +65,6 @@ class FleetBroker:
         clock: Optional[SimClock] = None,
         stagger_s: float = DEFAULT_STAGGER_S,
         parallelism: int = 1,
-        backend: str = "thread",
     ):
         if not specs:
             raise ServiceError("a fleet needs at least one shard")
@@ -86,7 +85,6 @@ class FleetBroker:
                 telemetry=self.telemetry,
                 stagger_s=index * stagger_s,
                 parallelism=parallelism,
-                backend=backend,
             )
         #: app@client key → shard id of the live registration.
         self._routes: Dict[str, str] = {}

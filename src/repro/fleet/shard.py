@@ -132,7 +132,6 @@ class EnvironmentShard:
         telemetry: Telemetry,
         stagger_s: float = 0.0,
         parallelism: int = 1,
-        backend: str = "thread",
     ):
         self.spec = spec
         self.shard_id = spec.shard_id
@@ -151,9 +150,7 @@ class EnvironmentShard:
             config=PipelineConfig(
                 queue_capacity=spec.queue_capacity,
                 coalesce_window_s=self.coalesce_window_s,
-                evaluation=EvaluationConfig(
-                    backend=backend, parallelism=parallelism
-                ),
+                evaluation=EvaluationConfig(parallelism=parallelism),
             ),
         )
         #: Set by :meth:`FleetBroker.quarantine_shard`; a quarantined

@@ -34,12 +34,11 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import ServiceError
+from ..core.traces import iter_trace
 from ..geometry.vec import as_vec3
 
 __all__ = [
@@ -280,42 +279,11 @@ class TraceReplay(MobilityModelBase):
     """
 
     def __init__(self, path: str):
-        if not os.path.exists(path):
-            raise ServiceError(f"trace file not found: {path}")
+        samples = read_mobility_trace(path)
         self.path = path
-        times: List[float] = []
-        positions: List[np.ndarray] = []
-        last = -math.inf
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                t, pos = self._parse_line(line, lineno, path)
-                if t < last:
-                    raise ServiceError(
-                        f"{path}:{lineno}: trace times must be "
-                        f"non-decreasing ({t} after {last})"
-                    )
-                last = t
-                times.append(t)
-                positions.append(pos)
-        if not times:
-            raise ServiceError(f"trace file is empty: {path}")
-        self._times = np.asarray(times, dtype=float)
-        self._positions = np.vstack(positions)
+        self._times = np.asarray([t for t, _ in samples], dtype=float)
+        self._positions = np.vstack([pos for _, pos in samples])
         self._time = 0.0
-
-    @staticmethod
-    def _parse_line(
-        line: str, lineno: int, path: str
-    ) -> Tuple[float, np.ndarray]:
-        try:
-            record = json.loads(line)
-            return float(record["t"]), as_vec3(record["pos"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ServiceError(
-                f"{path}:{lineno}: bad trace line ({exc})"
-            ) from exc
 
     def position(self) -> np.ndarray:
         t = self._time
@@ -356,7 +324,6 @@ def write_mobility_trace(
     return count
 
 
-def read_mobility_trace(path: str) -> Iterator[Tuple[float, np.ndarray]]:
+def read_mobility_trace(path: str) -> List[Tuple[float, np.ndarray]]:
     """All ``(t, position)`` samples from a mobility trace (eager)."""
-    replay = TraceReplay(path)
-    return list(zip(replay._times.tolist(), list(replay._positions)))
+    return list(iter_trace(path, lambda record: as_vec3(record["pos"])))

@@ -32,7 +32,6 @@ from .virtualization import (
     Hypervisor,
     TenantOrchestrator,
     TenantPolicy,
-    VirtualOrchestrator,
 )
 from .slices import ResourceSlice, SliceAllocator
 from .tasks import ServiceTask, ServiceType, TaskState
@@ -66,7 +65,6 @@ __all__ = [
     "TenantOrchestrator",
     "TenantPolicy",
     "TaskState",
-    "VirtualOrchestrator",
     "coefficients_from_phases",
     "objective_digest",
     "optimize_surfaces",

@@ -664,149 +664,6 @@ class StackedObjective(Objective):
         return results  # type: ignore[return-value]
 
 
-# ----------------------------------------------------------------------
-# evaluation-spec export (process-pool backend)
-# ----------------------------------------------------------------------
-#
-# The process backend can't share Python objects with its workers, so
-# supported objectives export a *spec*: plain scalars plus tokens for
-# every large array, published once into shared memory by the caller's
-# ``put_array``.  Workers rebuild the objective from the spec with
-# zero-copy views over the shared segments and then run the exact same
-# ``value_many`` code path as the parent — bit-identity by
-# construction, not by reimplementation.
-
-
-def export_objective(objective: Objective, put_array) -> dict:
-    """Serializable evaluation spec for a supported objective.
-
-    ``put_array(ndarray) -> token`` publishes an array (e.g. into
-    shared memory) and returns a token ``restore_objective`` can hand
-    back to fetch it.  Raises :class:`OptimizationError` for objective
-    types without an export (the evaluator then falls back to in-process
-    evaluation).
-    """
-    if type(objective) is CoverageObjective:
-        return {
-            "kind": "coverage",
-            "surface": objective.form.surface_id,
-            "coeffs": put_array(objective.form.coeffs),
-            "offset": put_array(objective.form.offset),
-            "amplitudes": put_array(objective.amplitudes),
-            "weights": (
-                None
-                if objective.goal.weights is None
-                else put_array(np.asarray(objective.goal.weights, dtype=float))
-            ),
-            "budget": _export_budget(objective.goal.budget),
-        }
-    if type(objective) is PoweringObjective:
-        return {
-            "kind": "powering",
-            "surface": objective.form.surface_id,
-            "coeffs": put_array(objective.form.coeffs),
-            "offset": put_array(objective.form.offset),
-            "amplitudes": put_array(objective.amplitudes),
-            "budget": _export_budget(objective.budget),
-        }
-    if type(objective) is LocalizationObjective:
-        return {
-            "kind": "localization",
-            "surface": objective.form.surface_id,
-            "coeffs": put_array(objective.form.coeffs),
-            "offset": put_array(objective.form.offset),
-            "amplitudes": put_array(objective.amplitudes),
-            "predictions": put_array(objective.predictions),
-            "true_idx": put_array(objective.true_idx),
-            "beta": objective.beta,
-            "epsilon": objective.epsilon,
-        }
-    if type(objective) is JointObjective:
-        return {
-            "kind": "joint",
-            "parts": [
-                [export_objective(part, put_array), float(weight)]
-                for part, weight in objective.parts
-            ],
-        }
-    if type(objective) is StackedObjective:
-        return {
-            "kind": "stacked",
-            "parts": [
-                export_objective(part, put_array) for part in objective.parts
-            ],
-        }
-    raise OptimizationError(
-        f"no evaluation spec for {type(objective).__name__}"
-    )
-
-
-def restore_objective(spec: dict, get_array) -> Objective:
-    """Rebuild an objective from :func:`export_objective`'s spec.
-
-    ``get_array(token) -> ndarray`` resolves array tokens (typically
-    attaching shared-memory segments).  The rebuilt objective runs the
-    same evaluation code as the original.
-    """
-    kind = spec["kind"]
-    if kind == "coverage":
-        weights = None if spec["weights"] is None else get_array(spec["weights"])
-        return CoverageObjective(
-            _restore_form(spec, get_array),
-            amplitudes=get_array(spec["amplitudes"]),
-            goal=CoverageGoal(
-                budget=_restore_budget(spec["budget"]), weights=weights
-            ),
-        )
-    if kind == "powering":
-        return PoweringObjective(
-            _restore_form(spec, get_array),
-            amplitudes=get_array(spec["amplitudes"]),
-            budget=_restore_budget(spec["budget"]),
-        )
-    if kind == "localization":
-        return LocalizationObjective(
-            _restore_form(spec, get_array),
-            predictions=get_array(spec["predictions"]),
-            true_angle_indices=get_array(spec["true_idx"]),
-            amplitudes=get_array(spec["amplitudes"]),
-            beta=spec["beta"],
-            epsilon=spec["epsilon"],
-        )
-    if kind == "joint":
-        return JointObjective(
-            [
-                (restore_objective(part, get_array), weight)
-                for part, weight in spec["parts"]
-            ]
-        )
-    if kind == "stacked":
-        return StackedObjective(
-            [restore_objective(part, get_array) for part in spec["parts"]]
-        )
-    raise OptimizationError(f"unknown evaluation spec kind {kind!r}")
-
-
-def _restore_form(spec: dict, get_array) -> LinearChannelForm:
-    return LinearChannelForm(
-        surface_id=spec["surface"],
-        coeffs=get_array(spec["coeffs"]),
-        offset=get_array(spec["offset"]),
-    )
-
-
-def _export_budget(budget: LinkBudget) -> List[float]:
-    return [budget.tx_power_dbm, budget.bandwidth_hz, budget.noise_figure_db]
-
-
-def _restore_budget(fields: Sequence[float]) -> LinkBudget:
-    return LinkBudget(
-        tx_power_dbm=fields[0],
-        bandwidth_hz=fields[1],
-        noise_figure_db=fields[2],
-    )
-
-
 class FiniteDifferenceObjective(Objective):
     """Wrap any black-box loss with central finite differences.
 

@@ -63,7 +63,7 @@ class _EarlyStop:
     ``eps * max(|previous best|, tiny)`` for ``patience`` consecutive
     checks.  ``eps=None`` disables tracking entirely (never stops).
     The decision depends only on the loss stream, never on wall clock,
-    so it is deterministic across repeats, workers, and eval backends.
+    so it is deterministic across repeats and evaluation worker counts.
     """
 
     __slots__ = ("eps", "patience", "stall", "stopped")
@@ -212,21 +212,12 @@ class Optimizer:
 
         ``stacked`` is a :class:`StackedObjective`; ``batches`` holds
         one ``(P_t, E)`` batch per part (``None`` skips a task).  Routes
-        through the bound evaluator's ``value_many_segments`` when it
-        has one (same chunk grid per task as ``value_many``, so results
-        match the serial per-task loop bit for bit); degrades to
-        per-task evaluation against evaluators that predate the hook.
+        through the bound evaluator's ``value_many_segments`` when one
+        is bound (same chunk grid per task as ``value_many``, so results
+        match the serial per-task loop bit for bit).
         """
         if self.evaluator is not None:
-            segments = getattr(self.evaluator, "value_many_segments", None)
-            if segments is not None:
-                return segments(stacked, batches)
-            return [
-                None
-                if batch is None
-                else np.asarray(self.evaluator.value_many(part, batch))
-                for part, batch in zip(stacked.parts, batches)
-            ]
+            return self.evaluator.value_many_segments(stacked, batches)
         return stacked.value_many_segments(batches)
 
     def _count_evals(self, count: int) -> None:

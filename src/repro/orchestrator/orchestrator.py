@@ -17,7 +17,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -41,7 +40,7 @@ from ..hwmgr.manager import HardwareManager
 from ..services import connectivity, powering, security, sensing
 from ..surfaces.panel import SurfacePanel
 from ..telemetry import Telemetry
-from .blockcoord import coefficients_from_phases, optimize_surfaces
+from .blockcoord import coefficients_from_phases
 from .multiplex import MultiplexStrategy, propose_slices
 from .objectives import JointObjective, Objective
 from .optimizers import Adam, Optimizer
@@ -67,6 +66,22 @@ class _TaskContext:
     legit_local: Optional[np.ndarray] = None     # security: local indices
     eve_local: Optional[np.ndarray] = None
     point_offset: int = 0                   # filled per reoptimize pass
+
+
+@dataclass
+class _SolveUnit:
+    """One independent solve: a co-served group or one time-division slot.
+
+    ``key`` names the unit in the solution store (the joint group's
+    :func:`group_key`, or a slotted task's id); ``phases`` is the
+    unit's own flat phase state per optimizable surface, and
+    ``budgets`` its round-0 drift budget per surface.
+    """
+
+    key: str
+    contexts: List[_TaskContext]
+    phases: Dict[str, np.ndarray]
+    budgets: Dict[str, Optional[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -592,132 +607,52 @@ class SurfaceOrchestrator:
                 solver_stats.get("early_stops", 0) + 1
             )
 
-    def _optimize_group(
+    def _unit_objective(
+        self,
+        unit: _SolveUnit,
+        form: LinearChannelForm,
+        amplitudes: np.ndarray,
+        surface_id: str,
+        model: ChannelModel,
+    ) -> Objective:
+        """One unit's loss on one surface: a lone task's objective, or
+        the priority-weighted :class:`JointObjective` of a group."""
+        objectives = [
+            self._task_objective(ctx, form, amplitudes, surface_id, model)
+            for ctx in unit.contexts
+        ]
+        if len(objectives) == 1:
+            return objectives[0]
+        total_weight = sum(c.weight for c in unit.contexts) or 1.0
+        return JointObjective([
+            (objective, ctx.weight / total_weight)
+            for objective, ctx in zip(objectives, unit.contexts)
+        ])
+
+    def _optimize_units(
         self,
         model: ChannelModel,
-        contexts: Sequence[_TaskContext],
+        units: Sequence[_SolveUnit],
         optimizable: Sequence[SurfacePanel],
         rounds: int,
-        eval_counts: Optional[Dict[str, int]] = None,
-        solver_stats: Optional[Dict[str, int]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Block-coordinate search for one group of co-served tasks.
+        eval_counts: Dict[str, int],
+        solver_stats: Dict[str, int],
+    ) -> None:
+        """Block-coordinate search over independent solve units.
 
-        Returns the optimized flat phase vector per optimizable surface.
-        Each surface gets its own objective builder because sensing
-        predictions are per-surface.  ``eval_counts`` accumulates
-        objective evaluations per task id for the telemetry summary.
-        """
-        total_weight = sum(c.weight for c in contexts) or 1.0
-        by_id = {p.panel_id: p for p in self.hardware.panels()}
-        phases = {
-            p.panel_id: p.configuration.flat_phases() for p in optimizable
-        }
-
-        def coeffs() -> Dict[str, np.ndarray]:
-            out = {}
-            for sid, panel in by_id.items():
-                if sid in phases:
-                    out[sid] = coefficients_from_phases(panel, phases[sid])
-                else:
-                    out[sid] = panel.configuration.coefficients().reshape(-1)
-            return out
-
-        from .optimizers import panel_projection
-
-        adaptive = self.solve_budget.enabled
-        solver_stats = {} if solver_stats is None else solver_stats
-        key = group_key(c.task.task_id for c in contexts)
-        budgets: Dict[str, Optional[int]] = {}
-        forms = LinearFormCache(model, telemetry=self.telemetry)
-        for round_index in range(rounds):
-            for panel in optimizable:
-                sid = panel.panel_id
-                with self.telemetry.span(
-                    "optimize-panel",
-                    panel=sid,
-                    round=round_index,
-                    tasks=len(contexts),
-                ) as span:
-                    form = forms.linear_form(sid, coeffs())
-                    amplitudes = panel.configuration.amplitudes.reshape(-1)
-                    parts: List[Tuple[Objective, float]] = []
-                    for ctx in contexts:
-                        objective = self._task_objective(
-                            ctx, form, amplitudes, sid, model
-                        )
-                        parts.append((objective, ctx.weight / total_weight))
-                    joint = (
-                        parts[0][0] if len(parts) == 1 else JointObjective(parts)
-                    )
-                    budget = None
-                    if adaptive:
-                        if round_index == 0:
-                            phases[sid], budget = self._warm_start(
-                                key, sid, joint, phases[sid], solver_stats
-                            )
-                            budgets[sid] = budget
-                        else:
-                            # Later block-coordinate rounds continue the
-                            # round-0 solve under the same drift budget.
-                            budget = budgets.get(sid)
-                    result = self.optimizer.optimize(
-                        joint,
-                        phases[sid],
-                        projection=panel_projection(panel),
-                        budget=budget,
-                    )
-                    phases[sid] = result.phases
-                    span.set(iterations=result.iterations, loss=result.loss)
-                    self.telemetry.counter(
-                        "orchestrator.objective_evaluations",
-                        result.evaluations * len(contexts),
-                    )
-                    if eval_counts is not None:
-                        for ctx in contexts:
-                            task_id = ctx.task.task_id
-                            eval_counts[task_id] = (
-                                eval_counts.get(task_id, 0) + result.evaluations
-                            )
-                    if adaptive:
-                        self._account_solver(result, solver_stats)
-                        if round_index == rounds - 1:
-                            self._solutions.store(
-                                key, sid, objective_digest(joint),
-                                result.phases, result.loss,
-                            )
-        return phases
-
-    def _optimize_slotted(
-        self,
-        model: ChannelModel,
-        contexts: Sequence[_TaskContext],
-        optimizable: Sequence[SurfacePanel],
-        rounds: int,
-        eval_counts: Optional[Dict[str, int]] = None,
-        solver_stats: Optional[Dict[str, int]] = None,
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Block-coordinate search for the time-division tasks, in lockstep.
-
-        Each slotted task is an *independent* solve (its own codebook
-        entry, its own phase state), so instead of running
-        :meth:`_optimize_group` once per task the tasks advance together
-        through :meth:`Optimizer.optimize_many`: every optimizer
-        iteration evaluates all tasks' candidate batches as one stacked
-        cross-task call.  Per-task trajectories are bit-identical to the
-        serial per-task loop — independent RNG streams, per-task linear
-        forms, per-task chunk grids — only the wall-clock changes.
-
-        Returns the optimized flat phases per task id per surface.
+        Each round visits every optimizable surface once; on each
+        surface all units advance together through one
+        :meth:`Optimizer.optimize_many` call (a lone unit falls through
+        to :meth:`Optimizer.optimize`).  Value-only optimizers stack
+        the units' candidate batches into one cross-task evaluation per
+        iteration, bit-identical to one solve per unit.  Every unit
+        builds its own linear form from its own phase state, so units
+        never see each other's configurations.  Optimized phases land
+        in each unit's ``phases``; ``eval_counts`` accumulates objective
+        evaluations per task id.
         """
         from .optimizers import panel_projection
 
-        states: Dict[str, Dict[str, np.ndarray]] = {
-            ctx.task.task_id: {
-                p.panel_id: p.configuration.flat_phases() for p in optimizable
-            }
-            for ctx in contexts
-        }
         by_id = {p.panel_id: p for p in self.hardware.panels()}
 
         def coeffs(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -730,8 +665,6 @@ class SurfaceOrchestrator:
             return out
 
         adaptive = self.solve_budget.enabled
-        solver_stats = {} if solver_stats is None else solver_stats
-        task_budgets: Dict[Tuple[str, str], Optional[int]] = {}
         forms = LinearFormCache(model, telemetry=self.telemetry)
         for round_index in range(rounds):
             for panel in optimizable:
@@ -740,30 +673,30 @@ class SurfaceOrchestrator:
                     "optimize-panel",
                     panel=sid,
                     round=round_index,
-                    tasks=len(contexts),
+                    tasks=sum(len(u.contexts) for u in units),
                 ) as span:
                     amplitudes = panel.configuration.amplitudes.reshape(-1)
                     objectives: List[Objective] = []
                     initials: List[np.ndarray] = []
                     budgets: List[Optional[int]] = []
-                    for ctx in contexts:
-                        task_id = ctx.task.task_id
-                        state = states[task_id]
-                        form = forms.linear_form(sid, coeffs(state))
-                        objective = self._task_objective(
-                            ctx, form, amplitudes, sid, model
+                    for unit in units:
+                        form = forms.linear_form(sid, coeffs(unit.phases))
+                        objective = self._unit_objective(
+                            unit, form, amplitudes, sid, model
                         )
-                        initial = state[sid]
+                        initial = unit.phases[sid]
                         budget = None
                         if adaptive:
                             if round_index == 0:
                                 initial, budget = self._warm_start(
-                                    task_id, sid, objective, initial,
+                                    unit.key, sid, objective, initial,
                                     solver_stats,
                                 )
-                                task_budgets[(task_id, sid)] = budget
+                                unit.budgets[sid] = budget
                             else:
-                                budget = task_budgets.get((task_id, sid))
+                                # Later rounds continue the round-0 solve
+                                # under the same drift budget.
+                                budget = unit.budgets.get(sid)
                         objectives.append(objective)
                         initials.append(initial)
                         budgets.append(budget)
@@ -771,36 +704,38 @@ class SurfaceOrchestrator:
                         objectives,
                         initials,
                         projection=panel_projection(panel),
-                        budgets=budgets if adaptive else None,
+                        budgets=budgets,
                     )
-                    for ctx, result in zip(contexts, results):
-                        states[ctx.task.task_id][sid] = result.phases
+                    for unit, result in zip(units, results):
+                        unit.phases[sid] = result.phases
                     span.set(
                         iterations=sum(r.iterations for r in results),
                         loss=sum(r.loss for r in results),
                     )
                     self.telemetry.counter(
                         "orchestrator.objective_evaluations",
-                        sum(r.evaluations for r in results),
+                        sum(
+                            r.evaluations * len(u.contexts)
+                            for u, r in zip(units, results)
+                        ),
                     )
-                    if eval_counts is not None:
-                        for ctx, result in zip(contexts, results):
+                    for unit, result in zip(units, results):
+                        for ctx in unit.contexts:
                             task_id = ctx.task.task_id
                             eval_counts[task_id] = (
                                 eval_counts.get(task_id, 0) + result.evaluations
                             )
                     if adaptive:
-                        for ctx, objective, result in zip(
-                            contexts, objectives, results
+                        for unit, objective, result in zip(
+                            units, objectives, results
                         ):
                             self._account_solver(result, solver_stats)
                             if round_index == rounds - 1:
                                 self._solutions.store(
-                                    ctx.task.task_id, sid,
+                                    unit.key, sid,
                                     objective_digest(objective),
                                     result.phases, result.loss,
                                 )
-        return states
 
     def _phases_to_config(
         self, panel: SurfacePanel, phases: np.ndarray, name: str
@@ -871,41 +806,53 @@ class SurfaceOrchestrator:
             joint_contexts = [c for c in contexts if self._is_joint(c)]
             slotted_contexts = [c for c in contexts if not self._is_joint(c)]
 
-            new_configs: Dict[str, SurfaceConfiguration] = {}
-            slot_configs: Dict[str, Dict[str, SurfaceConfiguration]] = {}
+            def unit(key: str, members: List[_TaskContext]) -> _SolveUnit:
+                return _SolveUnit(key, members, {
+                    p.panel_id: p.configuration.flat_phases()
+                    for p in optimizable
+                })
+
+            joint = [
+                unit(
+                    group_key(c.task.task_id for c in joint_contexts),
+                    joint_contexts,
+                )
+            ] if joint_contexts else []
+            slots = [unit(c.task.task_id, [c]) for c in slotted_contexts]
 
             with self.telemetry.span(
                 "optimize",
                 joint_tasks=len(joint_contexts),
                 slot_tasks=len(slotted_contexts),
             ) as span:
-                if joint_contexts:
-                    phases = self._optimize_group(
-                        model, joint_contexts, optimizable, rounds,
-                        eval_counts, solver_stats,
-                    )
-                    for panel in optimizable:
-                        new_configs[panel.panel_id] = self._phases_to_config(
-                            panel,
-                            phases[panel.panel_id],
-                            f"orchestrated@{self.clock_now:.3f}",
+                # The co-served group solves first, then every
+                # time-division slot in lockstep.
+                for units in (joint, slots):
+                    if units:
+                        self._optimize_units(
+                            model, units, optimizable, rounds,
+                            eval_counts, solver_stats,
                         )
-
-                if slotted_contexts:
-                    slot_phases = self._optimize_slotted(
-                        model, slotted_contexts, optimizable, rounds,
-                        eval_counts, solver_stats,
+                new_configs: Dict[str, SurfaceConfiguration] = {
+                    panel.panel_id: self._phases_to_config(
+                        panel,
+                        group.phases[panel.panel_id],
+                        f"orchestrated@{self.clock_now:.3f}",
                     )
-                    for ctx in slotted_contexts:
-                        phases = slot_phases[ctx.task.task_id]
-                        entry = {}
-                        for panel in optimizable:
-                            entry[panel.panel_id] = self._phases_to_config(
-                                panel,
-                                phases[panel.panel_id],
-                                f"task-{ctx.task.task_id}",
-                            )
-                        slot_configs[ctx.task.task_id] = entry
+                    for group in joint
+                    for panel in optimizable
+                }
+                slot_configs: Dict[str, Dict[str, SurfaceConfiguration]] = {
+                    slot.key: {
+                        panel.panel_id: self._phases_to_config(
+                            panel,
+                            slot.phases[panel.panel_id],
+                            f"task-{slot.key}",
+                        )
+                        for panel in optimizable
+                    }
+                    for slot in slots
+                }
             timing["optimize_s"] = span.wall_duration_s
 
             if push:

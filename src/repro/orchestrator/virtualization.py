@@ -63,8 +63,6 @@ class TenantOrchestrator:
     Exposes the same service API names as
     :class:`SurfaceOrchestrator`, with the tenant's policy enforced
     before delegation and ownership recorded for isolation.
-    (Formerly named ``VirtualOrchestrator``; that name remains as an
-    alias.)
     """
 
     def __init__(
@@ -295,7 +293,3 @@ class Hypervisor:
             }
             for name, tenant in self._tenants.items()
         }
-
-
-#: Backwards-compatible alias for the pre-fleet class name.
-VirtualOrchestrator = TenantOrchestrator

@@ -13,7 +13,7 @@ from .pipeline import (
     TickResult,
 )
 from .queue import PriorityClass, QueuedRequest, RequestQueue
-from .workers import BatchEvaluator, ProcessPoolEvaluator, build_evaluator
+from .workers import BatchEvaluator
 
 __all__ = [
     "AdaptiveCoalesceConfig",
@@ -21,8 +21,6 @@ __all__ = [
     "BatchEvaluator",
     "EvaluationConfig",
     "PipelineConfig",
-    "ProcessPoolEvaluator",
-    "build_evaluator",
     "PipelineStats",
     "PriorityClass",
     "QueuedRequest",

@@ -8,9 +8,6 @@ from typing import Optional
 from ..core.errors import ServiceError
 from .coalesce import AdaptiveCoalesceConfig
 
-#: Evaluation backends the pipeline can build.
-EVALUATION_BACKENDS = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class EvaluationConfig:
@@ -21,32 +18,23 @@ class EvaluationConfig:
     fields are retired (they are accepted as init-only conveniences and
     raise when they conflict with an explicit ``evaluation=``).
 
+    Candidates are evaluated by a
+    :class:`~repro.pipeline.workers.BatchEvaluator`: a thread pool over
+    GIL-releasing BLAS calls, bit-identical to serial evaluation at any
+    ``parallelism``.
+
     Attributes:
-        backend: ``"thread"`` (GIL-sharing pool over BLAS calls, zero
-            setup cost) or ``"process"`` (worker processes over
-            shared-memory objective arrays — no GIL at all).  Either
-            backend is bit-identical to serial evaluation at any
-            ``parallelism`` (see :mod:`repro.pipeline.workers`).
-        parallelism: worker threads/processes; 1 keeps evaluation on
-            (or, for ``process``, behind) the calling thread.
+        parallelism: worker threads; 1 keeps evaluation on the calling
+            thread.
         chunk: rows per evaluation chunk.  The chunk grid depends only
-            on this — never on ``parallelism`` or ``backend`` — which
-            is what makes parallel evaluation deterministic.
-        start_method: multiprocessing start method for the process
-            backend (``None`` picks ``fork`` where available).
+            on this — never on ``parallelism`` — which is what makes
+            parallel evaluation deterministic.
     """
 
-    backend: str = "thread"
     parallelism: int = 1
     chunk: int = 8
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in EVALUATION_BACKENDS:
-            raise ServiceError(
-                f"backend must be one of {EVALUATION_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
         if self.parallelism < 1:
             raise ServiceError("parallelism must be at least 1")
         if self.chunk < 1:
@@ -78,9 +66,9 @@ class PipelineConfig:
             cost.  Off by default: wall time is nondeterministic, and
             determinism tests diff sim-clocked telemetry.
         reoptimize_rounds: block-coordinate rounds per coalesced solve.
-        evaluation: full evaluation-backend config — the single source
-            of truth for parallelism/chunking (defaults to serial
-            thread-backend evaluation).
+        evaluation: full evaluation config — the single source of
+            truth for parallelism/chunking (defaults to serial
+            evaluation).
 
     Init-only conveniences (NOT stored — read
     ``config.evaluation.parallelism`` / ``config.evaluation.chunk``):

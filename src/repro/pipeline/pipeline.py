@@ -41,7 +41,7 @@ from ..runtime.clock import SimClock
 from .coalesce import AdaptiveCoalescer
 from .config import PipelineConfig
 from .queue import RequestQueue
-from .workers import build_evaluator
+from .workers import BatchEvaluator
 
 #: Tolerance for the window-close comparison.  Tick times accumulate
 #: floating-point error (0.1 + 0.1 + ... drifts in the last ulps), and
@@ -164,11 +164,14 @@ class RequestPipeline:
         self.config = config or PipelineConfig()
         self.telemetry = broker.telemetry
         self.queue = RequestQueue(self.config.queue_capacity)
-        self.evaluator = build_evaluator(self.config.evaluation)
+        evaluation = self.config.evaluation
+        self.evaluator = BatchEvaluator(
+            parallelism=evaluation.parallelism, chunk=evaluation.chunk
+        )
         self.evaluator.bind_telemetry(self.telemetry)
         # Candidate-batch evaluation routes through the worker pool for
         # every parallelism setting — the chunk grid, not the worker
-        # count or backend, is what the results depend on.
+        # count, is what the results depend on.
         self.orchestrator.optimizer.bind_evaluator(self.evaluator)
         self.stats = PipelineStats()
         self._handles: List[ServiceHandle] = []

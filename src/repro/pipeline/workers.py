@@ -3,54 +3,34 @@
 The value-only optimizers (random search, simulated annealing) spend
 their time in :meth:`Objective.value_many` — dense NumPy linear algebra
 that releases the GIL — so a thread pool genuinely overlaps the work.
-For solve paths that are Python-bound rather than BLAS-bound, the
-process backend (:class:`ProcessPoolEvaluator`) moves whole evaluation
-chunks out of the interpreter entirely: objective arrays ship into
-``multiprocessing.shared_memory`` once per channel build, and worker
-processes rebuild the objective over zero-copy views and run the exact
-same evaluation code as the parent.
 
 Determinism contract: results must be *bit-identical* regardless of
-``parallelism`` and backend.  The trick is that the chunk grid depends
-only on ``chunk`` (a config constant), never on the worker count: a
-candidate batch is split into the same fixed-size row blocks whether
-one thread or eight evaluate them, each block's NumPy reduction runs
-over the same operands in the same order, and the per-block results are
-concatenated in index order (executor ``map``/``submit`` results are
-gathered in submission order).  Floating-point non-associativity
-therefore never enters the picture — no result ever sums across a
-worker boundary.  The process backend adds nothing to that story: a
-worker evaluates the same chunks with the same code over the same
-bytes, so ``backend="process"`` equals ``backend="thread"`` equals
-serial, bit for bit, at any worker count.
+``parallelism``.  The trick is that the chunk grid depends only on
+``chunk`` (a config constant), never on the worker count: a candidate
+batch is split into the same fixed-size row blocks whether one thread
+or eight evaluate them, each block's NumPy reduction runs over the same
+operands in the same order, and the per-block results are concatenated
+in index order (executor ``map`` results are gathered in submission
+order).  Floating-point non-associativity therefore never enters the
+picture — no result ever sums across a worker boundary.
 
-Cross-task stacking (:meth:`value_many_segments`) preserves the grid
-per *task segment*: each task's batch is chunked exactly as
-:meth:`value_many` would chunk it, and same-shaped chunks collapse into
-one batched GEMM — a batched-matmul slice runs the same BLAS kernel
-over the same operands as the standalone per-chunk call, so grouping
-membership never changes bits either.
+Cross-task stacking (:meth:`BatchEvaluator.value_many_segments`)
+preserves the grid per *task segment*: each task's batch is chunked
+exactly as :meth:`BatchEvaluator.value_many` would chunk it, and
+same-shaped chunks collapse into one batched GEMM — a batched-matmul
+slice runs the same BLAS kernel over the same operands as the
+standalone per-chunk call, so grouping membership never changes bits
+either.
 """
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import OptimizationError
-from ..orchestrator.objectives import (
-    StackedObjective,
-    export_objective,
-    restore_objective,
-)
-
-#: Default shared-memory budget for the process backend's array store.
-_DEFAULT_STORE_BYTES = 256 * 1024 * 1024
+from ..orchestrator.objectives import StackedObjective
 
 
 def _partition(items: Sequence, runs: int) -> List[List]:
@@ -67,11 +47,13 @@ def _partition(items: Sequence, runs: int) -> List[List]:
     return out
 
 
-class _EvaluatorBase:
-    """Shared chunking, telemetry, and lifecycle for evaluators."""
+class BatchEvaluator:
+    """Evaluates candidate batches in fixed-size chunks, optionally threaded.
 
-    #: Which backend this evaluator is ("thread" | "process").
-    backend = "thread"
+    Bind one to an optimizer via
+    :meth:`~repro.orchestrator.optimizers.Optimizer.bind_evaluator`;
+    the request pipeline always binds one (serial at ``parallelism=1``).
+    """
 
     def __init__(self, parallelism: int = 1, chunk: int = 8):
         if parallelism < 1:
@@ -82,15 +64,15 @@ class _EvaluatorBase:
         self.chunk = int(chunk)
         self.telemetry = None
         self._closed = False
+        self._pool: Optional[ThreadPoolExecutor] = None
         #: Lifetime counters for telemetry / tests.
         self.batches = 0
         self.chunks_evaluated = 0
 
     def bind_telemetry(self, telemetry) -> None:
-        """Attach a telemetry sink and publish the evaluator's shape."""
+        """Attach a telemetry sink and publish the worker count."""
         self.telemetry = telemetry
         if telemetry is not None:
-            telemetry.gauge("evaluator.backend", self.backend)
             telemetry.gauge("evaluator.parallelism", self.parallelism)
 
     def _chunks(self, batch: np.ndarray) -> List[np.ndarray]:
@@ -112,69 +94,6 @@ class _EvaluatorBase:
                 f"{type(self).__name__} is closed; evaluation after close "
                 "would silently re-spawn a worker pool nobody shuts down"
             )
-
-    def close(self) -> None:
-        """Shut the evaluator down (idempotent, terminal)."""
-        self._closed = True
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- segment plumbing (shared by both backends) ----------------------
-
-    def _segment_items(
-        self, stacked: StackedObjective, batches: Sequence[Optional[np.ndarray]]
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Per-task chunks as ``(part_index, rows)`` items, in task order.
-
-        Each task's batch is chunked with the *same* grid
-        :meth:`value_many` uses, so a lockstep stacked solve sees
-        bit-identical chunk operands to the serial per-task loop.
-        """
-        if len(batches) != len(stacked.parts):
-            raise ValueError(
-                f"{len(batches)} batches for {len(stacked.parts)} parts"
-            )
-        items: List[Tuple[int, np.ndarray]] = []
-        for t, batch in enumerate(batches):
-            if batch is None:
-                continue
-            batch = np.atleast_2d(np.asarray(batch, dtype=float))
-            items.extend((t, rows) for rows in self._chunks(batch))
-        return items
-
-    @staticmethod
-    def _gather_segments(
-        batches: Sequence[Optional[np.ndarray]],
-        items: Sequence[Tuple[int, np.ndarray]],
-        values: Sequence[np.ndarray],
-    ) -> List[Optional[np.ndarray]]:
-        """Reassemble per-task loss vectors from per-chunk results."""
-        per_task: Dict[int, List[np.ndarray]] = {}
-        for (t, _), value in zip(items, values):
-            per_task.setdefault(t, []).append(np.atleast_1d(np.asarray(value)))
-        return [
-            np.concatenate(per_task[t]) if t in per_task else None
-            for t in range(len(batches))
-        ]
-
-
-class BatchEvaluator(_EvaluatorBase):
-    """Evaluates candidate batches in fixed-size chunks, optionally threaded.
-
-    Bind one to an optimizer via
-    :meth:`~repro.orchestrator.optimizers.Optimizer.bind_evaluator`;
-    the pipeline does this when built with ``parallelism > 1``.
-    """
-
-    backend = "thread"
-
-    def __init__(self, parallelism: int = 1, chunk: int = 8):
-        super().__init__(parallelism=parallelism, chunk=chunk)
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -213,7 +132,15 @@ class BatchEvaluator(_EvaluatorBase):
         per-task serial loop at any parallelism.
         """
         self._check_open()
-        items = self._segment_items(stacked, batches)
+        if len(batches) != len(stacked.parts):
+            raise ValueError(
+                f"{len(batches)} batches for {len(stacked.parts)} parts"
+            )
+        items: List[Tuple[int, np.ndarray]] = []
+        for t, batch in enumerate(batches):
+            if batch is not None:
+                batch = np.atleast_2d(np.asarray(batch, dtype=float))
+                items.extend((t, rows) for rows in self._chunks(batch))
         self._note(len(items))
         if self.parallelism == 1 or len(items) <= 1:
             values = stacked.value_chunks(items)
@@ -225,7 +152,13 @@ class BatchEvaluator(_EvaluatorBase):
                 for run_values in pool.map(stacked.value_chunks, runs)
                 for value in run_values
             ]
-        return self._gather_segments(batches, items, values)
+        per_task: Dict[int, List[np.ndarray]] = {}
+        for (t, _), value in zip(items, values):
+            per_task.setdefault(t, []).append(np.atleast_1d(np.asarray(value)))
+        return [
+            np.concatenate(per_task[t]) if t in per_task else None
+            for t in range(len(batches))
+        ]
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent, terminal).
@@ -236,262 +169,10 @@ class BatchEvaluator(_EvaluatorBase):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        super().close()
+        self._closed = True
 
+    def __enter__(self):
+        return self
 
-# ----------------------------------------------------------------------
-# process backend
-# ----------------------------------------------------------------------
-#
-# Worker-process side.  These run in the pool workers; module-level so
-# they pickle under both fork and spawn start methods.  Workers cache
-# attached shared-memory segments and restored objectives keyed by the
-# content digests the parent ships, so steady-state traffic per
-# evaluation is one small pickle each way: chunk rows out, loss vectors
-# back.  The arrays themselves never cross the pipe.
-
-#: token -> ndarray view over an attached shared-memory segment.
-_worker_arrays: Dict[tuple, np.ndarray] = {}
-#: shm name -> SharedMemory handle (kept alive for the views above).
-_worker_segments: Dict[str, shared_memory.SharedMemory] = {}
-#: spec digest -> restored objective.
-_worker_objectives: Dict[str, object] = {}
-
-
-def _worker_get_array(token: tuple) -> np.ndarray:
-    name, shape, dtype = token
-    key = (name, tuple(shape), dtype)
-    cached = _worker_arrays.get(key)
-    if cached is not None:
-        return cached
-    segment = shared_memory.SharedMemory(name=name)
-    _worker_segments[name] = segment
-    array = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
-    _worker_arrays[key] = array
-    return array
-
-
-def _worker_eval(payload: tuple) -> List[np.ndarray]:
-    """Evaluate one run of chunks against a (cached) restored objective.
-
-    ``payload = (spec_digest, spec, items)`` where ``items`` is a list
-    of ``(part_index, rows)`` — ``part_index`` is ``None`` for a plain
-    (non-stacked) objective's chunk.
-    """
-    spec_digest, spec, items = payload
-    objective = _worker_objectives.get(spec_digest)
-    if objective is None:
-        objective = restore_objective(spec, _worker_get_array)
-        _worker_objectives[spec_digest] = objective
-        if len(_worker_objectives) > 64:
-            oldest = next(iter(_worker_objectives))
-            del _worker_objectives[oldest]
-    if isinstance(objective, StackedObjective):
-        return objective.value_chunks(items)
-    return [
-        np.atleast_1d(np.asarray(objective.value_many(rows)))
-        for _, rows in items
-    ]
-
-
-class _SharedArrayStore:
-    """Content-addressed shared-memory segments for objective arrays.
-
-    ``put`` publishes an array once per distinct content — repeat puts
-    of the same bytes (the common case: linear forms are rebuilt per
-    channel build, then reused for a whole solve) return the existing
-    token.  A channel rebuild (``env.version`` bump) changes the form
-    bytes, so it naturally mints fresh segments while the stale ones
-    age out of the LRU byte budget.
-    """
-
-    def __init__(self, budget_bytes: int = _DEFAULT_STORE_BYTES):
-        self._budget = budget_bytes
-        self._segments: Dict[str, Tuple[shared_memory.SharedMemory, tuple, int]] = {}
-        self._order: List[str] = []
-        self._bytes = 0
-        #: id(array) -> (array, digest): skips re-hashing arrays the
-        #: caller re-ships within one solve (strong ref pins the id).
-        self._id_memo: Dict[int, Tuple[np.ndarray, str]] = {}
-
-    def put(self, array: np.ndarray) -> tuple:
-        array = np.ascontiguousarray(array)
-        memo = self._id_memo.get(id(array))
-        if memo is not None and memo[0] is array and memo[1] in self._segments:
-            digest = memo[1]
-            self._order.remove(digest)
-            self._order.append(digest)
-            return self._segments[digest][1]
-        digest = hashlib.sha1(
-            f"{array.shape}|{array.dtype}|".encode() + array.tobytes()
-        ).hexdigest()
-        entry = self._segments.get(digest)
-        if entry is None:
-            nbytes = max(1, array.nbytes)
-            segment = shared_memory.SharedMemory(create=True, size=nbytes)
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-            view[...] = array
-            token = (segment.name, tuple(array.shape), str(array.dtype))
-            self._segments[digest] = (segment, token, nbytes)
-            self._order.append(digest)
-            self._bytes += nbytes
-            self._evict()
-        else:
-            self._order.remove(digest)
-            self._order.append(digest)
-        if len(self._id_memo) > 256:
-            self._id_memo.clear()
-        self._id_memo[id(array)] = (array, digest)
-        return self._segments[digest][1]
-
-    def _evict(self) -> None:
-        while self._bytes > self._budget and len(self._order) > 1:
-            digest = self._order.pop(0)
-            segment, _, nbytes = self._segments.pop(digest)
-            self._bytes -= nbytes
-            segment.close()
-            segment.unlink()
-
-    def close(self) -> None:
-        for segment, _, _ in self._segments.values():
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-        self._order.clear()
-        self._id_memo.clear()
-        self._bytes = 0
-
-
-class ProcessPoolEvaluator(_EvaluatorBase):
-    """Evaluates candidate chunks in worker *processes* — no GIL at all.
-
-    Supported objectives export an evaluation spec
-    (:func:`~repro.orchestrator.objectives.export_objective`): plain
-    scalars plus shared-memory tokens for every large array.  Workers
-    rebuild the objective over zero-copy views and run the identical
-    ``value_many`` / ``value_chunks`` code the parent would run, on the
-    identical chunk grid, so results are bit-identical to serial and to
-    the thread backend at any worker count.  Objectives without an
-    export fall back to in-process evaluation on the same grid.
-
-    Each ``value_many`` call costs at most ``parallelism`` round trips
-    (one submit per contiguous chunk run); at ``parallelism=1`` that is
-    a single submit shipping only the candidate rows.
-    """
-
-    backend = "process"
-
-    def __init__(
-        self,
-        parallelism: int = 1,
-        chunk: int = 8,
-        start_method: Optional[str] = None,
-        store_bytes: int = _DEFAULT_STORE_BYTES,
-    ):
-        super().__init__(parallelism=parallelism, chunk=chunk)
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else available[0]
-        self.start_method = start_method
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._store = _SharedArrayStore(budget_bytes=store_bytes)
-        #: id(objective) -> (objective, digest, spec) export memo.
-        self._spec_memo: Dict[int, Tuple[object, str, dict]] = {}
-        #: Chunks that evaluated in-process because the objective type
-        #: has no evaluation spec.
-        self.fallback_chunks = 0
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.parallelism,
-                mp_context=multiprocessing.get_context(self.start_method),
-            )
-        return self._pool
-
-    def _export(self, objective) -> Optional[Tuple[str, dict]]:
-        memo = self._spec_memo.get(id(objective))
-        if memo is not None and memo[0] is objective:
-            return memo[1], memo[2]
-        try:
-            spec = export_objective(objective, self._store.put)
-        except OptimizationError:
-            return None
-        digest = hashlib.sha1(repr(spec).encode()).hexdigest()
-        if len(self._spec_memo) > 64:
-            self._spec_memo.clear()
-        self._spec_memo[id(objective)] = (objective, digest, spec)
-        return digest, spec
-
-    def _run_items(
-        self, exported: Tuple[str, dict], items: List[Tuple[Optional[int], np.ndarray]]
-    ) -> List[np.ndarray]:
-        """Ship item runs to the pool; gather values in item order."""
-        digest, spec = exported
-        pool = self._ensure_pool()
-        runs = _partition(items, self.parallelism)
-        futures = [
-            pool.submit(_worker_eval, (digest, spec, run)) for run in runs
-        ]
-        return [value for future in futures for value in future.result()]
-
-    def value_many(self, objective, batch: np.ndarray) -> np.ndarray:
-        """Evaluate a ``(N, D)`` candidate batch; returns ``(N,)`` losses."""
-        self._check_open()
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        chunks = self._chunks(batch)
-        self._note(len(chunks))
-        exported = self._export(objective)
-        if exported is None:
-            self.fallback_chunks += len(chunks)
-            if self.telemetry is not None:
-                self.telemetry.counter("evaluator.fallback_chunks", len(chunks))
-            parts = [np.asarray(objective.value_many(c)) for c in chunks]
-        else:
-            items = [(None, rows) for rows in chunks]
-            parts = self._run_items(exported, items)
-        return np.concatenate([np.atleast_1d(p) for p in parts])
-
-    def value_many_segments(
-        self,
-        stacked: StackedObjective,
-        batches: Sequence[Optional[np.ndarray]],
-    ) -> List[Optional[np.ndarray]]:
-        """Evaluate one candidate batch per stacked task (``None`` skips)."""
-        self._check_open()
-        items = self._segment_items(stacked, batches)
-        self._note(len(items))
-        exported = self._export(stacked)
-        if exported is None:
-            self.fallback_chunks += len(items)
-            if self.telemetry is not None:
-                self.telemetry.counter("evaluator.fallback_chunks", len(items))
-            values = stacked.value_chunks(items)
-        else:
-            values = self._run_items(exported, items)
-        return self._gather_segments(batches, items, values)
-
-    def close(self) -> None:
-        """Shut workers down and unlink every shared segment (terminal)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._store.close()
-        self._spec_memo.clear()
-        super().close()
-
-
-def build_evaluator(evaluation) -> _EvaluatorBase:
-    """The evaluator an :class:`~repro.pipeline.config.EvaluationConfig` asks for."""
-    if evaluation.backend == "process":
-        return ProcessPoolEvaluator(
-            parallelism=evaluation.parallelism,
-            chunk=evaluation.chunk,
-            start_method=evaluation.start_method,
-        )
-    return BatchEvaluator(
-        parallelism=evaluation.parallelism, chunk=evaluation.chunk
-    )
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -38,7 +38,7 @@ from .histogram import StreamingHistogram
 
 
 #: Metric namespaces that describe the *host's* execution strategy
-#: (worker counts, evaluation backend) rather than the simulation.
+#: (evaluation worker counts) rather than the simulation.
 #: Sim-only exports drop them: two runs of one seeded scenario must be
 #: byte-identical regardless of how the machine evaluated the solves.
 HOST_METRIC_PREFIXES = ("evaluator.",)
@@ -426,7 +426,7 @@ class Telemetry:
         """Set a named gauge to its latest value (a number or a label).
 
         String values make configuration visible in the same place as
-        measurements (e.g. ``evaluator.backend = "process"``).
+        measurements (e.g. an optimizer or scene name).
         """
         if not self.enabled:
             return

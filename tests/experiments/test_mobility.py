@@ -111,14 +111,12 @@ def test_adaptive_budget_worker_count_identity(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_adaptive_budget_eval_backend_identity(tmp_path):
-    threaded, a = _run(
-        tmp_path, "adt.jsonl", adaptive_budget=True, eval_backend="thread"
+def test_adaptive_budget_eval_pool_identity(tmp_path):
+    serial, a = _run(tmp_path, "ads.jsonl", adaptive_budget=True)
+    pooled, b = _run(
+        tmp_path, "adp.jsonl", adaptive_budget=True, eval_pool=True
     )
-    processed, b = _run(
-        tmp_path, "adp.jsonl", adaptive_budget=True, eval_backend="process"
-    )
-    assert threaded.snr_digest == processed.snr_digest
+    assert serial.snr_digest == pooled.snr_digest
     assert open(a, "rb").read() == open(b, "rb").read()
 
 

@@ -2,7 +2,6 @@
 solver accounting, and the feature-off byte-identity contract."""
 
 import numpy as np
-import pytest
 
 from repro import SurfOS, ghz
 from repro.geometry import apartment_sites, two_room_apartment
@@ -167,13 +166,10 @@ class TestByteIdentity:
         assert exports[0] == exports[1]
         assert '"solver.warm_hits"' in exports[0]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_enabled_matches_unbound_under_eval_backends(
-        self, tmp_path, backend
-    ):
+    def test_enabled_matches_unbound_under_eval_binding(self, tmp_path):
         # The drift probe and the budgeted solves must not care where
         # candidate batches are evaluated.
-        from repro.pipeline import EvaluationConfig, build_evaluator
+        from repro.pipeline import BatchEvaluator
 
         results = []
         for bind in (False, True):
@@ -187,9 +183,7 @@ class TestByteIdentity:
             system.orchestrator.optimize_coverage("bedroom")
             evaluator = None
             if bind:
-                evaluator = build_evaluator(
-                    EvaluationConfig(backend=backend, parallelism=2)
-                )
+                evaluator = BatchEvaluator(parallelism=2)
                 system.orchestrator.optimizer.bind_evaluator(evaluator)
             try:
                 first = system.reoptimize(rounds=1)

@@ -3,7 +3,7 @@
 The lockstep multi-task drivers and the :class:`StackedObjective`
 batched kernels exist purely for throughput — every loss they produce
 must match the serial per-task path bit for bit, or the determinism
-contract (same seed → same trajectory at any backend/worker count)
+contract (same seed → same trajectory at any worker count)
 breaks silently.
 """
 
@@ -20,8 +20,6 @@ from repro.orchestrator.objectives import (
     LocalizationObjective,
     PoweringObjective,
     StackedObjective,
-    export_objective,
-    restore_objective,
 )
 from repro.orchestrator.optimizers import RandomSearch, SimulatedAnnealing
 
@@ -142,44 +140,6 @@ class TestStackedValidation:
         stacked = StackedObjective([coverage_part(rng)])
         with pytest.raises(OptimizationError):
             stacked.value_many_segments([None, None])
-
-
-class TestExportRestore:
-    def _roundtrip(self, objective):
-        store = {}
-
-        def put_array(a):
-            token = f"t{len(store)}"
-            store[token] = np.array(a)
-            return token
-
-        spec = export_objective(objective, put_array)
-        return restore_objective(spec, store.__getitem__)
-
-    def test_coverage_roundtrip_bitwise(self, rng):
-        obj = coverage_part(rng, weighted=True)
-        restored = self._roundtrip(obj)
-        batch = rng.uniform(0, 2 * np.pi, (6, 6))
-        assert restored.value_many(batch).tobytes() == obj.value_many(batch).tobytes()
-
-    def test_joint_and_stacked_roundtrip_bitwise(self, rng):
-        joint = JointObjective(
-            [(coverage_part(rng), 0.7), (PoweringObjective(random_form(rng)), 0.3)]
-        )
-        stacked = StackedObjective([joint, coverage_part(rng)])
-        restored = self._roundtrip(stacked)
-        batches = [rng.uniform(0, 2 * np.pi, (4, 6)) for _ in range(2)]
-        got = restored.value_many_segments(batches)
-        want = stacked.value_many_segments(batches)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-
-    def test_unsupported_objective_raises(self):
-        class Custom:
-            pass
-
-        with pytest.raises(OptimizationError):
-            export_objective(Custom(), lambda a: "t")
 
 
 class TestLockstepDrivers:

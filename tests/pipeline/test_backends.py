@@ -1,29 +1,18 @@
-"""Evaluation backends: thread, process, serial — one bit pattern.
+"""Candidate evaluation: serial and threaded — one bit pattern.
 
 The determinism contract behind ``bind_evaluator``: for a fixed chunk
-size, every backend at every worker count produces byte-identical
-results, because the chunk grid depends only on the chunk config and
-results are gathered in submission order.  The matrix below pins that
-across backend × parallelism × chunk for plain and stacked objectives,
-and a pipelined run checks the contract end to end through sim-only
-telemetry.
+size, every worker count produces byte-identical results, because the
+chunk grid depends only on the chunk config and results are gathered
+in submission order.  The matrix below pins that across parallelism ×
+chunk for plain and stacked objectives.
 """
 
 import numpy as np
 import pytest
 
-from repro.broker import ApplicationDemand
 from repro.channel import LinearChannelForm
 from repro.orchestrator.objectives import CoverageObjective, StackedObjective
-from repro.pipeline import (
-    BatchEvaluator,
-    EvaluationConfig,
-    PipelineConfig,
-    ProcessPoolEvaluator,
-    build_evaluator,
-)
-
-from .conftest import build_kernel
+from repro.pipeline import BatchEvaluator
 
 
 def _parts(num=3, e=12):
@@ -45,29 +34,21 @@ def _parts(num=3, e=12):
     return parts
 
 
-def _make_evaluator(backend, parallelism, chunk):
-    if backend == "thread":
-        return BatchEvaluator(parallelism=parallelism, chunk=chunk)
-    return ProcessPoolEvaluator(parallelism=parallelism, chunk=chunk)
-
-
-BACKENDS = ["thread", "process"]
 PARALLELISMS = [1, 2, 4]
 
 
 @pytest.mark.parametrize("chunk", [3, 8])
 def test_value_many_matrix_bit_identical(chunk):
-    """backend × parallelism at one chunk — one byte pattern."""
+    """Every parallelism at one chunk — one byte pattern."""
     (part,) = _parts(num=1)
     rng = np.random.default_rng(3)
     batch = rng.uniform(0, 2 * np.pi, (13, part.dim))
     with BatchEvaluator(parallelism=1, chunk=chunk) as serial:
         want = serial.value_many(part, batch).tobytes()
-    for backend in BACKENDS:
-        for parallelism in PARALLELISMS:
-            with _make_evaluator(backend, parallelism, chunk) as ev:
-                got = ev.value_many(part, batch).tobytes()
-            assert got == want, (backend, parallelism, chunk)
+    for parallelism in PARALLELISMS:
+        with BatchEvaluator(parallelism=parallelism, chunk=chunk) as ev:
+            got = ev.value_many(part, batch).tobytes()
+        assert got == want, (parallelism, chunk)
 
 
 @pytest.mark.parametrize("chunk", [3, 8])
@@ -81,14 +62,13 @@ def test_stacked_segments_matrix_bit_identical(chunk):
             v.tobytes()
             for v in serial.value_many_segments(stacked, batches)
         ]
-    for backend in BACKENDS:
-        for parallelism in PARALLELISMS:
-            with _make_evaluator(backend, parallelism, chunk) as ev:
-                got = [
-                    v.tobytes()
-                    for v in ev.value_many_segments(stacked, batches)
-                ]
-            assert got == want, (backend, parallelism, chunk)
+    for parallelism in PARALLELISMS:
+        with BatchEvaluator(parallelism=parallelism, chunk=chunk) as ev:
+            got = [
+                v.tobytes()
+                for v in ev.value_many_segments(stacked, batches)
+            ]
+        assert got == want, (parallelism, chunk)
 
 
 def test_full_chunk_equals_unchunked_direct():
@@ -101,62 +81,8 @@ def test_full_chunk_equals_unchunked_direct():
         part.value_many(batch).tobytes()
         for part, batch in zip(parts, batches)
     ]
-    with ProcessPoolEvaluator(parallelism=2, chunk=8) as ev:
+    with BatchEvaluator(parallelism=2, chunk=8) as ev:
         got = [
             v.tobytes() for v in ev.value_many_segments(stacked, batches)
         ]
     assert got == direct
-
-
-def test_build_evaluator_backend_selection():
-    thread = build_evaluator(EvaluationConfig(backend="thread", parallelism=2))
-    assert isinstance(thread, BatchEvaluator)
-    assert thread.backend == "thread"
-    thread.close()
-    process = build_evaluator(
-        EvaluationConfig(backend="process", parallelism=1)
-    )
-    assert isinstance(process, ProcessPoolEvaluator)
-    assert process.backend == "process"
-    process.close()
-
-
-def _workload(backend, parallelism, path):
-    system = build_kernel(clients=3, seed=13)
-    pipeline = system.attach_pipeline(
-        PipelineConfig(
-            coalesce_window_s=0.2,
-            evaluation=EvaluationConfig(
-                backend=backend, parallelism=parallelism, chunk=4
-            ),
-        )
-    )
-    try:
-        for i, app in enumerate(
-            ["video_streaming", "online_meeting", "file_transfer"]
-        ):
-            pipeline.submit(
-                ApplicationDemand(
-                    app_name=app,
-                    client_id=f"cl-{i}",
-                    room_id="bedroom",
-                    throughput_mbps=18.0 - i,
-                    priority=4 + i,
-                )
-            )
-        pipeline.run(steps=8, dt=0.1)
-    finally:
-        pipeline.close()
-    system.telemetry.export_jsonl(path, sim_only=True)
-
-
-def test_process_pipeline_sim_identical_to_thread(tmp_path):
-    """A pipelined run leaves byte-identical sim-only telemetry on
-    either backend at any worker count — the end-to-end contract."""
-    thread_path = tmp_path / "thread.jsonl"
-    process_path = tmp_path / "process.jsonl"
-    _workload("thread", 1, thread_path)
-    _workload("process", 2, process_path)
-    thread_bytes = thread_path.read_bytes()
-    assert len(thread_bytes) > 0
-    assert thread_bytes == process_path.read_bytes()
