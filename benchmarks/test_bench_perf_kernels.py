@@ -24,12 +24,13 @@ from conftest import run_once
 from repro import SurfOS, ghz
 from repro.analysis.tables import render_table
 from repro.broker.calls import reset_request_counter
+from repro.channel import LinearChannelForm
 from repro.channel.geomkernels import CompiledGeometry, compiled_geometry
 from repro.geometry import Box, apartment_sites, two_room_apartment
 from repro.geometry.environment import Environment
 from repro.geometry.materials import BRICK, CONCRETE, DRYWALL
 from repro.hwmgr import AccessPoint, ClientDevice
-from repro.orchestrator import RandomSearch
+from repro.orchestrator import CoverageObjective, JointObjective, RandomSearch
 from repro.orchestrator.multiplex import MultiplexStrategy
 from repro.orchestrator.tasks import reset_task_counter
 from repro.pipeline.workers import BatchEvaluator
@@ -55,6 +56,16 @@ PANEL_SIDE = 8 if SMALL else 16
 SOLVE_ITERATIONS = 8 if SMALL else 20
 SOLVE_POPULATION = 8 if SMALL else 16
 THREAD_WORKERS = 2
+
+# Joint-objective scene: the shapes of the largest co-served group the
+# admit-churn workload builds — one 12-point coverage part plus twelve
+# single-point link parts on a 64-element panel and a 4-antenna AP,
+# evaluated as 8-row candidate chunks.
+JOINT_LINKS = 12
+JOINT_ELEMENTS = 64
+JOINT_ANTENNAS = 4
+JOINT_CHUNK = 8
+JOINT_CALLS = 50 if SMALL else 400
 
 OUTPUT = Path(
     os.environ.get("PERF_BENCH_OUTPUT")
@@ -191,6 +202,60 @@ def bench_kernel():
         "loop_ms": loop_s * 1e3,
         "vec_ms": vec_s * 1e3,
         "speedup": loop_s / vec_s,
+        "max_abs_diff": max_abs_diff,
+    }
+
+
+def _joint_part(rng, k):
+    shape = (k, JOINT_ANTENNAS, JOINT_ELEMENTS)
+    coeffs = 1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    offset = 1e-4 * (
+        rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
+    )
+    return CoverageObjective(
+        LinearChannelForm("s", coeffs, offset),
+        amplitudes=rng.uniform(0.3, 1.0, JOINT_ELEMENTS),
+    )
+
+
+def _per_part_value_many(joint, batch):
+    """The per-part loop grouped evaluation replaced: one call per part."""
+    total = np.zeros(batch.shape[0])
+    for objective, weight in joint.parts:
+        total += weight * objective.value_many(batch)
+    return total
+
+
+def bench_joint_value_many():
+    """13-part joint ``value_many``: per-part loop vs grouped kernels."""
+    rng = np.random.default_rng(13)
+    parts = [_joint_part(rng, 12)]
+    parts += [_joint_part(rng, 1) for _ in range(JOINT_LINKS)]
+    joint = JointObjective(
+        list(zip(parts, rng.uniform(0.05, 1.0, len(parts))))
+    )
+    chunks = [
+        rng.uniform(0, 2 * np.pi, (JOINT_CHUNK, JOINT_ELEMENTS))
+        for _ in range(JOINT_CALLS)
+    ]
+    looped = np.concatenate([_per_part_value_many(joint, c) for c in chunks])
+    grouped = np.concatenate([joint.value_many(c) for c in chunks])
+    max_abs_diff = float(np.abs(looped - grouped).max())
+    loop_s = best_of(
+        lambda: [_per_part_value_many(joint, c) for c in chunks], KERNEL_REPS
+    )
+    grouped_s = best_of(
+        lambda: [joint.value_many(c) for c in chunks], KERNEL_REPS
+    )
+    return {
+        "parts": len(parts),
+        "elements": JOINT_ELEMENTS,
+        "antennas": JOINT_ANTENNAS,
+        "chunk_rows": JOINT_CHUNK,
+        "calls": JOINT_CALLS,
+        "per_part_loop_us_per_call": loop_s / JOINT_CALLS * 1e6,
+        "grouped_us_per_call": grouped_s / JOINT_CALLS * 1e6,
+        "speedup": loop_s / grouped_s,
         "max_abs_diff": max_abs_diff,
     }
 
@@ -352,6 +417,7 @@ def run_perf_suite():
         "small_scene": SMALL,
         "meta": bench_meta(thread_workers=THREAD_WORKERS),
         "kernel_segment_loss_db": bench_kernel(),
+        "joint_value_many": bench_joint_value_many(),
         "end_to_end_reoptimize": e2e,
         "solve_stacked_vs_per_task": {
             "per_task_ms": e2e["vec_ms"],
@@ -370,6 +436,7 @@ def test_bench_perf_kernels(benchmark):
     results = run_once(benchmark, run_perf_suite)
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
     kernel = results["kernel_segment_loss_db"]
+    joint = results["joint_value_many"]
     e2e = results["end_to_end_reoptimize"]
     print()
     print(
@@ -386,6 +453,17 @@ def test_bench_perf_kernels(benchmark):
                     "kernel vectorized",
                     f"{kernel['vec_ms']:.2f}",
                     f"{kernel['speedup']:.2f}x",
+                ),
+                (
+                    f"{joint['parts']}-part joint value_many, per-part loop "
+                    f"(us/call)",
+                    f"{joint['per_part_loop_us_per_call']:.1f}",
+                    "1.00x",
+                ),
+                (
+                    f"{joint['parts']}-part joint value_many, grouped (us/call)",
+                    f"{joint['grouped_us_per_call']:.1f}",
+                    f"{joint['speedup']:.2f}x",
                 ),
                 (
                     f"e2e loop kernel + per-task solve "
@@ -419,6 +497,8 @@ def test_bench_perf_kernels(benchmark):
     )
     print(f"results written to {OUTPUT}")
     assert kernel["max_abs_diff"] <= 1e-9
+    # Grouping a joint objective's parts must not change a single bit.
+    assert joint["max_abs_diff"] == 0.0
     # Every solve/evaluator variant must land bit-identical slot phases —
     # the determinism contract, asserted in both bench modes.
     assert e2e["max_abs_diff"] == 0.0

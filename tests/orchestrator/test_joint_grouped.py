@@ -1,0 +1,270 @@
+"""Grouped joint evaluation must be bit-identical to a per-part loop.
+
+:meth:`JointObjective.value_many` groups same-shaped coverage/powering
+parts into one batched GEMM per group.  Every loss must still equal,
+bit for bit, the per-part formulation it replaced: one ``tensordot``
+channel evaluation and one pass of loss math per part, accumulated as
+``total += w_i · v_i`` in part order.  The reference below re-derives
+that formulation in the test, independently of the shared kernels.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from repro.channel import LinearChannelForm
+from repro.em import LinkBudget
+from repro.orchestrator.objectives import (
+    CoverageGoal,
+    CoverageObjective,
+    JointObjective,
+    LocalizationObjective,
+    PoweringObjective,
+    StackedObjective,
+)
+from repro.pipeline import BatchEvaluator
+from repro.services.security import security_objective
+
+# The admit-churn joint group's shapes: a 64-element panel, a 4-antenna
+# AP, one 12-point coverage part and K=1 link parts.
+E = 64
+M = 4
+
+
+def random_form(rng, k, m=M, e=E, scale=1e-4):
+    coeffs = scale * (
+        rng.normal(size=(k, m, e)) + 1j * rng.normal(size=(k, m, e))
+    )
+    offset = scale * (rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m)))
+    return LinearChannelForm("s", coeffs, offset)
+
+
+def coverage(rng, k, weighted=False):
+    goal = None
+    if weighted:
+        goal = CoverageGoal(budget=LinkBudget(), weights=rng.uniform(0.1, 1.0, k))
+    return CoverageObjective(
+        random_form(rng, k), amplitudes=rng.uniform(0.3, 1.0, E), goal=goal
+    )
+
+
+def powering(rng, k):
+    return PoweringObjective(
+        random_form(rng, k), amplitudes=rng.uniform(0.3, 1.0, E)
+    )
+
+
+def localization(rng, k=3, angles=5):
+    predictions = rng.normal(size=(angles, M, E)) + 1j * rng.normal(
+        size=(angles, M, E)
+    )
+    return LocalizationObjective(
+        random_form(rng, k),
+        predictions=predictions,
+        true_angle_indices=rng.integers(0, angles, k),
+        amplitudes=rng.uniform(0.3, 1.0, E),
+    )
+
+
+def security(rng):
+    return security_objective(
+        random_form(rng, 3),
+        legit_indices=[0],
+        eavesdropper_indices=[2],
+        amplitudes=rng.uniform(0.3, 1.0, E),
+        nulling_weight=0.4,
+    )
+
+
+# ----------------------------------------------------------------------
+# the per-part reference loop
+# ----------------------------------------------------------------------
+
+
+def reference_value_many(objective, batch):
+    """Per-part losses of ``batch``, one ``tensordot`` pass per part."""
+    if type(objective) is JointObjective:
+        total = np.zeros(batch.shape[0])
+        for part, weight in objective.parts:
+            total += weight * reference_value_many(part, batch)
+        return total
+    if type(objective) is CoverageObjective:
+        budget = objective.goal.budget
+        x = objective.amplitudes[None, :] * np.exp(1j * batch)
+        h = objective.form.evaluate_many(x)
+        power = np.sum(np.abs(h) ** 2, axis=2)
+        snr = budget.tx_power_watts * power / budget.noise_watts
+        return -np.sum(objective._weights[None, :] * np.log2(1.0 + snr), axis=1)
+    if type(objective) is PoweringObjective:
+        x = objective.amplitudes[None, :] * np.exp(1j * batch)
+        h = objective.form.evaluate_many(x)
+        power = np.sum(np.abs(h) ** 2, axis=2)
+        return -10.0 * np.log10(np.mean(power, axis=1) + 1e-30)
+    return np.asarray(objective.value_many(batch))
+
+
+def chunked_reference(objective, batch, chunk):
+    """The reference on the evaluator's fixed chunk grid."""
+    return np.concatenate(
+        [
+            reference_value_many(objective, batch[i : i + chunk])
+            for i in range(0, batch.shape[0], chunk)
+        ]
+    )
+
+
+def weights_for(rng, n):
+    return rng.uniform(0.05, 1.0, n)
+
+
+def churn_joint(rng, links, k_links=1):
+    """One 12-point coverage part plus ``links`` link parts."""
+    parts = [coverage(rng, 12)] + [coverage(rng, k_links) for _ in range(links)]
+    return JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+
+
+@pytest.fixture()
+def rng():
+    return np.random.default_rng(2024)
+
+
+class TestGroupedBitIdentity:
+    @pytest.mark.parametrize("links", range(13))
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_coverage_plus_links(self, rng, links, rows):
+        joint = churn_joint(rng, links)
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        assert np.array_equal(
+            joint.value_many(batch), reference_value_many(joint, batch)
+        )
+
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_powering_parts_group_apart_from_coverage(self, rng, rows):
+        parts = [
+            powering(rng, 4),
+            coverage(rng, 4, weighted=True),
+            powering(rng, 4),
+            powering(rng, 1),
+            coverage(rng, 4),
+        ]
+        joint = JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        assert np.array_equal(
+            joint.value_many(batch), reference_value_many(joint, batch)
+        )
+
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_nested_security_and_localization_evaluate_loose(self, rng, rows):
+        parts = [
+            coverage(rng, 12),
+            security(rng),
+            coverage(rng, 1),
+            localization(rng),
+            powering(rng, 2),
+            coverage(rng, 1, weighted=True),
+        ]
+        joint = JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        assert np.array_equal(
+            joint.value_many(batch), reference_value_many(joint, batch)
+        )
+
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_lone_objectives_match_reference(self, rng, rows):
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        for objective in (
+            coverage(rng, 12),
+            coverage(rng, 1, weighted=True),
+            powering(rng, 3),
+            security(rng),
+        ):
+            assert np.array_equal(
+                objective.value_many(batch),
+                reference_value_many(objective, batch),
+            )
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_stacked_tasks_share_the_kernels(self, rng, rows):
+        parts = [coverage(rng, 1) for _ in range(3)] + [
+            powering(rng, 2),
+            churn_joint(rng, 2),
+        ]
+        stacked = StackedObjective(parts)
+        batches = [rng.uniform(0, 2 * np.pi, (rows, E)) for _ in parts]
+        for part, batch, values in zip(
+            parts, batches, stacked.value_many_segments(batches)
+        ):
+            assert np.array_equal(values, reference_value_many(part, batch))
+
+    def test_repeat_calls_reuse_one_pack(self, rng):
+        joint = churn_joint(rng, 5)
+        batch = rng.uniform(0, 2 * np.pi, (8, E))
+        first = joint.value_many(batch)
+        grouped = joint._grouped()
+        assert joint.value_many(batch).tobytes() == first.tobytes()
+        assert joint._grouped() is grouped
+        groups, loose = grouped
+        assert loose == []
+        assert [indices for _, _, indices in groups] == [[0], [1, 2, 3, 4, 5]]
+
+
+class TestEvaluatorRouting:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_batch_evaluator_matches_chunked_reference(
+        self, rng, parallelism, rows
+    ):
+        parts = [
+            coverage(rng, 12),
+            *[coverage(rng, 1) for _ in range(6)],
+            security(rng),
+            localization(rng),
+            powering(rng, 1),
+        ]
+        joint = JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        with BatchEvaluator(parallelism=parallelism, chunk=8) as evaluator:
+            got = evaluator.value_many(joint, batch)
+        assert np.array_equal(got, chunked_reference(joint, batch, 8))
+
+    def test_fresh_objectives_pack_safely_under_threads(self, rng):
+        # Workers race to build a fresh objective's packed operands on
+        # their first chunks; whichever pack is kept must give the same
+        # bits.  More workers than cores and a short switch interval
+        # make the race likely.
+        batch = rng.uniform(0, 2 * np.pi, (64, E))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with BatchEvaluator(parallelism=8, chunk=8) as evaluator:
+                for _ in range(10):
+                    joint = churn_joint(rng, 12)
+                    got = evaluator.value_many(joint, batch)
+                    assert np.array_equal(got, chunked_reference(joint, batch, 8))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestGradientFreeValue:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: coverage(rng, 12),
+            lambda rng: coverage(rng, 1, weighted=True),
+            lambda rng: powering(rng, 4),
+            localization,
+            security,
+            lambda rng: churn_joint(rng, 4),
+            lambda rng: JointObjective(
+                [(security(rng), 0.5), (localization(rng), 0.2), (powering(rng, 2), 0.3)]
+            ),
+        ],
+    )
+    def test_value_equals_value_and_gradient(self, rng, build):
+        objective = build(rng)
+        for _ in range(3):
+            phases = rng.uniform(0, 2 * np.pi, E)
+            value = objective.value(phases)
+            reference = objective.value_and_gradient(phases)[0]
+            assert np.float64(value).tobytes() == np.float64(reference).tobytes()
