@@ -73,9 +73,9 @@ class LinearChannelForm:
     def evaluate_many(self, x: np.ndarray) -> np.ndarray:
         """Channels ``(P, K, M)`` for a batch of coefficients ``(P, E)``.
 
-        One tensor contraction for the whole population — the hook the
-        batched objectives (:meth:`Objective.value_many`) evaluate
-        through.
+        One tensor contraction for the whole population.  Coverage and
+        powering losses batch through their stack kernels instead
+        (:mod:`repro.orchestrator.objectives`), which run the same GEMM.
         """
         x = np.atleast_2d(np.asarray(x))
         if x.ndim != 2 or x.shape[1] != self.num_elements:
