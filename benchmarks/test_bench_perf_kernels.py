@@ -66,6 +66,9 @@ JOINT_ELEMENTS = 64
 JOINT_ANTENNAS = 4
 JOINT_CHUNK = 8
 JOINT_CALLS = 50 if SMALL else 400
+# One RandomSearch iteration scores a 16-row population (its default)
+# against that joint; every part on a panel shares its amplitudes.
+JOINT_POPULATION = 16
 
 OUTPUT = Path(
     os.environ.get("PERF_BENCH_OUTPUT")
@@ -206,15 +209,16 @@ def bench_kernel():
     }
 
 
-def _joint_part(rng, k):
+def _joint_part(rng, k, amplitudes=None):
     shape = (k, JOINT_ANTENNAS, JOINT_ELEMENTS)
     coeffs = 1e-4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     offset = 1e-4 * (
         rng.normal(size=shape[:2]) + 1j * rng.normal(size=shape[:2])
     )
+    if amplitudes is None:
+        amplitudes = rng.uniform(0.3, 1.0, JOINT_ELEMENTS)
     return CoverageObjective(
-        LinearChannelForm("s", coeffs, offset),
-        amplitudes=rng.uniform(0.3, 1.0, JOINT_ELEMENTS),
+        LinearChannelForm("s", coeffs, offset), amplitudes=amplitudes
     )
 
 
@@ -256,6 +260,57 @@ def bench_joint_value_many():
         "per_part_loop_us_per_call": loop_s / JOINT_CALLS * 1e6,
         "grouped_us_per_call": grouped_s / JOINT_CALLS * 1e6,
         "speedup": loop_s / grouped_s,
+        "max_abs_diff": max_abs_diff,
+    }
+
+
+def bench_joint_iteration():
+    """One solver iteration on a 13-part joint: two 8-row calls vs one pass.
+
+    Two ``JOINT_CHUNK``-row ``value_many`` calls per 16-row population
+    were the evaluator's grid at its old 8-row default chunk; the
+    default chunk now equals the population, so an iteration is one
+    call.  Both arms must give the same bits.
+    """
+    rng = np.random.default_rng(17)
+    amplitudes = rng.uniform(0.3, 1.0, JOINT_ELEMENTS)
+    parts = [_joint_part(rng, 12, amplitudes)]
+    parts += [_joint_part(rng, 1, amplitudes) for _ in range(JOINT_LINKS)]
+    joint = JointObjective(
+        list(zip(parts, rng.uniform(0.05, 1.0, len(parts))))
+    )
+    populations = [
+        rng.uniform(0, 2 * np.pi, (JOINT_POPULATION, JOINT_ELEMENTS))
+        for _ in range(JOINT_CALLS)
+    ]
+
+    def two_chunks(batch):
+        return np.concatenate(
+            [
+                joint.value_many(batch[i : i + JOINT_CHUNK])
+                for i in range(0, JOINT_POPULATION, JOINT_CHUNK)
+            ]
+        )
+
+    split = np.concatenate([two_chunks(b) for b in populations])
+    whole = np.concatenate([joint.value_many(b) for b in populations])
+    max_abs_diff = float(np.abs(split - whole).max())
+    split_s = best_of(
+        lambda: [two_chunks(b) for b in populations], KERNEL_REPS
+    )
+    whole_s = best_of(
+        lambda: [joint.value_many(b) for b in populations], KERNEL_REPS
+    )
+    return {
+        "parts": len(parts),
+        "elements": JOINT_ELEMENTS,
+        "antennas": JOINT_ANTENNAS,
+        "population": JOINT_POPULATION,
+        "split_rows": JOINT_CHUNK,
+        "iterations": JOINT_CALLS,
+        "two_chunks_us_per_iteration": split_s / JOINT_CALLS * 1e6,
+        "one_pass_us_per_iteration": whole_s / JOINT_CALLS * 1e6,
+        "speedup": split_s / whole_s,
         "max_abs_diff": max_abs_diff,
     }
 
@@ -418,6 +473,7 @@ def run_perf_suite():
         "meta": bench_meta(thread_workers=THREAD_WORKERS),
         "kernel_segment_loss_db": bench_kernel(),
         "joint_value_many": bench_joint_value_many(),
+        "joint_iteration": bench_joint_iteration(),
         "end_to_end_reoptimize": e2e,
         "solve_stacked_vs_per_task": {
             "per_task_ms": e2e["vec_ms"],
@@ -437,6 +493,7 @@ def test_bench_perf_kernels(benchmark):
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
     kernel = results["kernel_segment_loss_db"]
     joint = results["joint_value_many"]
+    iteration = results["joint_iteration"]
     e2e = results["end_to_end_reoptimize"]
     print()
     print(
@@ -464,6 +521,18 @@ def test_bench_perf_kernels(benchmark):
                     f"{joint['parts']}-part joint value_many, grouped (us/call)",
                     f"{joint['grouped_us_per_call']:.1f}",
                     f"{joint['speedup']:.2f}x",
+                ),
+                (
+                    f"{iteration['parts']}-part joint iteration, "
+                    f"2 x {iteration['split_rows']} rows (us/iter)",
+                    f"{iteration['two_chunks_us_per_iteration']:.1f}",
+                    "1.00x",
+                ),
+                (
+                    f"{iteration['parts']}-part joint iteration, "
+                    f"1 x {iteration['population']} rows (us/iter)",
+                    f"{iteration['one_pass_us_per_iteration']:.1f}",
+                    f"{iteration['speedup']:.2f}x",
                 ),
                 (
                     f"e2e loop kernel + per-task solve "
@@ -499,6 +568,8 @@ def test_bench_perf_kernels(benchmark):
     assert kernel["max_abs_diff"] <= 1e-9
     # Grouping a joint objective's parts must not change a single bit.
     assert joint["max_abs_diff"] == 0.0
+    # So must evaluating a population in one pass instead of two chunks.
+    assert iteration["max_abs_diff"] == 0.0
     # Every solve/evaluator variant must land bit-identical slot phases —
     # the determinism contract, asserted in both bench modes.
     assert e2e["max_abs_diff"] == 0.0

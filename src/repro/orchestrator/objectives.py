@@ -417,9 +417,10 @@ class JointObjective(Objective):
         batch = self._check_batch(phases_batch)
         groups, loose = self._grouped()
         values: List[Optional[np.ndarray]] = [None] * len(self.parts)
-        shared = batch[None]  # one (1, P, E) batch broadcast over each group
+        # One (1, P, E) phase factor, broadcast over every group.
+        phase = np.exp(1j * batch)[None]
         for kind, ops, indices in groups:
-            for index, value in zip(indices, kind.evaluate_packed(ops, shared)):
+            for index, value in zip(indices, kind.evaluate_packed(ops, phase)):
                 values[index] = value
         for index in loose:
             values[index] = np.asarray(self.parts[index][0].value_many(batch))
@@ -443,6 +444,12 @@ class JointObjective(Objective):
 # tasks share the surface configuration); :class:`StackedObjective`
 # stacks different tasks' candidate batches.
 #
+# Kernels take the phase factor ``e^{jθ}`` rather than ``θ``, so each
+# caller computes it once for all the groups it feeds.  A group whose
+# parts share one amplitude row (every part on a panel does) packs it
+# as a single ``(1, E)`` row: ``x = a·e^{jθ}`` then stays ``(1, P, E)``
+# and ``np.matmul`` broadcasts it over the group's ``G`` GEMMs.
+#
 # Determinism: a batched-matmul slice runs the *same* BLAS kernel with
 # the *same* operand shapes as one objective's own GEMM, and every loss
 # reduction keeps its part-local axis order, so grouping never changes
@@ -455,6 +462,31 @@ class JointObjective(Objective):
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """``np.stack``, except that a lone array becomes a view, not a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _pack_amplitudes(kernels: Sequence) -> np.ndarray:
+    """One ``(1, E)`` amplitude row when a group's rows are all equal,
+    else the ``(G, E)`` stack."""
+    first = kernels[0].amplitudes
+    if all(np.array_equal(kern.amplitudes, first) for kern in kernels[1:]):
+        return first[None]
+    return np.stack([kern.amplitudes for kern in kernels])
+
+
+def _channels(x: np.ndarray, bts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``h = C·x + d`` as ``(G, P, K, M)``: one batched GEMM, offsets added
+    in place.  A ``(1, P, E)`` ``x`` broadcasts over the ``G`` GEMMs."""
+    h = np.matmul(x, bts)  # (G, P, K·M)
+    h = h.reshape(h.shape[:2] + offsets.shape[2:])
+    h += offsets
+    return h
+
+
+def _power(h: np.ndarray) -> np.ndarray:
+    """``‖h_k‖²`` per point: ``Σ_m |h_km|²`` over the last axis."""
+    a = np.abs(h)
+    a *= a
+    return np.add.reduce(a, axis=-1)
 
 
 def _pack_contractions(kernels: Sequence) -> np.ndarray:
@@ -489,7 +521,7 @@ class _CoverageStack:
     def pack(kernels: Sequence["_CoverageStack"]) -> tuple:
         """Stack per-task operands once; reused across solver iterations."""
         return (
-            _stack([kern.amplitudes for kern in kernels]),
+            _pack_amplitudes(kernels),
             _pack_contractions(kernels),
             _stack([kern.offset for kern in kernels])[:, None, :, :],
             _stack([kern.weights for kern in kernels])[:, None, :],
@@ -498,16 +530,19 @@ class _CoverageStack:
         )
 
     @staticmethod
-    def evaluate_packed(ops: tuple, batch: np.ndarray) -> np.ndarray:
-        """``(G, P)`` losses for a ``(G, P, E)`` or shared ``(1, P, E)`` batch."""
+    def evaluate_packed(ops: tuple, phase: np.ndarray) -> np.ndarray:
+        """``(G, P)`` losses for a ``(G, P, E)`` or shared ``(1, P, E)``
+        phase factor ``e^{jθ}``."""
         amps, bts, offsets, weights, tx, noise = ops
-        x = amps[:, None, :] * np.exp(1j * batch)  # (G, P, E)
-        g, p, _ = x.shape
-        _, _, k, m = offsets.shape
-        h = np.matmul(x, bts).reshape(g, p, k, m) + offsets
-        power = np.sum(np.abs(h) ** 2, axis=3)  # (G, P, K)
-        snr = tx * power / noise
-        return -np.sum(weights * np.log2(1.0 + snr), axis=2)
+        h = _channels(amps[:, None, :] * phase, bts, offsets)  # (G, P, K, M)
+        power = _power(h)  # (G, P, K)
+        power *= tx
+        power /= noise
+        power += 1.0
+        np.log2(power, out=power)
+        power *= weights
+        loss = np.add.reduce(power, axis=2)
+        return np.negative(loss, out=loss)
 
 
 class _PoweringStack:
@@ -526,22 +561,22 @@ class _PoweringStack:
     def pack(kernels: Sequence["_PoweringStack"]) -> tuple:
         """Stack per-task operands once; reused across solver iterations."""
         return (
-            _stack([kern.amplitudes for kern in kernels]),
+            _pack_amplitudes(kernels),
             _pack_contractions(kernels),
             _stack([kern.offset for kern in kernels])[:, None, :, :],
         )
 
     @staticmethod
-    def evaluate_packed(ops: tuple, batch: np.ndarray) -> np.ndarray:
-        """``(G, P)`` losses for a ``(G, P, E)`` or shared ``(1, P, E)`` batch."""
+    def evaluate_packed(ops: tuple, phase: np.ndarray) -> np.ndarray:
+        """``(G, P)`` losses for a ``(G, P, E)`` or shared ``(1, P, E)``
+        phase factor ``e^{jθ}``."""
         amps, bts, offsets = ops
-        x = amps[:, None, :] * np.exp(1j * batch)  # (G, P, E)
-        g, p, _ = x.shape
-        _, _, k, m = offsets.shape
-        h = np.matmul(x, bts).reshape(g, p, k, m) + offsets
-        power = np.sum(np.abs(h) ** 2, axis=3)  # (G, P, K)
-        mean_power = np.mean(power, axis=2) + 1e-30
-        return -10.0 * np.log10(mean_power)
+        h = _channels(amps[:, None, :] * phase, bts, offsets)  # (G, P, K, M)
+        mean_power = np.mean(_power(h), axis=2)  # (G, P)
+        mean_power += 1e-30
+        np.log10(mean_power, out=mean_power)
+        mean_power *= -10.0
+        return mean_power
 
 
 class _JointStack:
@@ -575,11 +610,13 @@ class _JointStack:
         return tuple(packed)
 
     @staticmethod
-    def evaluate_packed(ops: tuple, batch: np.ndarray) -> np.ndarray:
-        g, p, _ = batch.shape
+    def evaluate_packed(ops: tuple, phase: np.ndarray) -> np.ndarray:
+        """``(G, P)`` losses for a ``(G, P, E)`` phase factor ``e^{jθ}``,
+        shared by every sub-kernel."""
+        g, p, _ = phase.shape
         total = np.zeros((g, p))
         for sub_type, sub_ops, weights in ops:
-            total += weights * sub_type.evaluate_packed(sub_ops, batch)
+            total += weights * sub_type.evaluate_packed(sub_ops, phase)
         return total
 
 
@@ -613,7 +650,7 @@ def _value_many_alone(objective: Objective, kind, phases_batch) -> np.ndarray:
     ops = objective._packed
     if ops is None:
         ops = objective._packed = kind.pack([kind(objective)])
-    return kind.evaluate_packed(ops, batch[None])[0]
+    return kind.evaluate_packed(ops, np.exp(1j * batch)[None])[0]
 
 
 class StackedObjective(Objective):
@@ -728,7 +765,7 @@ class StackedObjective(Objective):
                 ops = kind.pack(kernels)
                 self._packed[cache_key] = ops
             batch = np.stack([rows for _, _, rows in members])
-            values = kind.evaluate_packed(ops, batch)
+            values = kind.evaluate_packed(ops, np.exp(1j * batch))
             for row, (pos, _, _) in zip(values, members):
                 results[pos] = row
         return results  # type: ignore[return-value]

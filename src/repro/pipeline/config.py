@@ -8,6 +8,10 @@ from typing import Optional
 from ..core.errors import ServiceError
 from .coalesce import AdaptiveCoalesceConfig
 
+#: Default rows per evaluation chunk.  Equals RandomSearch's default
+#: ``population``, so one solver iteration is one ``value_many`` call.
+DEFAULT_EVAL_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class EvaluationConfig:
@@ -26,13 +30,14 @@ class EvaluationConfig:
     Attributes:
         parallelism: worker threads; 1 keeps evaluation on the calling
             thread.
-        chunk: rows per evaluation chunk.  The chunk grid depends only
+        chunk: rows per evaluation chunk (default
+            :data:`DEFAULT_EVAL_CHUNK`).  The chunk grid depends only
             on this — never on ``parallelism`` — which is what makes
             parallel evaluation deterministic.
     """
 
     parallelism: int = 1
-    chunk: int = 8
+    chunk: int = DEFAULT_EVAL_CHUNK
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:
@@ -107,7 +112,7 @@ class PipelineConfig:
                 "evaluation",
                 EvaluationConfig(
                     parallelism=1 if parallelism is None else parallelism,
-                    chunk=8 if eval_chunk is None else eval_chunk,
+                    chunk=DEFAULT_EVAL_CHUNK if eval_chunk is None else eval_chunk,
                 ),
             )
         elif parallelism is not None or eval_chunk is not None:

@@ -4,15 +4,27 @@ The value-only optimizers (random search, simulated annealing) spend
 their time in :meth:`Objective.value_many` — dense NumPy linear algebra
 that releases the GIL — so a thread pool genuinely overlaps the work.
 
-Determinism contract: results must be *bit-identical* regardless of
-``parallelism``.  The trick is that the chunk grid depends only on
+Determinism contract: at a fixed ``chunk``, results are *bit-identical*
+regardless of ``parallelism``.  The chunk grid depends only on
 ``chunk`` (a config constant), never on the worker count: a candidate
 batch is split into the same fixed-size row blocks whether one thread
 or eight evaluate them, each block's NumPy reduction runs over the same
 operands in the same order, and the per-block results are concatenated
 in index order (executor ``map`` results are gathered in submission
-order).  Floating-point non-associativity therefore never enters the
-picture — no result ever sums across a worker boundary.
+order).  No result ever sums across a worker boundary.
+
+Bit-identity across *chunk sizes* is not part of the contract.  Every
+loss reduction is row-local, so it holds exactly when the BLAS build
+gives each GEMM row the same bits at any row count; the OpenBLAS the
+project is tested against does for multi-row chunks, and
+``tests/orchestrator/test_joint_grouped.py`` pins it.  A one-row chunk
+runs as a matrix-vector product and rounds differently.
+
+The default chunk (:data:`~repro.pipeline.config.DEFAULT_EVAL_CHUNK`)
+equals RandomSearch's default population, so a lone objective's
+population is one chunk, evaluated on the calling thread; the pool
+only splits batches wider than one chunk and stacked multi-task
+segments.
 
 Cross-task stacking (:meth:`BatchEvaluator.value_many_segments`)
 preserves the grid per *task segment*: each task's batch is chunked
@@ -31,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..orchestrator.objectives import StackedObjective
+from .config import DEFAULT_EVAL_CHUNK
 
 
 def _partition(items: Sequence, runs: int) -> List[List]:
@@ -55,7 +68,7 @@ class BatchEvaluator:
     the request pipeline always binds one (serial at ``parallelism=1``).
     """
 
-    def __init__(self, parallelism: int = 1, chunk: int = 8):
+    def __init__(self, parallelism: int = 1, chunk: int = DEFAULT_EVAL_CHUNK):
         if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         if chunk < 1:

@@ -9,6 +9,7 @@ that formulation in the test, independently of the shared kernels.
 """
 
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from repro.orchestrator.objectives import (
     PoweringObjective,
     StackedObjective,
 )
-from repro.pipeline import BatchEvaluator
+from repro.orchestrator.optimizers import RandomSearch
+from repro.pipeline import BatchEvaluator, RequestPipeline
 from repro.services.security import security_objective
 
 # The admit-churn joint group's shapes: a 64-element panel, a 4-antenna
@@ -124,6 +126,18 @@ def churn_joint(rng, links, k_links=1):
     return JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
 
 
+def security_joint(rng):
+    """A link part beside a nested security joint (itself two parts)."""
+    parts = [coverage(rng, 1), security(rng), coverage(rng, 1)]
+    return JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+
+
+def localization_joint(rng):
+    """Grouped coverage parts beside a loose localization part."""
+    parts = [coverage(rng, 12), localization(rng), coverage(rng, 1)]
+    return JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
@@ -209,6 +223,99 @@ class TestGroupedBitIdentity:
         assert [indices for _, _, indices in groups] == [[0], [1, 2, 3, 4, 5]]
 
 
+class TestRowStability:
+    """One 16-row pass equals its multi-row splits, row for row.
+
+    The loss math never mixes rows, so this pins the BLAS property the
+    16-row default chunk relies on: a GEMM row's bits do not depend on
+    how many rows share the call.  A one-row batch is not a GEMM — BLAS
+    takes its matrix-vector path, which rounds differently — so it is
+    checked against the per-part reference (same path) instead.
+    """
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: coverage(rng, 12),
+            lambda rng: powering(rng, 4),
+            lambda rng: churn_joint(rng, 12),
+            security_joint,
+            localization_joint,
+        ],
+        ids=["coverage", "powering", "coverage+12links", "security", "localization"],
+    )
+    @pytest.mark.parametrize("sizes", [(8, 8), (2,) * 8, (5, 11)])
+    def test_sixteen_rows_equal_smaller_splits(self, rng, build, sizes):
+        objective = build(rng)
+        batch = rng.uniform(0, 2 * np.pi, (16, E))
+        bounds = np.cumsum((0,) + sizes)
+        split = np.concatenate(
+            [
+                objective.value_many(batch[start:stop])
+                for start, stop in zip(bounds[:-1], bounds[1:])
+            ]
+        )
+        assert np.array_equal(objective.value_many(batch), split)
+
+
+class TestAmplitudePacking:
+    """A group packs one amplitude row when its parts share amplitudes."""
+
+    @staticmethod
+    def amplitude_shapes(joint):
+        groups, _ = joint._grouped()
+        return [ops[0].shape for _, ops, _ in groups]
+
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_equal_amplitudes_collapse_to_one_row(self, rng, rows):
+        # Every part on a panel gets the panel's amplitudes; equal
+        # copies (not one shared array) must still collapse.
+        amps = rng.uniform(0.3, 1.0, E)
+        parts = [
+            CoverageObjective(random_form(rng, k), amplitudes=amps.copy())
+            for k in [12] + [1] * 12
+        ] + [
+            PoweringObjective(random_form(rng, 2), amplitudes=amps.copy())
+            for _ in range(2)
+        ]
+        joint = JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        assert np.array_equal(
+            joint.value_many(batch), reference_value_many(joint, batch)
+        )
+        assert self.amplitude_shapes(joint) == [(1, E), (1, E), (1, E)]
+
+    @pytest.mark.parametrize("rows", [1, 8, 16])
+    def test_unequal_amplitudes_keep_one_row_per_part(self, rng, rows):
+        amps = rng.uniform(0.3, 1.0, E)
+        odd = amps.copy()
+        odd[7] *= 0.5
+        parts = [
+            CoverageObjective(random_form(rng, 1), amplitudes=a)
+            for a in (amps, amps, odd, amps)
+        ]
+        joint = JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        assert np.array_equal(
+            joint.value_many(batch), reference_value_many(joint, batch)
+        )
+        assert self.amplitude_shapes(joint) == [(4, E)]
+
+    def test_stacked_tasks_with_shared_amplitudes(self, rng):
+        amps = rng.uniform(0.3, 1.0, E)
+        parts = [
+            CoverageObjective(random_form(rng, 1), amplitudes=amps)
+            for _ in range(3)
+        ]
+        stacked = StackedObjective(parts)
+        batches = [rng.uniform(0, 2 * np.pi, (8, E)) for _ in parts]
+        for part, batch, values in zip(
+            parts, batches, stacked.value_many_segments(batches)
+        ):
+            assert np.array_equal(values, reference_value_many(part, batch))
+        assert [ops[0].shape for ops in stacked._packed.values()] == [(1, E)]
+
+
 class TestEvaluatorRouting:
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("rows", [1, 8, 16])
@@ -227,6 +334,29 @@ class TestEvaluatorRouting:
         with BatchEvaluator(parallelism=parallelism, chunk=8) as evaluator:
             got = evaluator.value_many(joint, batch)
         assert np.array_equal(got, chunked_reference(joint, batch, 8))
+
+    def test_default_pipeline_makes_one_call_per_iteration(self, rng):
+        calls = []
+
+        class SpyJoint(JointObjective):
+            def value_many(self, phases_batch):
+                calls.append(np.shape(phases_batch)[0])
+                return super().value_many(phases_batch)
+
+        joint = churn_joint(rng, 3)
+        spy = SpyJoint(joint.parts)
+        optimizer = RandomSearch(max_iterations=5, seed=0)
+        broker = SimpleNamespace(
+            orchestrator=SimpleNamespace(optimizer=optimizer), telemetry=None
+        )
+        pipeline = RequestPipeline(broker)
+        try:
+            assert optimizer.evaluator is pipeline.evaluator
+            result = optimizer.optimize(spy, rng.uniform(0, 2 * np.pi, E))
+        finally:
+            pipeline.close()
+        assert result.iterations == 5
+        assert calls == [optimizer.population] * 5
 
     def test_fresh_objectives_pack_safely_under_threads(self, rng):
         # Workers race to build a fresh objective's packed operands on
