@@ -34,29 +34,6 @@ from .tracer import PanelObstacle, segment_amplitude
 _TINY = 1e-12
 
 
-def leg_aabb(*point_sets: np.ndarray, pad: float = 0.0) -> "tuple":
-    """Axis-aligned bounds containing every segment of a leg.
-
-    Every ray a leg traces runs between one point of one set and one
-    point of another; the AABB of the union of the endpoint sets is
-    convex, so it contains all those segments.  An obstacle wholly
-    outside this box therefore cannot perturb the leg — the geometric
-    fact the simulator's incremental leg cache rests on.  ``pad``
-    inflates the box to absorb the kernels' epsilon tolerances.
-    """
-    stacked = np.concatenate(
-        [np.atleast_2d(np.asarray(p, dtype=float)) for p in point_sets], axis=0
-    )
-    return stacked.min(axis=0) - pad, stacked.max(axis=0) + pad
-
-
-def aabb_overlap(
-    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
-) -> bool:
-    """Whether two axis-aligned boxes intersect (closed boxes)."""
-    return bool(np.all(lo_a <= hi_b) and np.all(lo_b <= hi_a))
-
-
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between two point sets, shape ``(len(a), len(b))``."""
     diff = a[:, None, :] - b[None, :, :]

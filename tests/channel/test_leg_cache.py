@@ -253,9 +253,16 @@ class TestLegCacheTelemetry:
         assert tel.get_counter("channel.leg_cache_hits") == reused
         assert tel.get_counter("channel.legs_retraced") == total + 1 + len(panels)
         assert tel.get_counter("channel.partial_rebuilds") == 1
-        assert tel.snapshot().gauges["channel.leg_cache_size"] == total + 1 + len(
-            panels
+        # The gauge counts cache entries: one per AP→surface and
+        # surface→surface leg, plus one per receive-point row of the
+        # direct and surface→points legs of both point sets.
+        whole_legs = total - (1 + len(panels))
+        rows_per_set = len(points) * (1 + len(panels))
+        assert tel.snapshot().gauges["channel.leg_cache_size"] == (
+            whole_legs + 2 * rows_per_set
         )
+        assert tel.get_counter("channel.rows_traced") == 2 * rows_per_set
+        assert tel.get_counter("channel.rows_hit") == 0
 
         # Environment mutation: stale model purged eagerly, affected
         # legs purged from the leg cache.
