@@ -80,7 +80,7 @@ class ModeResult:
     latencies_s: List[float] = field(default_factory=list)
     reoptimizations: int = 0
     span_s: float = 0.0          # first arrival → last served (sim)
-    wall_s: float = 0.0          # real compute spent in solves
+    wall_s: float = 0.0          # real compute spent in reoptimize calls
 
     @property
     def throughput_rps(self) -> float:
@@ -406,7 +406,7 @@ def run(
         latencies_s=list(stats.latencies),
         reoptimizations=stats.reoptimizations,
         span_s=span,
-        wall_s=0.0,
+        wall_s=stats.reoptimize_wall_s,
     )
     pipeline.close()
     return ArrivalSweepResult(

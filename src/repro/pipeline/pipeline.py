@@ -69,6 +69,9 @@ class PipelineStats:
     #: under adaptive coalescing these show what the controller chose.
     window_sum_s: float = 0.0
     window_max_s: float = 0.0
+    #: Real (wall-clock) seconds spent in reoptimize calls.  Varies run
+    #: to run, so it stays out of :meth:`summary` and telemetry.
+    reoptimize_wall_s: float = 0.0
 
     @property
     def coalesce_ratio(self) -> float:
@@ -320,12 +323,14 @@ class RequestPipeline:
         except ServiceError as exc:
             # Degraded-mode guarantee: an unsatisfiable solve degrades
             # service, it never crashes the pipeline.
+            self.stats.reoptimize_wall_s += time.perf_counter() - started
             self.stats.reoptimize_failures += 1
             self.telemetry.counter("pipeline.reoptimize_failures")
             outcome.failure_reason = str(exc)
             return
+        wall = time.perf_counter() - started
+        self.stats.reoptimize_wall_s += wall
         if self.config.charge_compute:
-            wall = time.perf_counter() - started
             self.clock.advance(wall)
             self.orchestrator.clock_now += wall
             if self.coalescer is not None:

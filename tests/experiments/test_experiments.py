@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    arrivals,
     build_scenario,
     fig2,
     fig4,
@@ -111,3 +112,12 @@ class TestFig6:
     def test_render(self):
         text = fig6.run().render()
         assert "User Input:" in text
+
+
+class TestArrivals:
+    def test_pipelined_wall_time_is_measured(self):
+        """Both disciplines report real compute spent in reoptimize calls."""
+        result = arrivals.run(requests=2)
+        assert result.pipelined.reoptimizations >= 1
+        assert result.serial.wall_s > 0.0
+        assert result.pipelined.wall_s > 0.0

@@ -43,6 +43,18 @@ class TestBatchedAdmission:
         assert len(pipeline.stats.latencies) == 4
         assert pipeline.stats.coalesce_ratio >= 1.0
 
+    def test_reoptimize_wall_time_accumulates_outside_summary(self, system):
+        pipeline = system.attach_pipeline(
+            PipelineConfig(coalesce_window_s=0.0)
+        )
+        for i in range(2):
+            pipeline.submit(demand(i))
+        pipeline.run(steps=2, dt=0.5)
+        assert pipeline.stats.reoptimizations == 1
+        assert pipeline.stats.reoptimize_wall_s > 0.0
+        # Wall time varies run to run: it must not reach the summary.
+        assert "reoptimize_wall_s" not in pipeline.stats.summary()
+
     def test_max_batch_spills_to_next_tick(self, system):
         pipeline = system.attach_pipeline(
             PipelineConfig(max_batch=2, coalesce_window_s=0.0)
