@@ -1,13 +1,14 @@
 """Perf bench — incremental leg-level channel cache vs monolithic builds.
 
-Times three variants of ``ChannelSimulator.build()`` on the reference
+Times four variants of ``ChannelSimulator.build()`` on the reference
 apartment scene: a cold build (empty caches), a warm incremental
 rebuild after a client move (AP→surface and surface→surface legs served
-from the leg cache), and the old monolithic path (``leg_cache_size=0``,
-every leg re-traced on any change).  Each warm repetition uses a
-distinct jittered point set so the exact-match model cache never
-short-circuits the build.  Results land in ``BENCH_channel.json`` at
-the repo root.
+from the leg cache), a new task on a warm point set (the cached point
+set plus one new receive point: only that point's rows are traced),
+and the old monolithic path (``leg_cache_size=0``, every leg re-traced
+on any change).  Each warm repetition uses a distinct point set so the
+exact-match model cache never short-circuits the build.  Results land
+in ``BENCH_channel.json`` at the repo root.
 
 Timings use best-of-N (minimum) — this container's single shared core
 makes mean timings far too noisy to compare against.
@@ -131,6 +132,40 @@ def bench_warm_incremental():
     return best, legs_retraced, model.num_legs
 
 
+def bench_new_point():
+    """A new task on a warm point set: one extra receive point per build.
+
+    Returns the best time, the legs and point rows traced per build,
+    and the worst max-abs difference against a monolithic build.
+    """
+    env, ap, panels, points = make_scene()
+    sim = ChannelSimulator(env, FREQ)
+    sim.build(ap, points, panels)
+    rng = np.random.default_rng(5)
+    room = env.room("bedroom")
+    tel = sim.telemetry
+    best = float("inf")
+    legs, rows, worst = set(), set(), 0.0
+    for _ in range(WARM_REPS):
+        extra = np.array(
+            [[rng.uniform(room.x_min, room.x_max), rng.uniform(room.y_min, room.y_max), 1.0]]
+        )
+        grown = np.concatenate([points, extra])
+        legs_before = sim.leg_cache_stats[1]
+        rows_before = tel.get_counter("channel.rows_traced")
+        t0 = time.perf_counter()
+        model = sim.build(ap, grown, panels)
+        best = min(best, time.perf_counter() - t0)
+        legs.add(sim.leg_cache_stats[1] - legs_before)
+        rows.add(tel.get_counter("channel.rows_traced") - rows_before)
+        golden = ChannelSimulator(env, FREQ, leg_cache_size=0).build(
+            ap, grown, panels
+        )
+        worst = max(worst, model_max_diff(model, golden))
+    assert len(legs) == 1 and len(rows) == 1, (legs, rows)
+    return best, legs.pop(), rows.pop(), worst
+
+
 def bench_monolithic():
     """The same client-move rebuilds with the leg cache disabled."""
     env, ap, panels, points = make_scene()
@@ -144,6 +179,27 @@ def bench_monolithic():
     return best
 
 
+def model_max_diff(a, b):
+    """Max abs difference across every leg tensor of two models."""
+    diffs = [float(np.abs(a.direct - b.direct).max())]
+    for sid in a.ap_to_surface:
+        diffs.append(
+            float(np.abs(a.ap_to_surface[sid] - b.ap_to_surface[sid]).max())
+        )
+        diffs.append(
+            float(
+                np.abs(a.surface_to_points[sid] - b.surface_to_points[sid]).max()
+            )
+        )
+    for key in a.surface_to_surface:
+        diffs.append(
+            float(
+                np.abs(a.surface_to_surface[key] - b.surface_to_surface[key]).max()
+            )
+        )
+    return max(diffs)
+
+
 def check_equivalence():
     """Incremental rebuild must match a from-scratch monolithic build."""
     env, ap, panels, points = make_scene()
@@ -154,39 +210,14 @@ def check_equivalence():
     golden = ChannelSimulator(env, FREQ, leg_cache_size=0).build(
         ap, moved, panels
     )
-    diffs = [float(np.abs(incremental.direct - golden.direct).max())]
-    for sid in incremental.ap_to_surface:
-        diffs.append(
-            float(
-                np.abs(
-                    incremental.ap_to_surface[sid] - golden.ap_to_surface[sid]
-                ).max()
-            )
-        )
-        diffs.append(
-            float(
-                np.abs(
-                    incremental.surface_to_points[sid]
-                    - golden.surface_to_points[sid]
-                ).max()
-            )
-        )
-    for key in incremental.surface_to_surface:
-        diffs.append(
-            float(
-                np.abs(
-                    incremental.surface_to_surface[key]
-                    - golden.surface_to_surface[key]
-                ).max()
-            )
-        )
-    return max(diffs)
+    return model_max_diff(incremental, golden)
 
 
 def run_channel_suite():
     max_abs_diff = check_equivalence()
     cold_s = bench_cold()
     warm_s, legs_retraced, total_legs = bench_warm_incremental()
+    new_s, new_legs, new_rows, new_diff = bench_new_point()
     mono_s = bench_monolithic()
     _, _, _, points = make_scene()
     return {
@@ -197,10 +228,14 @@ def run_channel_suite():
         "legs_retraced_warm": int(legs_retraced),
         "cold_ms": cold_s * 1e3,
         "warm_incremental_ms": warm_s * 1e3,
+        "new_point_ms": new_s * 1e3,
+        "legs_retraced_new_point": int(new_legs),
+        "rows_traced_new_point": int(new_rows),
         "monolithic_rebuild_ms": mono_s * 1e3,
         "speedup_warm_vs_cold": cold_s / warm_s,
         "speedup_warm_vs_monolithic": mono_s / warm_s,
-        "max_abs_diff_vs_monolithic": max_abs_diff,
+        "speedup_new_point_vs_monolithic": mono_s / new_s,
+        "max_abs_diff_vs_monolithic": max(max_abs_diff, new_diff),
     }
 
 
@@ -232,13 +267,24 @@ def test_bench_channel(benchmark):
                     str(results["legs_retraced_warm"]),
                     f"{results['speedup_warm_vs_cold']:.2f}x",
                 ),
+                (
+                    "new task on a warm point set (+1 point)",
+                    f"{results['new_point_ms']:.2f}",
+                    str(results["legs_retraced_new_point"]),
+                    f"{results['cold_ms'] / results['new_point_ms']:.2f}x",
+                ),
             ],
             title="Channel: incremental leg cache vs monolithic rebuilds",
         )
     )
     print(f"results written to {OUTPUT}")
-    assert results["max_abs_diff_vs_monolithic"] <= 1e-12
+    assert results["max_abs_diff_vs_monolithic"] == 0.0
     assert results["legs_retraced_warm"] < results["total_legs"]
+    # Row-granular legs: a new point on a warm set traces only its own
+    # rows — one direct row and one surface→points row per panel.
+    num_panels = results["num_panels"]
+    assert results["rows_traced_new_point"] == 1 + num_panels
+    assert results["legs_retraced_new_point"] == 1 + num_panels
     # The incremental-rebuild contract: a client move must cost far
     # less than re-tracing the scene.  >=2x is the CI gate; the full
     # scene typically lands much higher (recorded in the JSON).
