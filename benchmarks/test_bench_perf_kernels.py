@@ -47,8 +47,8 @@ _EPS = 1e-9
 
 # Multi-task end-to-end scene: a cluttered office remodel of the
 # two-room apartment (partition walls + furniture boxes) with one
-# TIME-slotted link task per client — the slotted solve loop is where
-# cross-task stacking pays.
+# TIME-slotted link task per client, each solved as its own optimizer
+# run.
 NUM_CLIENTS = 4 if SMALL else 12
 SCENE_WALLS = 12 if SMALL else 56
 SCENE_BOXES = 8 if SMALL else 40
@@ -315,13 +315,11 @@ def bench_joint_iteration():
     }
 
 
-def build_multi_task_system(lockstep):
+def build_multi_task_system():
     """The cluttered multi-task scene: N TIME-slotted link tasks.
 
-    ``lockstep=False`` is the pre-stacking serial path (one optimizer
-    run per task); ``lockstep=True`` drives all tasks through the
-    stacked cross-task solve.  Id counters reset so both variants see
-    identical task ids — required for bit-for-bit result comparison.
+    Id counters reset so every build sees identical task ids — required
+    for bit-for-bit result comparison.
     """
     reset_task_counter()
     reset_request_counter()
@@ -352,7 +350,6 @@ def build_multi_task_system(lockstep):
             max_iterations=SOLVE_ITERATIONS,
             population=SOLVE_POPULATION,
             seed=0,
-            lockstep=lockstep,
         ),
         grid_spacing_m=1.0,
     )
@@ -416,37 +413,25 @@ def _timed_reoptimize(system, evaluator=None, loop_kernel=False):
 
 
 def bench_end_to_end():
-    """The multi-task reoptimize() under every solve/evaluator variant.
+    """The multi-task reoptimize() under every kernel/evaluator variant.
 
-    Baseline: the pre-vectorization loop kernel plus one serial
-    optimizer run per task.  Headline: vectorized kernels plus the
-    stacked cross-task solve evaluated on a 2-worker thread pool.  All
-    variants must produce bit-identical slot phases.
+    Baseline: the pre-vectorization loop kernel.  Headline: vectorized
+    kernels.  The thread arm evaluates candidates on a 2-worker pool.
+    All variants must produce bit-identical slot phases.
     """
-    serial_system = build_multi_task_system(lockstep=False)
-    loop_s, loop_phases = _timed_reoptimize(serial_system, loop_kernel=True)
-    vec_s, vec_phases = _timed_reoptimize(serial_system)
-    with BatchEvaluator(
-        parallelism=THREAD_WORKERS, chunk=SOLVE_POPULATION
-    ) as thread_eval:
-        serial_thread_s, serial_thread_phases = _timed_reoptimize(
-            serial_system, evaluator=thread_eval
-        )
-
-    lockstep_system = build_multi_task_system(lockstep=True)
-    stacked_s, stacked_phases = _timed_reoptimize(lockstep_system)
+    system = build_multi_task_system()
+    loop_s, loop_phases = _timed_reoptimize(system, loop_kernel=True)
+    vec_s, vec_phases = _timed_reoptimize(system)
     with BatchEvaluator(
         parallelism=THREAD_WORKERS, chunk=SOLVE_POPULATION
     ) as thread_eval:
         thread_s, thread_phases = _timed_reoptimize(
-            lockstep_system, evaluator=thread_eval
+            system, evaluator=thread_eval
         )
 
     max_abs_diff = max(
         float(np.abs(np.asarray(a) - np.asarray(b)).max())
-        for variant in (
-            loop_phases, serial_thread_phases, stacked_phases, thread_phases
-        )
+        for variant in (loop_phases, thread_phases)
         for a, b in zip(vec_phases, variant)
     )
     return {
@@ -458,33 +443,20 @@ def bench_end_to_end():
         "scene_boxes": SCENE_BOXES,
         "loop_ms": loop_s * 1e3,
         "vec_ms": vec_s * 1e3,
-        "serial_thread_ms": serial_thread_s * 1e3,
-        "stacked_ms": stacked_s * 1e3,
         "thread_ms": thread_s * 1e3,
-        "speedup": loop_s / thread_s,
+        "speedup": loop_s / vec_s,
         "max_abs_diff": max_abs_diff,
     }
 
 
 def run_perf_suite():
-    e2e = bench_end_to_end()
     return {
         "small_scene": SMALL,
         "meta": bench_meta(thread_workers=THREAD_WORKERS),
         "kernel_segment_loss_db": bench_kernel(),
         "joint_value_many": bench_joint_value_many(),
         "joint_iteration": bench_joint_iteration(),
-        "end_to_end_reoptimize": e2e,
-        "solve_stacked_vs_per_task": {
-            "per_task_ms": e2e["vec_ms"],
-            "stacked_ms": e2e["stacked_ms"],
-            "speedup": e2e["vec_ms"] / e2e["stacked_ms"],
-        },
-        "solve_stacked_thread_vs_per_task": {
-            "per_task_ms": e2e["vec_ms"],
-            "stacked_thread_ms": e2e["thread_ms"],
-            "speedup": e2e["vec_ms"] / e2e["thread_ms"],
-        },
+        "end_to_end_reoptimize": bench_end_to_end(),
     }
 
 
@@ -535,33 +507,22 @@ def test_bench_perf_kernels(benchmark):
                     f"{iteration['speedup']:.2f}x",
                 ),
                 (
-                    f"e2e loop kernel + per-task solve "
-                    f"({e2e['tasks']} tasks)",
+                    f"e2e loop kernel ({e2e['tasks']} tasks)",
                     f"{e2e['loop_ms']:.1f}",
                     "1.00x",
                 ),
                 (
-                    "e2e vec kernel + per-task solve",
+                    "e2e vec kernel",
                     f"{e2e['vec_ms']:.1f}",
-                    f"{e2e['loop_ms'] / e2e['vec_ms']:.2f}x",
+                    f"{e2e['speedup']:.2f}x",
                 ),
                 (
-                    "e2e vec kernel + stacked solve",
-                    f"{e2e['stacked_ms']:.1f}",
-                    f"{e2e['loop_ms'] / e2e['stacked_ms']:.2f}x",
-                ),
-                (
-                    f"e2e serial + thread x{THREAD_WORKERS}",
-                    f"{e2e['serial_thread_ms']:.1f}",
-                    f"{e2e['loop_ms'] / e2e['serial_thread_ms']:.2f}x",
-                ),
-                (
-                    f"e2e stacked + thread x{THREAD_WORKERS}",
+                    f"e2e vec kernel + thread x{THREAD_WORKERS}",
                     f"{e2e['thread_ms']:.1f}",
                     f"{e2e['loop_ms'] / e2e['thread_ms']:.2f}x",
                 ),
             ],
-            title="Perf: vectorized kernels + stacked solve vs loops",
+            title="Perf: vectorized kernels vs loops",
         )
     )
     print(f"results written to {OUTPUT}")
@@ -570,10 +531,10 @@ def test_bench_perf_kernels(benchmark):
     assert joint["max_abs_diff"] == 0.0
     # So must evaluating a population in one pass instead of two chunks.
     assert iteration["max_abs_diff"] == 0.0
-    # Every solve/evaluator variant must land bit-identical slot phases —
+    # Every kernel/evaluator variant must land bit-identical slot phases —
     # the determinism contract, asserted in both bench modes.
     assert e2e["max_abs_diff"] == 0.0
-    # Vectorization + stacking must pay for themselves; floors stay
+    # Vectorization must pay for itself; floors stay
     # conservative because this host's timings swing under load.
     if not SMALL:
         assert kernel["speedup"] >= 1.5

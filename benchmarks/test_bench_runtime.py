@@ -13,6 +13,7 @@ from repro import SurfOS, ghz
 from repro.analysis.tables import render_table
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.hwmgr import AccessPoint, ClientDevice
+from repro.mobility import WaypointWalker
 from repro.orchestrator import Adam
 from repro.runtime import Walker
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
@@ -47,7 +48,10 @@ def run_reaction_scenario():
     system.orchestrator.optimize_coverage("bedroom")
     system.reoptimize()
     system.dynamics.add_walker(
-        Walker("person", [(5.6, 3.2), (8.0, 1.0)], speed_mps=1.5)
+        Walker(
+            "person",
+            model=WaypointWalker([(5.6, 3.2), (8.0, 1.0)], speed_mps=1.5),
+        )
     )
     records = system.daemon.run(steps=12, dt=0.5)
     return system, records

@@ -31,9 +31,10 @@ Gates:
 * determinism: two adaptive runs produce the same SNR digest.
 
 Results land in ``BENCH_solver.json`` at the repo root (override with
-``PERF_BENCH_OUTPUT``).  Candidates are evaluated on a 2-worker
-thread pool (``eval_pool``).  Set ``PERF_BENCH_SMALL=1`` for the CI
-smoke variant.
+``PERF_BENCH_OUTPUT``).  The 2-worker evaluation pool is bound
+(``eval_pool``), but its 16-row chunk equals RandomSearch's 16-row
+population, so every batch runs as one chunk on the calling thread.
+Set ``PERF_BENCH_SMALL=1`` for the CI smoke variant.
 """
 
 import json

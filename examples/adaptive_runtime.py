@@ -15,6 +15,7 @@ import numpy as np
 from repro import SurfOS, ghz
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.hwmgr import AccessPoint, ClientDevice
+from repro.mobility import WaypointWalker
 from repro.orchestrator import Adam
 from repro.runtime import Walker
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
@@ -53,7 +54,10 @@ def main() -> None:
 
     print("\na person starts pacing through the beam corridor …")
     system.dynamics.add_walker(
-        Walker("person", [(5.6, 3.2), (8.0, 1.0)], speed_mps=1.5)
+        Walker(
+            "person",
+            model=WaypointWalker([(5.6, 3.2), (8.0, 1.0)], speed_mps=1.5),
+        )
     )
 
     for step in range(12):

@@ -436,13 +436,12 @@ class JointObjective(Objective):
 #
 # Every batched coverage/powering loss runs through one kernel per kind:
 # a group of ``G`` same-shaped objectives is packed into stacked
-# operands and a ``(G, P, E)`` candidate batch evaluates as *one*
-# batched GEMM (``np.matmul`` over ``(G, P, E) @ (G, E, K·M)``) plus one
-# pass of vectorized loss math.  A lone objective's ``value_many`` is
-# the ``G = 1`` case; :class:`JointObjective` groups its parts by kernel
-# key and feeds every group the same ``(1, P, E)`` batch (co-served
-# tasks share the surface configuration); :class:`StackedObjective`
-# stacks different tasks' candidate batches.
+# operands and one shared ``(1, P, E)`` candidate batch evaluates as
+# *one* batched GEMM (``np.matmul`` over ``(G, E, K·M)`` operands) plus
+# one pass of vectorized loss math.  A lone objective's ``value_many``
+# is the ``G = 1`` case; :class:`JointObjective` groups its parts by
+# kernel key and feeds every group the same batch (co-served tasks
+# share the surface configuration).
 #
 # Kernels take the phase factor ``e^{jθ}`` rather than ``θ``, so each
 # caller computes it once for all the groups it feeds.  A group whose
@@ -453,10 +452,10 @@ class JointObjective(Objective):
 # Determinism: a batched-matmul slice runs the *same* BLAS kernel with
 # the *same* operand shapes as one objective's own GEMM, and every loss
 # reduction keeps its part-local axis order, so grouping never changes
-# bits (asserted in tests/orchestrator/test_joint_grouped.py and
-# test_stacked.py).  Parts are deliberately *not* concatenated along K
-# into one wider GEMM: a different GEMM shape may take a different
-# BLAS blocking and round differently.
+# bits (asserted in tests/orchestrator/test_joint_grouped.py).  Parts
+# are deliberately *not* concatenated along K into one wider GEMM: a
+# different GEMM shape may take a different BLAS blocking and round
+# differently.
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -531,8 +530,8 @@ class _CoverageStack:
 
     @staticmethod
     def evaluate_packed(ops: tuple, phase: np.ndarray) -> np.ndarray:
-        """``(G, P)`` losses for a ``(G, P, E)`` or shared ``(1, P, E)``
-        phase factor ``e^{jθ}``."""
+        """``(G, P)`` losses for a shared ``(1, P, E)`` phase factor
+        ``e^{jθ}``."""
         amps, bts, offsets, weights, tx, noise = ops
         h = _channels(amps[:, None, :] * phase, bts, offsets)  # (G, P, K, M)
         power = _power(h)  # (G, P, K)
@@ -568,8 +567,8 @@ class _PoweringStack:
 
     @staticmethod
     def evaluate_packed(ops: tuple, phase: np.ndarray) -> np.ndarray:
-        """``(G, P)`` losses for a ``(G, P, E)`` or shared ``(1, P, E)``
-        phase factor ``e^{jθ}``."""
+        """``(G, P)`` losses for a shared ``(1, P, E)`` phase factor
+        ``e^{jθ}``."""
         amps, bts, offsets = ops
         h = _channels(amps[:, None, :] * phase, bts, offsets)  # (G, P, K, M)
         mean_power = np.mean(_power(h), axis=2)  # (G, P)
@@ -577,47 +576,6 @@ class _PoweringStack:
         np.log10(mean_power, out=mean_power)
         mean_power *= -10.0
         return mean_power
-
-
-class _JointStack:
-    """Stackable kernel for a :class:`JointObjective` of stackable parts."""
-
-    __slots__ = ("key", "subkernels", "weights")
-
-    def __init__(self, obj: "JointObjective"):
-        self.subkernels = []
-        self.weights = []
-        subkeys = []
-        for part, weight in obj.parts:
-            kernel = _stack_kernel(part)
-            if kernel is None:
-                raise OptimizationError("joint part is not stackable")
-            self.subkernels.append(kernel)
-            self.weights.append(float(weight))
-            subkeys.append(kernel.key)
-        self.key = ("joint", tuple(subkeys))
-
-    @staticmethod
-    def pack(kernels: Sequence["_JointStack"]) -> tuple:
-        """Per-position packed sub-operands plus the stacked weights."""
-        packed = []
-        for pos in range(len(kernels[0].subkernels)):
-            subs = [kern.subkernels[pos] for kern in kernels]
-            weights = np.array([kern.weights[pos] for kern in kernels])
-            packed.append(
-                (type(subs[0]), type(subs[0]).pack(subs), weights[:, None])
-            )
-        return tuple(packed)
-
-    @staticmethod
-    def evaluate_packed(ops: tuple, phase: np.ndarray) -> np.ndarray:
-        """``(G, P)`` losses for a ``(G, P, E)`` phase factor ``e^{jθ}``,
-        shared by every sub-kernel."""
-        g, p, _ = phase.shape
-        total = np.zeros((g, p))
-        for sub_type, sub_ops, weights in ops:
-            total += weights * sub_type.evaluate_packed(sub_ops, phase)
-        return total
 
 
 def _leaf_kernel(objective: Objective):
@@ -629,21 +587,6 @@ def _leaf_kernel(objective: Objective):
     return None
 
 
-def _stack_kernel(objective: Objective):
-    """The stacked-evaluation kernel for an objective, or ``None``.
-
-    Objectives without a kernel (localization, user-defined losses)
-    still work inside a :class:`StackedObjective` — they just evaluate
-    through their own ``value_many`` instead of the batched GEMM.
-    """
-    if type(objective) is JointObjective:
-        try:
-            return _JointStack(objective)
-        except OptimizationError:
-            return None
-    return _leaf_kernel(objective)
-
-
 def _value_many_alone(objective: Objective, kind, phases_batch) -> np.ndarray:
     """One objective's batched losses: the ``G = 1`` case of its kernel."""
     batch = objective._check_batch(phases_batch)
@@ -651,124 +594,6 @@ def _value_many_alone(objective: Objective, kind, phases_batch) -> np.ndarray:
     if ops is None:
         ops = objective._packed = kind.pack([kind(objective)])
     return kind.evaluate_packed(ops, np.exp(1j * batch)[None])[0]
-
-
-class StackedObjective(Objective):
-    """Vertically stacked per-task objectives over one surface.
-
-    Holds one objective per slotted task (all sharing the surface's
-    phase dimension) and evaluates *per-task candidate batches* —
-    which differ task to task — in one batched BLAS pass wherever the
-    parts stack (coverage/link/powering/security losses over a
-    :class:`LinearChannelForm`), falling back to per-part ``value_many``
-    otherwise.  Built by the lockstep multi-task driver
-    (:meth:`repro.orchestrator.optimizers.Optimizer.optimize_many`).
-
-    This is *not* a scalar loss of one phase vector, so the scalar
-    :class:`Objective` entry points raise; evaluation goes through
-    :meth:`value_many_segments` / :meth:`value_chunks`.
-    """
-
-    def __init__(self, parts: Sequence[Objective]):
-        if not parts:
-            raise OptimizationError("stacked objective needs at least one part")
-        dims = {p.dim for p in parts}
-        if len(dims) != 1:
-            raise OptimizationError(f"parts disagree on dimension: {dims}")
-        self.parts: List[Objective] = list(parts)
-        self.dim = dims.pop()
-        self._kernels = [_stack_kernel(p) for p in self.parts]
-        #: Packed operand stacks per group membership — the lockstep
-        #: driver re-evaluates the same task groups every iteration, so
-        #: the per-task operand stacking happens once, not per call.
-        self._packed: dict = {}
-
-    @property
-    def num_parts(self) -> int:
-        """T, the number of stacked tasks."""
-        return len(self.parts)
-
-    @property
-    def stacked_parts(self) -> int:
-        """How many parts evaluate through a batched kernel."""
-        return sum(1 for k in self._kernels if k is not None)
-
-    def value(self, phases: np.ndarray) -> float:
-        raise OptimizationError(
-            "stacked objectives evaluate via value_many_segments"
-        )
-
-    def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
-        raise OptimizationError(
-            "stacked objectives evaluate via value_many_segments"
-        )
-
-    def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
-        raise OptimizationError(
-            "stacked objectives evaluate via value_many_segments"
-        )
-
-    def value_many_segments(
-        self, batches: Sequence[Optional[np.ndarray]]
-    ) -> List[Optional[np.ndarray]]:
-        """Losses per task for one candidate batch per task.
-
-        ``batches[t]`` is task ``t``'s ``(P_t, E)`` candidate batch, or
-        ``None`` to skip a finished task; returns one ``(P_t,)`` loss
-        vector per task (``None`` where skipped), bit-identical to
-        ``[self.parts[t].value_many(batches[t]) for t]``.
-        """
-        if len(batches) != len(self.parts):
-            raise OptimizationError(
-                f"{len(batches)} batches for {len(self.parts)} parts"
-            )
-        items = [
-            (t, self.parts[t]._check_batch(b))
-            for t, b in enumerate(batches)
-            if b is not None
-        ]
-        values = self.value_chunks(items)
-        out: List[Optional[np.ndarray]] = [None] * len(batches)
-        for (t, _), value in zip(items, values):
-            out[t] = value
-        return out
-
-    def value_chunks(
-        self, items: Sequence[Tuple[int, np.ndarray]]
-    ) -> List[np.ndarray]:
-        """Evaluate ``(part_index, rows)`` chunks, batching across parts.
-
-        The evaluator's distribution unit: chunks with the same kernel
-        shape and row count collapse into one batched matmul; the rest
-        evaluate through their part's own ``value_many``.  Results come
-        back in input order.  Grouping never changes bits — a batched
-        GEMM slice equals the standalone GEMM for the same operands.
-        """
-        results: List[Optional[np.ndarray]] = [None] * len(items)
-        groups: dict = {}
-        for pos, (part_index, rows) in enumerate(items):
-            kernel = self._kernels[part_index]
-            if kernel is None:
-                results[pos] = np.atleast_1d(
-                    np.asarray(self.parts[part_index].value_many(rows))
-                )
-                continue
-            groups.setdefault((kernel.key, rows.shape[0]), []).append(
-                (pos, part_index, rows)
-            )
-        for members in groups.values():
-            kernels = [self._kernels[pi] for _, pi, _ in members]
-            kind = type(kernels[0])
-            cache_key = tuple(pi for _, pi, _ in members)
-            ops = self._packed.get(cache_key)
-            if ops is None:
-                ops = kind.pack(kernels)
-                self._packed[cache_key] = ops
-            batch = np.stack([rows for _, _, rows in members])
-            values = kind.evaluate_packed(ops, np.exp(1j * batch))
-            for row, (pos, _, _) in zip(values, members):
-                results[pos] = row
-        return results  # type: ignore[return-value]
 
 
 class FiniteDifferenceObjective(Objective):

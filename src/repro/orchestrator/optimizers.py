@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -132,18 +132,6 @@ class Optimizer:
             return max(0, int(budget))
         return max(0, min(int(budget), full))
 
-    @staticmethod
-    def _check_budgets(
-        budgets: Optional[List[Optional[int]]], count: int
-    ) -> List[Optional[int]]:
-        if budgets is None:
-            return [None] * count
-        if len(budgets) != count:
-            raise OptimizationError(
-                f"{count} objectives but {len(budgets)} budgets"
-            )
-        return list(budgets)
-
     def bind_telemetry(self, telemetry) -> None:
         """Attach a telemetry instance for objective-evaluation counters."""
         self.telemetry = telemetry
@@ -178,22 +166,22 @@ class Optimizer:
     ) -> List[OptimizationResult]:
         """Optimize several independent tasks over one phase space.
 
-        Each (objective, initial) pair is an independent solve; results
-        come back in input order and every trajectory is bit-identical
-        to calling :meth:`optimize` per pair.  ``budgets`` optionally
-        caps each task's iterations (one entry per task, ``None`` =
-        full budget).  The base implementation *is* that serial loop;
-        value-only optimizers override it with a lockstep driver that
-        stacks the per-task candidate batches into one cross-task
-        evaluation per iteration
-        (:class:`~repro.orchestrator.objectives.StackedObjective`).
+        Each (objective, initial) pair is an independent solve: one
+        :meth:`optimize` call per pair, results in input order.
+        ``budgets`` optionally caps each task's iterations (one entry
+        per task, ``None`` = full budget).
         """
         if len(objectives) != len(initial_phases):
             raise OptimizationError(
                 f"{len(objectives)} objectives but "
                 f"{len(initial_phases)} initial phase vectors"
             )
-        budgets = self._check_budgets(budgets, len(objectives))
+        if budgets is None:
+            budgets = [None] * len(objectives)
+        elif len(budgets) != len(objectives):
+            raise OptimizationError(
+                f"{len(objectives)} objectives but {len(budgets)} budgets"
+            )
         return [
             self.optimize(objective, initial, projection, budget=budget)
             for objective, initial, budget in zip(
@@ -206,19 +194,6 @@ class Optimizer:
         if self.evaluator is not None:
             return np.asarray(self.evaluator.value_many(objective, batch))
         return np.asarray(objective.value_many(batch))
-
-    def _value_many_segments(self, stacked, batches):
-        """Evaluate per-task candidate batches, stacking across tasks.
-
-        ``stacked`` is a :class:`StackedObjective`; ``batches`` holds
-        one ``(P_t, E)`` batch per part (``None`` skips a task).  Routes
-        through the bound evaluator's ``value_many_segments`` when one
-        is bound (same chunk grid per task as ``value_many``, so results
-        match the serial per-task loop bit for bit).
-        """
-        if self.evaluator is not None:
-            return self.evaluator.value_many_segments(stacked, batches)
-        return stacked.value_many_segments(batches)
 
     def _count_evals(self, count: int) -> None:
         if self.telemetry is not None and count:
@@ -350,98 +325,12 @@ class RandomSearch(Optimizer):
     decay: float = 0.9
     max_iterations: int = 60
     seed: int = 0
-    #: Solve multiple tasks in lockstep, stacking each iteration's
-    #: candidate batches into one cross-task evaluation.  Bit-identical
-    #: to the serial per-task loop (independent RNG streams, same
-    #: per-task chunk grids); disable to force the serial loop.
-    lockstep: bool = True
     #: Relative-improvement early stop: quit once the best loss improves
     #: by less than ``early_stop_eps * |best|`` for
     #: ``early_stop_patience`` consecutive iterations.  ``None``
     #: disables the stop — bit-identical to the fixed-budget loop.
     early_stop_eps: Optional[float] = None
     early_stop_patience: int = 3
-
-    def optimize_many(self, objectives, initial_phases, projection=None,
-                      budgets=None):
-        from .objectives import StackedObjective
-
-        if len(objectives) != len(initial_phases):
-            raise OptimizationError(
-                f"{len(objectives)} objectives but "
-                f"{len(initial_phases)} initial phase vectors"
-            )
-        budgets = self._check_budgets(budgets, len(objectives))
-        if not self.lockstep or len(objectives) < 2:
-            return super().optimize_many(
-                objectives, initial_phases, projection, budgets
-            )
-        stacked = StackedObjective(objectives)
-        tasks = len(objectives)
-        # One RNG per task, all seeded exactly as the serial loop seeds
-        # its fresh per-call generator — each task replays the serial
-        # draw sequence because no other task touches its stream.
-        rngs = [np.random.default_rng(self.seed) for _ in range(tasks)]
-        phases = [
-            np.asarray(p, dtype=float).reshape(-1).copy()
-            for p in initial_phases
-        ]
-        best_losses = [
-            float(objective.value(p))
-            for objective, p in zip(objectives, phases)
-        ]
-        self._count_evals(tasks)
-        evaluations = [1] * tasks
-        histories = [[loss] for loss in best_losses]
-        scales = [self.initial_scale] * tasks
-        limits = [self._limit(b) for b in budgets]
-        stops = [
-            _EarlyStop(self.early_stop_eps, self.early_stop_patience)
-            for _ in range(tasks)
-        ]
-        done = [0] * tasks
-        # Budgets and early stops retire tasks at different iterations;
-        # finished tasks drop out of the stacked batch (a None segment)
-        # while live tasks keep replaying their serial RNG streams —
-        # a stopped task simply never draws again, so the survivors'
-        # trajectories stay bit-identical to the serial per-task loop.
-        while True:
-            active = [
-                t for t in range(tasks)
-                if done[t] < limits[t] and not stops[t].stopped
-            ]
-            if not active:
-                break
-            candidates: List[Optional[np.ndarray]] = [None] * tasks
-            for t in active:
-                offsets = rngs[t].normal(
-                    scale=scales[t], size=(self.population, phases[t].size)
-                )
-                candidates[t] = phases[t][None, :] + offsets
-            losses_per_task = self._value_many_segments(stacked, candidates)
-            self._count_evals(self.population * len(active))
-            for t in active:
-                losses = np.asarray(losses_per_task[t])
-                evaluations[t] += self.population
-                previous = best_losses[t]
-                j = int(np.argmin(losses))
-                if losses[j] < best_losses[t]:
-                    best_losses[t] = float(losses[j])
-                    phases[t] = candidates[t][j].copy()
-                else:
-                    scales[t] *= self.decay
-                histories[t].append(best_losses[t])
-                done[t] += 1
-                stops[t].update(previous, best_losses[t])
-        return [
-            self._finalize(
-                objectives[t], phases[t], histories[t],
-                len(histories[t]) - 1, False, projection,
-                evaluations=evaluations[t], budget=limits[t],
-                early_stopped=stops[t].stopped,
-            )
-            for t in range(tasks)
-        ]
 
     def optimize(self, objective, initial_phases, projection=None, budget=None):
         rng = np.random.default_rng(self.seed)
@@ -498,121 +387,13 @@ class SimulatedAnnealing(Optimizer):
     proposal_scale: float = 1.5
     speculation: int = 8
     seed: int = 0
-    #: Solve multiple tasks in lockstep (see :class:`RandomSearch`).
-    #: Tasks accept/anneal at different rates, so later rounds evaluate
-    #: only the still-active subset; trajectories stay bit-identical to
-    #: the serial per-task loop.
-    lockstep: bool = True
     #: Relative-improvement early stop, checked once per speculative
     #: *block* (patience counts blocks, not steps): a whole block —
     #: proposals, normals, and acceptance uniforms — is drawn before
-    #: evaluation, so stopping at block granularity keeps the RNG
-    #: trajectory bit-identical between the serial and lockstep
-    #: drivers.  ``None`` disables.
+    #: evaluation, so the stop never cuts a block's draws short.
+    #: ``None`` disables.
     early_stop_eps: Optional[float] = None
     early_stop_patience: int = 3
-
-    def optimize_many(self, objectives, initial_phases, projection=None,
-                      budgets=None):
-        from .objectives import StackedObjective
-
-        if len(objectives) != len(initial_phases):
-            raise OptimizationError(
-                f"{len(objectives)} objectives but "
-                f"{len(initial_phases)} initial phase vectors"
-            )
-        budgets = self._check_budgets(budgets, len(objectives))
-        if not self.lockstep or len(objectives) < 2:
-            return super().optimize_many(
-                objectives, initial_phases, projection, budgets
-            )
-        if not 0.0 < self.subset_fraction <= 1.0:
-            raise OptimizationError("subset_fraction must lie in (0, 1]")
-        if self.speculation < 1:
-            raise OptimizationError("speculation must be at least 1")
-        stacked = StackedObjective(objectives)
-        tasks = len(objectives)
-        rngs = [np.random.default_rng(self.seed) for _ in range(tasks)]
-        phases = [
-            np.asarray(p, dtype=float).reshape(-1).copy()
-            for p in initial_phases
-        ]
-        current = [
-            float(objective.value(p))
-            for objective, p in zip(objectives, phases)
-        ]
-        self._count_evals(tasks)
-        evaluations = [1] * tasks
-        best_phases = [p.copy() for p in phases]
-        best_losses = list(current)
-        histories = [[loss] for loss in current]
-        temperatures = [self.initial_temperature] * tasks
-        subsets = [
-            max(1, int(round(self.subset_fraction * p.size))) for p in phases
-        ]
-        steps_done = [0] * tasks
-        limits = [self._limit(b) for b in budgets]
-        stops = [
-            _EarlyStop(self.early_stop_eps, self.early_stop_patience)
-            for _ in range(tasks)
-        ]
-        # Accepted proposals cut a speculative block short, so tasks
-        # drift apart in step count; each round stacks the blocks of
-        # whichever tasks still have budget and haven't early-stopped.
-        while True:
-            active = [
-                t for t in range(tasks)
-                if steps_done[t] < limits[t] and not stops[t].stopped
-            ]
-            if not active:
-                break
-            candidates: List[Optional[np.ndarray]] = [None] * tasks
-            uniforms = [None] * tasks
-            for t in active:
-                block = min(self.speculation, limits[t] - steps_done[t])
-                rows = np.tile(phases[t], (block, 1))
-                for j in range(block):
-                    idx = rngs[t].choice(
-                        phases[t].size, size=subsets[t], replace=False
-                    )
-                    rows[j, idx] += rngs[t].normal(
-                        scale=self.proposal_scale, size=subsets[t]
-                    )
-                candidates[t] = rows
-                uniforms[t] = rngs[t].random(block)
-            losses_per_task = self._value_many_segments(stacked, candidates)
-            self._count_evals(sum(len(candidates[t]) for t in active))
-            for t in active:
-                block = len(candidates[t])
-                evaluations[t] += block
-                losses = np.asarray(losses_per_task[t])
-                previous = best_losses[t]
-                for j in range(block):
-                    loss = float(losses[j])
-                    accept = loss < current[t] or uniforms[t][j] < math.exp(
-                        -(loss - current[t]) / max(temperatures[t], 1e-12)
-                    )
-                    if accept:
-                        phases[t] = candidates[t][j].copy()
-                        current[t] = loss
-                        if loss < best_losses[t]:
-                            best_phases[t] = phases[t].copy()
-                            best_losses[t] = loss
-                    histories[t].append(current[t])
-                    steps_done[t] += 1
-                    temperatures[t] *= self.cooling
-                    if accept:
-                        break
-                stops[t].update(previous, best_losses[t])
-        return [
-            self._finalize(
-                objectives[t], best_phases[t], histories[t],
-                steps_done[t], False, projection,
-                evaluations=evaluations[t], budget=limits[t],
-                early_stopped=stops[t].stopped,
-            )
-            for t in range(tasks)
-        ]
 
     def optimize(self, objective, initial_phases, projection=None, budget=None):
         if not 0.0 < self.subset_fraction <= 1.0:

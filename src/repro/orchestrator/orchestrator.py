@@ -641,13 +641,10 @@ class SurfaceOrchestrator:
         """Block-coordinate search over independent solve units.
 
         Each round visits every optimizable surface once; on each
-        surface all units advance together through one
-        :meth:`Optimizer.optimize_many` call (a lone unit falls through
-        to :meth:`Optimizer.optimize`).  Value-only optimizers stack
-        the units' candidate batches into one cross-task evaluation per
-        iteration, bit-identical to one solve per unit.  Every unit
-        builds its own linear form from its own phase state, so units
-        never see each other's configurations.  Optimized phases land
+        surface one :meth:`Optimizer.optimize_many` call runs one
+        optimizer solve per unit.  Every unit builds its own linear
+        form from its own phase state, so units never see each other's
+        configurations.  Optimized phases land
         in each unit's ``phases``; ``eval_counts`` accumulates objective
         evaluations per task id.
         """
@@ -826,7 +823,7 @@ class SurfaceOrchestrator:
                 slot_tasks=len(slotted_contexts),
             ) as span:
                 # The co-served group solves first, then every
-                # time-division slot in lockstep.
+                # time-division slot.
                 for units in (joint, slots):
                     if units:
                         self._optimize_units(

@@ -23,41 +23,17 @@ runs as a matrix-vector product and rounds differently.
 The default chunk (:data:`~repro.pipeline.config.DEFAULT_EVAL_CHUNK`)
 equals RandomSearch's default population, so a lone objective's
 population is one chunk, evaluated on the calling thread; the pool
-only splits batches wider than one chunk and stacked multi-task
-segments.
-
-Cross-task stacking (:meth:`BatchEvaluator.value_many_segments`)
-preserves the grid per *task segment*: each task's batch is chunked
-exactly as :meth:`BatchEvaluator.value_many` would chunk it, and
-same-shaped chunks collapse into one batched GEMM — a batched-matmul
-slice runs the same BLAS kernel over the same operands as the
-standalone per-chunk call, so grouping membership never changes bits
-either.
+only splits batches wider than one chunk.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from ..orchestrator.objectives import StackedObjective
 from .config import DEFAULT_EVAL_CHUNK
-
-
-def _partition(items: Sequence, runs: int) -> List[List]:
-    """Split ``items`` into at most ``runs`` contiguous balanced runs."""
-    n = len(items)
-    runs = max(1, min(runs, n))
-    out: List[List] = []
-    base, extra = divmod(n, runs)
-    start = 0
-    for i in range(runs):
-        size = base + (1 if i < extra else 0)
-        out.append(list(items[start : start + size]))
-        start += size
-    return out
 
 
 class BatchEvaluator:
@@ -131,47 +107,6 @@ class BatchEvaluator:
                 for p in pool.map(objective.value_many, chunks)
             ]
         return np.concatenate([np.atleast_1d(p) for p in parts])
-
-    def value_many_segments(
-        self,
-        stacked: StackedObjective,
-        batches: Sequence[Optional[np.ndarray]],
-    ) -> List[Optional[np.ndarray]]:
-        """Evaluate one candidate batch per stacked task (``None`` skips).
-
-        Chunks each task with the :meth:`value_many` grid, then lets
-        :meth:`StackedObjective.value_chunks` collapse same-shaped
-        chunks across tasks into batched GEMMs.  Bit-identical to the
-        per-task serial loop at any parallelism.
-        """
-        self._check_open()
-        if len(batches) != len(stacked.parts):
-            raise ValueError(
-                f"{len(batches)} batches for {len(stacked.parts)} parts"
-            )
-        items: List[Tuple[int, np.ndarray]] = []
-        for t, batch in enumerate(batches):
-            if batch is not None:
-                batch = np.atleast_2d(np.asarray(batch, dtype=float))
-                items.extend((t, rows) for rows in self._chunks(batch))
-        self._note(len(items))
-        if self.parallelism == 1 or len(items) <= 1:
-            values = stacked.value_chunks(items)
-        else:
-            pool = self._ensure_pool()
-            runs = _partition(items, self.parallelism)
-            values = [
-                value
-                for run_values in pool.map(stacked.value_chunks, runs)
-                for value in run_values
-            ]
-        per_task: Dict[int, List[np.ndarray]] = {}
-        for (t, _), value in zip(items, values):
-            per_task.setdefault(t, []).append(np.atleast_1d(np.asarray(value)))
-        return [
-            np.concatenate(per_task[t]) if t in per_task else None
-            for t in range(len(batches))
-        ]
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent, terminal).

@@ -25,7 +25,7 @@ from ..geometry.environment import Environment
 from ..geometry.materials import HUMAN
 from ..geometry.shapes import Box
 from ..geometry.vec import as_vec3
-from ..mobility import MobilityModelBase, WaypointWalker
+from ..mobility import MobilityModelBase
 from .events import EndpointMoved, EventBus, FurnitureMoved, HumanMoved
 
 #: Footprint and height of the walker obstacle (meters).
@@ -33,28 +33,16 @@ HUMAN_SIZE = (0.5, 0.5, 1.8)
 
 
 class Walker:
-    """A person walking a waypoint loop (thin mobility-model adapter).
-
-    Kept for compatibility with pre-``repro.mobility`` callers: the
-    classic ``Walker(key, waypoints, speed_mps)`` signature builds a
-    closed-loop :class:`WaypointWalker` underneath, and any other
-    :class:`MobilityModel` can be slotted in via ``model=``.
+    """A person-sized obstacle carried by a mobility model.
 
     Attributes:
         key: dynamic-obstacle key in the environment.
-        model: the underlying mobility model.
+        model: the mobility model that moves it (e.g. a
+            :class:`~repro.mobility.WaypointWalker` loop).
     """
 
-    def __init__(
-        self,
-        key: str,
-        waypoints: Optional[Sequence[Sequence[float]]] = None,
-        speed_mps: float = 1.2,
-        model: Optional[MobilityModelBase] = None,
-    ):
+    def __init__(self, key: str, model: MobilityModelBase):
         self.key = key
-        if model is None:
-            model = WaypointWalker(waypoints or [], speed_mps=speed_mps)
         self.model = model
 
     def position(self) -> np.ndarray:

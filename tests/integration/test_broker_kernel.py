@@ -8,6 +8,7 @@ from repro.broker import HandleStatus
 from repro.core.errors import ServiceError
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.hwmgr import AccessPoint, ClientDevice
+from repro.mobility import WaypointWalker
 from repro.orchestrator import Adam, TaskState
 from repro.runtime import Walker
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
@@ -172,7 +173,10 @@ class TestDaemon:
         system.reoptimize()
         # A person walking straight through the bedroom beam corridor.
         system.dynamics.add_walker(
-            Walker("person", [(5.6, 3.2), (8.0, 1.0)], speed_mps=1.5)
+            Walker(
+                "person",
+                model=WaypointWalker([(5.6, 3.2), (8.0, 1.0)], speed_mps=1.5),
+            )
         )
         records = system.daemon.run(steps=10, dt=0.5)
         # The monitor must have seen degradations and re-optimized.
