@@ -77,6 +77,10 @@ from .tracer import PanelObstacle
 #: kernels' epsilon tolerances.
 _CORRIDOR_PAD = 1e-3
 
+#: Surface pairs farther apart than this (m) get no cascade leg; their
+#: second-order term is negligible.
+_MAX_CASCADE_DISTANCE_M = 30.0
+
 #: Panel boxes remembered by panel digest before the memo is reset.
 _PANEL_BOX_MEMO = 64
 
@@ -254,8 +258,6 @@ class ChannelSimulator:
         include_panel_blockage: treat surface panels as thin obstacles
             for paths not terminating on them (the §2.1 unintended
             blocking hazard).
-        max_cascade_distance_m: skip surface-pair interactions farther
-            apart than this (their second-order term is negligible).
         cache_size: LRU bound on cached (assembled) channel models; the
             oldest entry is evicted when exceeded, and entries built
             against a stale environment version are purged eagerly.
@@ -277,7 +279,6 @@ class ChannelSimulator:
         frequency_hz: float,
         include_reflections: bool = True,
         include_panel_blockage: bool = True,
-        max_cascade_distance_m: float = 30.0,
         cache_size: int = 32,
         leg_cache_size: int = 512,
         parallel_workers: int = 0,
@@ -293,7 +294,6 @@ class ChannelSimulator:
         self.frequency_hz = frequency_hz
         self.include_reflections = include_reflections
         self.include_panel_blockage = include_panel_blockage
-        self.max_cascade_distance_m = max_cascade_distance_m
         self.cache_size = cache_size
         self.leg_cache_size = leg_cache_size
         self.parallel_workers = parallel_workers
@@ -489,7 +489,7 @@ class ChannelSimulator:
                 if source.panel_id == target.panel_id:
                     continue
                 gap = float(np.linalg.norm(source.center - target.center))
-                if gap > self.max_cascade_distance_m:
+                if gap > _MAX_CASCADE_DISTANCE_M:
                     continue
                 if not self._panels_face_each_other(source, target):
                     continue
@@ -881,10 +881,7 @@ class ChannelSimulator:
         """Channel ``(M,)`` to a single point with the panels' live configs."""
         model = self.build(ap, np.asarray(point, dtype=float)[None, :], panels)
         if configs is None:
-            configs = {
-                p.panel_id: p.configuration.coefficients().reshape(-1)
-                for p in panels
-            }
+            configs = live_configs(panels)
         return model.evaluate(configs)[0]
 
     def invalidate(self) -> None:

@@ -37,11 +37,7 @@ from ..geometry.floorplans import apartment_sites, two_room_apartment
 from ..hwmgr.devices import AccessPoint, ClientDevice
 from ..orchestrator.optimizers import Optimizer, RandomSearch
 from ..orchestrator.tasks import reset_task_counter
-from ..pipeline import (
-    AdaptiveCoalesceConfig,
-    EvaluationConfig,
-    PipelineConfig,
-)
+from ..pipeline import AdaptiveCoalesceConfig, PipelineConfig
 from ..surfaces.catalog import GENERIC_PROGRAMMABLE_28
 from ..surfaces.panel import SurfacePanel
 from .result import ExperimentResultBase
@@ -347,7 +343,7 @@ def run_pipelined(
     config = config or PipelineConfig(
         adaptive=AdaptiveCoalesceConfig(max_window_s=COALESCE_WINDOW_S),
         charge_compute=True,
-        evaluation=EvaluationConfig(parallelism=2),
+        parallelism=2,
     )
     pipeline = system.attach_pipeline(config)
     demands = _demands(requests)

@@ -39,6 +39,8 @@ import numpy as np
 
 from ..analysis.tables import render_table
 from ..broker.calls import reset_request_counter
+from ..channel import live_configs
+from ..core.errors import SchedulingError
 from ..core.kernel import SurfOS
 from ..geometry.vec import as_vec3
 from ..hwmgr.devices import ClientDevice
@@ -46,7 +48,7 @@ from ..mobility import RandomWalk, WaypointWalker, churn_schedule
 from ..orchestrator.optimizers import RandomSearch
 from ..orchestrator.solvebudget import SolveBudgetConfig
 from ..orchestrator.tasks import reset_task_counter
-from ..pipeline import AdaptiveCoalesceConfig, EvaluationConfig, PipelineConfig
+from ..pipeline import AdaptiveCoalesceConfig, PipelineConfig
 from ..runtime.dynamics import Walker
 from ..services.connectivity import snr_map_db
 from ..telemetry import Telemetry
@@ -359,8 +361,8 @@ class _ChurnDriver:
         for task_id in self._tasks.pop(client_id, []):
             try:
                 self.system.orchestrator.complete_task(task_id)
-            except Exception:
-                pass  # already reaped (e.g. expired)
+            except SchedulingError:
+                pass  # already completed, failed or preempted
         self.system.dynamics.detach_client(client_id)
         self.system.hardware.unregister_client(client_id)
         self.departures += 1
@@ -394,10 +396,12 @@ def build_system(
     )
     if config.leg_cache_size is not None:
         system.orchestrator.simulator.leg_cache_size = config.leg_cache_size
-    pipeline_kwargs = {"adaptive": AdaptiveCoalesceConfig()}
-    if config.eval_pool:
-        pipeline_kwargs["evaluation"] = EvaluationConfig(parallelism=2)
-    system.attach_pipeline(PipelineConfig(**pipeline_kwargs))
+    system.attach_pipeline(
+        PipelineConfig(
+            adaptive=AdaptiveCoalesceConfig(),
+            parallelism=2 if config.eval_pool else 1,
+        )
+    )
     scene = system.scene
     if config.walkers and not scene.walker_loops:
         raise ValueError(f"scene {scene.name!r} defines no walker loops")
@@ -496,9 +500,7 @@ def run(
             model = simulator.build(
                 orchestrator.ap.node(), observe_points, panels
             )
-            snrs = snr_map_db(
-                model, orchestrator._live_coefficients(), orchestrator.budget
-            )
+            snrs = snr_map_db(model, live_configs(panels), orchestrator.budget)
             result.snr_trace.append(float(np.median(snrs)))
     finally:
         system.pipeline.close()

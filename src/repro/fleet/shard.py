@@ -29,7 +29,7 @@ from ..geometry.scenes import build_scene
 from ..hwmgr.devices import ClientDevice
 from ..hwmgr.health import HealthStatus
 from ..orchestrator.optimizers import RandomSearch
-from ..pipeline import EvaluationConfig, PipelineConfig, RequestPipeline
+from ..pipeline import PipelineConfig, RequestPipeline
 from ..runtime.clock import SimClock
 from ..telemetry import Telemetry
 
@@ -150,7 +150,7 @@ class EnvironmentShard:
             config=PipelineConfig(
                 queue_capacity=spec.queue_capacity,
                 coalesce_window_s=self.coalesce_window_s,
-                evaluation=EvaluationConfig(parallelism=parallelism),
+                parallelism=parallelism,
             ),
         )
         #: Set by :meth:`FleetBroker.quarantine_shard`; a quarantined

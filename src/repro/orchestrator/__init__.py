@@ -1,13 +1,10 @@
 """Surface orchestrator: tasks, scheduling, multiplexing, optimization."""
 
-from .blockcoord import coefficients_from_phases, optimize_surfaces
 from .multiplex import MultiplexStrategy, propose_slices
 from .objectives import (
     CoverageGoal,
     CoverageObjective,
-    FiniteDifferenceObjective,
     JointObjective,
-    LocalizationObjective,
     Objective,
     PoweringObjective,
 )
@@ -41,11 +38,9 @@ __all__ = [
     "BudgetController",
     "CoverageGoal",
     "CoverageObjective",
-    "FiniteDifferenceObjective",
     "GradientDescent",
     "Hypervisor",
     "JointObjective",
-    "LocalizationObjective",
     "MultiplexStrategy",
     "Objective",
     "OptimizationResult",
@@ -65,9 +60,7 @@ __all__ = [
     "TenantOrchestrator",
     "TenantPolicy",
     "TaskState",
-    "coefficients_from_phases",
     "objective_digest",
-    "optimize_surfaces",
     "panel_projection",
     "propose_slices",
 ]

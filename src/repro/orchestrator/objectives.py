@@ -10,10 +10,9 @@ Conventions: for a real loss ``L`` of complex tensors, ``∂L/∂z`` is the
 Wirtinger partial treating ``z̄`` as independent; the chain to phases is
 ``∂L/∂φ_e = 2·Re(j·x_e·Σ ∂L/∂h · ∂h/∂x_e) = −2·Im(x_e·Σ ∂L/∂h·C_e)``.
 
-The localization loss is the paper's §4 formulation: "the cross-entropy
-between the estimated and true AoA" with the AoA spectrum computed by
-matched-filter correlation of the AP-observed channel against per-angle
-predictions (md-Track style).
+Service-specific losses built on these live with their services: the
+paper's §4 localization loss ("the cross-entropy between the estimated
+and true AoA") is :class:`~repro.services.sensing.SurfaceAoAObjective`.
 """
 
 from __future__ import annotations
@@ -229,124 +228,6 @@ class PoweringObjective(Objective):
         coef = -10.0 / (math.log(10.0) * mean_power * k)
         w_h = coef * np.conj(h)
         acc = np.einsum("km,kme->e", w_h, self.form.coeffs)
-        return loss, _phase_gradient(x, acc)
-
-
-class LocalizationObjective(Objective):
-    """Softmax cross-entropy between the estimated and true AoA.
-
-    For each client location ``k`` the AP observes ``h_k = C_k·x + d_k``.
-    The estimator correlates ``h_k`` against per-angle predictions
-    ``ĥ_i = P_i·x`` (matched filter over a candidate-angle grid) and
-    normalizes into a spectrum ``S_ki ∈ [0,1]``; the loss is the mean
-    cross-entropy of ``softmax(β·S_k)`` against the true angle index.
-    """
-
-    def __init__(
-        self,
-        form: LinearChannelForm,
-        predictions: np.ndarray,
-        true_angle_indices: Sequence[int],
-        amplitudes: Optional[np.ndarray] = None,
-        beta: float = 20.0,
-        epsilon: float = 1e-18,
-    ):
-        self.form = form
-        self.dim = form.num_elements
-        self.predictions = np.asarray(predictions)  # (I, M, E)
-        if (
-            self.predictions.ndim != 3
-            or self.predictions.shape[1] != form.num_antennas
-            or self.predictions.shape[2] != form.num_elements
-        ):
-            raise OptimizationError(
-                f"predictions shape {self.predictions.shape} incompatible "
-                f"with form (·, {form.num_antennas}, {form.num_elements})"
-            )
-        self.true_idx = np.asarray(true_angle_indices, dtype=int)
-        if self.true_idx.shape != (form.num_points,):
-            raise OptimizationError("need one true angle index per point")
-        num_angles = self.predictions.shape[0]
-        if np.any(self.true_idx < 0) or np.any(self.true_idx >= num_angles):
-            raise OptimizationError("true angle index out of range")
-        self.amplitudes = (
-            np.ones(self.dim)
-            if amplitudes is None
-            else np.asarray(amplitudes, dtype=float).reshape(-1)
-        )
-        if beta <= 0:
-            raise OptimizationError("softmax temperature beta must be positive")
-        self.beta = beta
-        self.epsilon = epsilon
-
-    # ------------------------------------------------------------------
-
-    def _forward(self, x: np.ndarray):
-        h = self.form.evaluate(x)  # (K, M)
-        h_hat = self.predictions @ x  # (I, M)
-        n_h = np.sum(np.abs(h) ** 2, axis=1)  # (K,)
-        n_i = np.sum(np.abs(h_hat) ** 2, axis=1)  # (I,)
-        r = np.conj(h) @ h_hat.T  # (K, I)
-        denom = n_h[:, None] * n_i[None, :] + self.epsilon
-        spectrum = np.abs(r) ** 2 / denom  # (K, I), in [0, 1]
-        z = self.beta * spectrum
-        z -= z.max(axis=1, keepdims=True)
-        expz = np.exp(z)
-        p = expz / expz.sum(axis=1, keepdims=True)
-        return h, h_hat, n_h, n_i, r, denom, spectrum, p
-
-    def spectrum(self, phases: np.ndarray) -> np.ndarray:
-        """The (K, I) normalized AoA spectrum — the estimator's view."""
-        phases = self._check(phases)
-        x = self.amplitudes * np.exp(1j * phases)
-        return self._forward(x)[6]
-
-    def estimated_angle_indices(self, phases: np.ndarray) -> np.ndarray:
-        """Argmax AoA estimate per point."""
-        return np.argmax(self.spectrum(phases), axis=1)
-
-    def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
-        batch = self._check_batch(phases_batch)
-        x = self.amplitudes[None, :] * np.exp(1j * batch)  # (P, E)
-        h = self.form.evaluate_many(x)  # (P, K, M)
-        h_hat = np.tensordot(x, self.predictions, axes=([1], [2]))  # (P, I, M)
-        n_h = np.sum(np.abs(h) ** 2, axis=2)  # (P, K)
-        n_i = np.sum(np.abs(h_hat) ** 2, axis=2)  # (P, I)
-        r = np.einsum("pkm,pim->pki", np.conj(h), h_hat)  # (P, K, I)
-        denom = n_h[:, :, None] * n_i[:, None, :] + self.epsilon
-        spectrum = np.abs(r) ** 2 / denom
-        z = self.beta * spectrum
-        z -= z.max(axis=2, keepdims=True)
-        expz = np.exp(z)
-        p = expz / expz.sum(axis=2, keepdims=True)
-        k = self.form.num_points
-        picked = p[:, np.arange(k), self.true_idx]  # (P, K)
-        return -np.mean(np.log(picked + 1e-300), axis=1)
-
-    def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
-        phases = self._check(phases)
-        x = self.amplitudes * np.exp(1j * phases)
-        h, h_hat, n_h, n_i, r, denom, spectrum, p = self._forward(x)
-        k = self.form.num_points
-        one_hot = np.zeros_like(p)
-        one_hot[np.arange(k), self.true_idx] = 1.0
-        loss = float(-np.mean(np.log(p[np.arange(k), self.true_idx] + 1e-300)))
-        # dL/dS (softmax cross-entropy), averaged over points.
-        g_s = self.beta * (p - one_hot) / k  # (K, I)
-        # ∂S/∂h and ∂S/∂ĥ (Wirtinger partials):
-        #   ∂S_ki/∂h_km = (r_ki·conj(ĥ_im) − S_ki·N_i·conj(h_km)) / D_ki
-        #   ∂S_ki/∂ĥ_im = (conj(r_ki)·conj(h_km) − S_ki·N_h·conj(ĥ_im)) / D_ki
-        ratio = g_s / denom
-        w_h = (ratio * r) @ np.conj(h_hat)  # (K, M)
-        w_h -= np.conj(h) * np.sum(
-            g_s * spectrum * n_i[None, :] / denom, axis=1
-        )[:, None]
-        w_hat = (ratio * np.conj(r)).T @ np.conj(h)  # (I, M)
-        w_hat -= np.conj(h_hat) * np.sum(
-            g_s * spectrum * n_h[:, None] / denom, axis=0
-        )[:, None]
-        acc = np.einsum("km,kme->e", w_h, self.form.coeffs)
-        acc += np.einsum("im,ime->e", w_hat, self.predictions)
         return loss, _phase_gradient(x, acc)
 
 

@@ -29,7 +29,7 @@ from typing import (
 import numpy as np
 
 from ..channel.model import ChannelModel, LinearChannelForm, LinearFormCache
-from ..channel.simulator import ChannelSimulator
+from ..channel.simulator import ChannelSimulator, live_configs
 from ..core.configuration import SurfaceConfiguration
 from ..core.errors import ServiceError
 from ..drivers.base import PassiveDriver
@@ -40,10 +40,9 @@ from ..hwmgr.manager import HardwareManager
 from ..services import connectivity, powering, security, sensing
 from ..surfaces.panel import SurfacePanel
 from ..telemetry import Telemetry
-from .blockcoord import coefficients_from_phases
 from .multiplex import MultiplexStrategy, propose_slices
 from .objectives import JointObjective, Objective
-from .optimizers import Adam, Optimizer
+from .optimizers import Adam, Optimizer, panel_projection
 from .scheduler import Scheduler
 from .solvebudget import (
     BudgetController,
@@ -54,6 +53,17 @@ from .solvebudget import (
     relative_drift,
 )
 from .tasks import ServiceTask, ServiceType, TaskState
+
+#: Candidate angles in a sensing task's AoA grid.
+_SENSING_ANGLES = 61
+
+
+def coefficients_from_phases(
+    panel: SurfacePanel, phases: np.ndarray
+) -> np.ndarray:
+    """Complex coefficient vector for a panel at given flat phases."""
+    amplitudes = panel.configuration.amplitudes.reshape(-1)
+    return amplitudes * np.exp(1j * np.asarray(phases, dtype=float).reshape(-1))
 
 
 @dataclass
@@ -178,11 +188,8 @@ class SurfaceOrchestrator:
         ap_id: Optional[str] = None,
         optimizer: Optional[Optimizer] = None,
         grid_spacing_m: float = 0.7,
-        sensing_angles: int = 61,
-        rng: Optional[np.random.Generator] = None,
         telemetry: Optional[Telemetry] = None,
         channel_workers: int = 0,
-        channel_leg_cache: int = 512,
         solve_budget: Optional[SolveBudgetConfig] = None,
     ):
         self.env = env
@@ -198,7 +205,6 @@ class SurfaceOrchestrator:
         self.simulator = ChannelSimulator(
             env,
             frequency_hz,
-            leg_cache_size=channel_leg_cache,
             parallel_workers=channel_workers,
             telemetry=self.telemetry,
         )
@@ -206,8 +212,6 @@ class SurfaceOrchestrator:
         self.optimizer = optimizer or Adam(max_iterations=120)
         self.optimizer.bind_telemetry(self.telemetry)
         self.grid_spacing_m = grid_spacing_m
-        self.sensing_angles = sensing_angles
-        self.rng = rng or np.random.default_rng(0)
         self._contexts: Dict[str, _TaskContext] = {}
         self._dirty_tasks: set = set()
         self._admission_batch: Optional[_AdmissionBatch] = None
@@ -484,7 +488,7 @@ class SurfaceOrchestrator:
         self, model: ChannelModel, surface_id: str
     ) -> sensing.AoAEstimator:
         panel = self.hardware.panel(surface_id)
-        grid = sensing.AngleGrid.uniform(count=self.sensing_angles)
+        grid = sensing.AngleGrid.uniform(count=_SENSING_ANGLES)
         return sensing.AoAEstimator(
             panel,
             sensing.surface_illumination(model, surface_id),
@@ -648,8 +652,6 @@ class SurfaceOrchestrator:
         in each unit's ``phases``; ``eval_counts`` accumulates objective
         evaluations per task id.
         """
-        from .optimizers import panel_projection
-
         by_id = {p.panel_id: p for p in self.hardware.panels()}
 
         def coeffs(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -994,12 +996,6 @@ class SurfaceOrchestrator:
 
     # ------------------------------------------------------------------
 
-    def _live_coefficients(self) -> Dict[str, np.ndarray]:
-        return {
-            p.panel_id: p.configuration.coefficients().reshape(-1)
-            for p in self.hardware.panels()
-        }
-
     def _record_metrics(
         self,
         model: ChannelModel,
@@ -1008,7 +1004,7 @@ class SurfaceOrchestrator:
             Dict[str, Dict[str, SurfaceConfiguration]]
         ] = None,
     ) -> None:
-        live = self._live_coefficients()
+        live = live_configs(self.hardware.panels())
         live_snrs = connectivity.snr_map_db(model, live, self.budget)
         for ctx in contexts:
             k = ctx.points.shape[0]
@@ -1044,11 +1040,9 @@ class SurfaceOrchestrator:
         ctx = self._contexts.get(task_id)
         if ctx is None:
             raise ServiceError(f"unknown task {task_id!r}")
-        model = self.simulator.build(
-            self.ap.node(), ctx.points, self.hardware.panels()
-        )
-        configs = self._live_coefficients()
-        snrs = connectivity.snr_map_db(model, configs, self.budget)
+        panels = self.hardware.panels()
+        model = self.simulator.build(self.ap.node(), ctx.points, panels)
+        snrs = connectivity.snr_map_db(model, live_configs(panels), self.budget)
         return {
             "median_snr_db": float(np.median(snrs)),
             "min_snr_db": float(np.min(snrs)),

@@ -5,7 +5,7 @@ booted kernel with :meth:`repro.core.kernel.SurfOS.attach_pipeline`.
 """
 
 from .coalesce import AdaptiveCoalesceConfig, AdaptiveCoalescer
-from .config import EvaluationConfig, PipelineConfig
+from .config import PipelineConfig
 from .pipeline import (
     WINDOW_CLOSE_EPS_S,
     PipelineStats,
@@ -19,7 +19,6 @@ __all__ = [
     "AdaptiveCoalesceConfig",
     "AdaptiveCoalescer",
     "BatchEvaluator",
-    "EvaluationConfig",
     "PipelineConfig",
     "PipelineStats",
     "PriorityClass",

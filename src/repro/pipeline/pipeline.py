@@ -167,10 +167,7 @@ class RequestPipeline:
         self.config = config or PipelineConfig()
         self.telemetry = broker.telemetry
         self.queue = RequestQueue(self.config.queue_capacity)
-        evaluation = self.config.evaluation
-        self.evaluator = BatchEvaluator(
-            parallelism=evaluation.parallelism, chunk=evaluation.chunk
-        )
+        self.evaluator = BatchEvaluator(parallelism=self.config.parallelism)
         self.evaluator.bind_telemetry(self.telemetry)
         # Candidate-batch evaluation routes through the worker pool for
         # every parallelism setting — the chunk grid, not the worker

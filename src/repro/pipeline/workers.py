@@ -6,12 +6,13 @@ that releases the GIL — so a thread pool genuinely overlaps the work.
 
 Determinism contract: at a fixed ``chunk``, results are *bit-identical*
 regardless of ``parallelism``.  The chunk grid depends only on
-``chunk`` (a config constant), never on the worker count: a candidate
-batch is split into the same fixed-size row blocks whether one thread
-or eight evaluate them, each block's NumPy reduction runs over the same
-operands in the same order, and the per-block results are concatenated
-in index order (executor ``map`` results are gathered in submission
-order).  No result ever sums across a worker boundary.
+``chunk`` (the request pipeline always uses :data:`DEFAULT_EVAL_CHUNK`),
+never on the worker count: a candidate batch is split into the same
+fixed-size row blocks whether one thread or eight evaluate them, each
+block's NumPy reduction runs over the same operands in the same order,
+and the per-block results are concatenated in index order (executor
+``map`` results are gathered in submission order).  No result ever sums
+across a worker boundary.
 
 Bit-identity across *chunk sizes* is not part of the contract.  Every
 loss reduction is row-local, so it holds exactly when the BLAS build
@@ -20,10 +21,9 @@ project is tested against does for multi-row chunks, and
 ``tests/orchestrator/test_joint_grouped.py`` pins it.  A one-row chunk
 runs as a matrix-vector product and rounds differently.
 
-The default chunk (:data:`~repro.pipeline.config.DEFAULT_EVAL_CHUNK`)
-equals RandomSearch's default population, so a lone objective's
-population is one chunk, evaluated on the calling thread; the pool
-only splits batches wider than one chunk.
+The default chunk equals RandomSearch's default population, so a lone
+objective's population is one chunk, evaluated on the calling thread;
+the pool only splits batches wider than one chunk.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import DEFAULT_EVAL_CHUNK
+#: Default rows per evaluation chunk.  Equals RandomSearch's default
+#: ``population``, so one solver iteration is one ``value_many`` call.
+DEFAULT_EVAL_CHUNK = 16
 
 
 class BatchEvaluator:

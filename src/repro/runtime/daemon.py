@@ -10,11 +10,12 @@ telemetry events the runtime benchmarks read their timings from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..channel import live_configs
 from ..core.errors import ServiceError
 from ..services.connectivity import snr_map_db
 from ..services.monitoring import ChannelMonitor
@@ -141,13 +142,13 @@ class SurfOSDaemon:
     def observe(self) -> np.ndarray:
         """Sample current coverage and feed the monitor."""
         with self.telemetry.span("daemon-observe"):
+            panels = self.orchestrator.hardware.panels()
             model = self.orchestrator.simulator.build(
-                self.orchestrator.ap.node(),
-                self._points(),
-                self.orchestrator.hardware.panels(),
+                self.orchestrator.ap.node(), self._points(), panels
             )
-            configs = self.orchestrator._live_coefficients()
-            snrs = snr_map_db(model, configs, self.orchestrator.budget)
+            snrs = snr_map_db(
+                model, live_configs(panels), self.orchestrator.budget
+            )
             anomalies = self.monitor.observe(self.clock.now, snrs)
         self.telemetry.counter("daemon.observations")
         if anomalies:

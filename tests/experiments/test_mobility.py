@@ -65,6 +65,24 @@ def test_churn_arrivals_and_departures_run():
     assert result.gate_failures() == []
 
 
+def test_departure_after_guest_task_already_completed():
+    """A guest whose task finished before its departure fired still
+    departs cleanly: the already-completed task is skipped, the guest
+    is unregistered and counted."""
+    config = mobility.MobilityConfig(**FAST, churn_rate_hz=0.4)
+    system = mobility.build_system(config)
+    try:
+        driver = mobility._ChurnDriver(system, config)
+        driver._arrive("guest-early")
+        (task_id,) = driver._tasks["guest-early"]
+        system.orchestrator.complete_task(task_id)
+        driver._depart("guest-early")
+    finally:
+        system.pipeline.close()
+    assert driver.arrivals == driver.departures == 1
+    assert "guest-early" not in {c.client_id for c in system.hardware.clients()}
+
+
 def test_churn_with_tiny_leg_cache_evicts_under_pressure():
     """LRU eviction at capacity while clients churn stays correct."""
     result, _ = _run(

@@ -21,12 +21,12 @@ from repro.orchestrator.objectives import (
     CoverageGoal,
     CoverageObjective,
     JointObjective,
-    LocalizationObjective,
     PoweringObjective,
 )
 from repro.orchestrator.optimizers import RandomSearch
 from repro.pipeline import BatchEvaluator, RequestPipeline
 from repro.services.security import security_objective
+from repro.services.sensing import SurfaceAoAObjective
 
 # The admit-churn joint group's shapes: a 64-element panel, a 4-antenna
 # AP, one 12-point coverage part and K=1 link parts.
@@ -58,13 +58,13 @@ def powering(rng, k):
 
 
 def localization(rng, k=3, angles=5):
-    predictions = rng.normal(size=(angles, M, E)) + 1j * rng.normal(
-        size=(angles, M, E)
-    )
-    return LocalizationObjective(
-        random_form(rng, k),
-        predictions=predictions,
-        true_angle_indices=rng.integers(0, angles, k),
+    # The AoA loss reads only the estimator's steering hypotheses.
+    steering = rng.normal(size=(angles, E)) + 1j * rng.normal(size=(angles, E))
+    wavefronts = rng.normal(size=(k, E)) + 1j * rng.normal(size=(k, E))
+    return SurfaceAoAObjective(
+        wavefronts,
+        SimpleNamespace(steering=steering),
+        rng.integers(0, angles, k),
         amplitudes=rng.uniform(0.3, 1.0, E),
     )
 

@@ -11,7 +11,6 @@ from repro.orchestrator.objectives import (
     CoverageObjective,
     FiniteDifferenceObjective,
     JointObjective,
-    LocalizationObjective,
     PoweringObjective,
 )
 
@@ -103,61 +102,6 @@ class TestPowering:
         form = random_form(rng)
         obj = PoweringObjective(form)
         assert obj.harvested_dbm(np.zeros(obj.dim)).shape == (4,)
-
-
-class TestLocalization:
-    def make_objective(self, rng, k=3, m=2, e=5, i=7, beta=8.0):
-        form = random_form(rng, k=k, m=m, e=e)
-        predictions = 1e-4 * (
-            rng.normal(size=(i, m, e)) + 1j * rng.normal(size=(i, m, e))
-        )
-        true_idx = rng.integers(0, i, size=k)
-        return LocalizationObjective(
-            form, predictions, true_idx, beta=beta
-        )
-
-    def test_gradient_matches_finite_differences(self, rng):
-        obj = self.make_objective(rng)
-        check_gradient(obj, rng.uniform(0, 2 * np.pi, obj.dim), rtol=5e-4)
-
-    def test_gradient_matches_fd_high_beta(self, rng):
-        obj = self.make_objective(rng, beta=40.0)
-        check_gradient(obj, rng.uniform(0, 2 * np.pi, obj.dim), rtol=5e-4)
-
-    def test_spectrum_bounded(self, rng):
-        obj = self.make_objective(rng)
-        spec = obj.spectrum(rng.uniform(0, 2 * np.pi, obj.dim))
-        assert spec.shape == (3, 7)
-        assert np.all(spec >= 0.0) and np.all(spec <= 1.0 + 1e-9)
-
-    def test_perfect_prediction_peaks_at_truth(self, rng):
-        """When predictions include the exact measured channel map,
-        the spectrum peaks at the true index."""
-        k, m, e = 1, 3, 6
-        form = random_form(rng, k=k, m=m, e=e)
-        # Build predictions where index 2 IS the measured map (offset-free).
-        predictions = 1e-4 * (
-            rng.normal(size=(5, m, e)) + 1j * rng.normal(size=(5, m, e))
-        )
-        predictions[2] = form.coeffs[0]
-        offset_free = LinearChannelForm(
-            "s", form.coeffs, np.zeros((k, m), dtype=complex)
-        )
-        obj = LocalizationObjective(offset_free, predictions, [2])
-        phases = rng.uniform(0, 2 * np.pi, e)
-        assert obj.estimated_angle_indices(phases)[0] == 2
-
-    def test_validation(self, rng):
-        form = random_form(rng)
-        preds = np.zeros((5, 2, 6), dtype=complex)
-        with pytest.raises(OptimizationError):
-            LocalizationObjective(form, preds[:, :1, :], [0] * 4)
-        with pytest.raises(OptimizationError):
-            LocalizationObjective(form, preds, [0] * 3)
-        with pytest.raises(OptimizationError):
-            LocalizationObjective(form, preds, [9] * 4)
-        with pytest.raises(OptimizationError):
-            LocalizationObjective(form, preds, [0] * 4, beta=0.0)
 
 
 class TestJoint:

@@ -3,25 +3,27 @@
 Two identical workloads that differ only in ``parallelism`` must leave
 byte-identical sim-only telemetry behind: same admissions, same solves,
 same objective values, same task states. The chunk grid used by
-``BatchEvaluator`` depends only on ``eval_chunk``, never on the worker
+``BatchEvaluator`` depends only on its chunk size, never on the worker
 count, so no floating-point reduction ever crosses a worker boundary.
+The search population spans two chunks, so a multi-worker run really
+splits every candidate batch across threads.
 """
 
 import json
 
 from repro.broker import ApplicationDemand
-from repro.pipeline import EvaluationConfig, PipelineConfig
+from repro.pipeline import PipelineConfig
+from repro.pipeline.workers import DEFAULT_EVAL_CHUNK
 
 from .conftest import build_kernel
 
 
 def _workload(parallelism, path):
+    """Run the seeded workload; returns the system and its evaluator."""
     system = build_kernel(clients=4, seed=7)
+    system.orchestrator.optimizer.population = 2 * DEFAULT_EVAL_CHUNK
     pipeline = system.attach_pipeline(
-        PipelineConfig(
-            evaluation=EvaluationConfig(parallelism=parallelism, chunk=4),
-            coalesce_window_s=0.2,
-        )
+        PipelineConfig(parallelism=parallelism, coalesce_window_s=0.2)
     )
     apps = ["video_streaming", "online_meeting", "file_transfer", "iot_hub"]
     try:
@@ -44,14 +46,17 @@ def _workload(parallelism, path):
     finally:
         pipeline.close()
     system.telemetry.export_jsonl(path, sim_only=True)
-    return system
+    return system, pipeline.evaluator
 
 
 def test_parallel_4_matches_serial_byte_for_byte(tmp_path):
     serial_path = tmp_path / "serial.jsonl"
     parallel_path = tmp_path / "parallel.jsonl"
     _workload(1, serial_path)
-    _workload(4, parallel_path)
+    _, evaluator = _workload(4, parallel_path)
+    # The gate only means something if the pool split batches.
+    assert evaluator.parallelism == 4
+    assert evaluator.chunks_evaluated > evaluator.batches
     serial = serial_path.read_bytes()
     parallel = parallel_path.read_bytes()
     assert len(serial) > 0
@@ -59,8 +64,8 @@ def test_parallel_4_matches_serial_byte_for_byte(tmp_path):
 
 
 def test_same_seed_same_outcome_summary(tmp_path):
-    a = _workload(1, tmp_path / "a.jsonl")
-    b = _workload(1, tmp_path / "b.jsonl")
+    a, _ = _workload(1, tmp_path / "a.jsonl")
+    b, _ = _workload(1, tmp_path / "b.jsonl")
     sa = a.telemetry.snapshot()
     sb = b.telemetry.snapshot()
     assert sa.counters == sb.counters

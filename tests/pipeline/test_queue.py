@@ -102,7 +102,6 @@ class TestConfigValidation:
             {"max_batch": 0},
             {"coalesce_window_s": -1.0},
             {"parallelism": 0},
-            {"eval_chunk": 0},
             {"reoptimize_rounds": 0},
         ):
             with pytest.raises(ServiceError):
