@@ -24,7 +24,9 @@ Gates:
 
 A walker + churn variant is recorded as data (obstacle motion purges
 some speculatively warmed legs, so its hit rate is the interesting
-number), not latency-gated.  Results land in ``BENCH_mobility.json``
+number), not latency-gated.  It runs :data:`CHURN_STEPS` steps in
+every mode, long enough for its seeded schedule to admit and release
+guests, and asserts that it did.  Results land in ``BENCH_mobility.json``
 at the repo root.  Set ``PERF_BENCH_SMALL=1`` for the CI smoke
 variant.
 """
@@ -54,6 +56,11 @@ PANEL_SIZE = 12
 GRID_SPACING_M = 0.5
 SOLVE_ITERATIONS = 12
 SEED = 0
+
+#: Churn-variant horizon (15 s at 0.25 s steps).  Its seeded schedule's
+#: first guest arrives at 10.2 s; 60 steps see 3 arrivals and 3
+#: departures.
+CHURN_STEPS = 60
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_mobility.json"
 
@@ -124,13 +131,16 @@ def run_churn_variant():
         mobility.MobilityConfig(
             scene=SCENE,
             seed=SEED,
-            steps=STEPS,
+            steps=CHURN_STEPS,
             clients=1,
             walkers=1,
             churn_rate_hz=0.4,
         )
     )
     assert result.gate_failures() == [], result.gate_failures()
+    # Precondition: the variant measures churn only if guests came and went.
+    assert result.churn_arrivals > 0, "churn variant admitted no guests"
+    assert result.churn_departures > 0, "churn variant released no guests"
     return result.summary()
 
 
@@ -190,6 +200,7 @@ def test_bench_mobility_prefetch(benchmark):
                     panel_size=PANEL_SIZE,
                     grid_spacing_m=GRID_SPACING_M,
                     solve_iterations=SOLVE_ITERATIONS,
+                    churn_steps=CHURN_STEPS,
                 ),
                 "comparison": comparison,
                 "churn_variant": churn,
