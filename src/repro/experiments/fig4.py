@@ -22,6 +22,7 @@ import numpy as np
 
 from ..analysis.heatmap import Heatmap
 from ..analysis.tables import render_table
+from ..channel import live_configs
 from ..core.configuration import SurfaceConfiguration
 from ..em.steering import focus_configuration
 from ..orchestrator.optimizers import Adam, Optimizer
@@ -253,9 +254,7 @@ def run(
             CARRIER_HZ,
         )
         passive.actuate(backhaul)
-        fixed = {
-            passive.panel_id: passive.configuration.coefficients().reshape(-1)
-        }
+        fixed = live_configs([passive])
         median, snrs = _median_snr_steered(
             scenario,
             [passive, prog],
