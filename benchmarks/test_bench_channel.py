@@ -10,6 +10,11 @@ on any change).  Each warm repetition uses a distinct point set so the
 exact-match model cache never short-circuits the build.  Results land
 in ``BENCH_channel.json`` at the repo root.
 
+A fifth arm times one direct trace (``node_to_points`` with wall
+reflections, every panel an obstacle) at 2 receive points and at the
+full grid, and asserts each point traced alone equals its row of the
+full-grid trace bit for bit.
+
 Timings use best-of-N (minimum) — this container's single shared core
 makes mean timings far too noisy to compare against.
 
@@ -30,6 +35,8 @@ from _meta import bench_meta
 from conftest import run_once
 from repro.analysis.tables import render_table
 from repro.channel import ChannelSimulator, ula_node
+from repro.channel.links import node_to_points
+from repro.channel.tracer import PanelObstacle
 from repro.core.units import ghz
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.surfaces import (
@@ -43,6 +50,7 @@ SMALL = bool(os.environ.get("PERF_BENCH_SMALL"))
 GRID_SPACING = 1.4 if SMALL else 1.0
 COLD_REPS = 3 if SMALL else 6
 WARM_REPS = 4 if SMALL else 10
+DIRECT_REPS = 20 if SMALL else 60
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_channel.json"
 
@@ -179,6 +187,26 @@ def bench_monolithic():
     return best
 
 
+def bench_direct_trace():
+    """One direct trace at 2 points and at the full grid (best-of-N).
+
+    Every point traced alone must equal its row of the full-grid trace
+    exactly: the leg cache stacks rows traced in different calls.
+    """
+    env, ap, panels, points = make_scene()
+    obstacles = [PanelObstacle(p) for p in panels]
+
+    def trace(pts):
+        return node_to_points(env, ap, pts, FREQ, obstacles)
+
+    full = trace(points)
+    for k in range(points.shape[0]):
+        assert np.array_equal(trace(points[k : k + 1]), full[k : k + 1]), k
+    two_s = best_of(lambda: trace(points[:2]), DIRECT_REPS)
+    grid_s = best_of(lambda: trace(points), DIRECT_REPS)
+    return two_s, grid_s
+
+
 def model_max_diff(a, b):
     """Max abs difference across every leg tensor of two models."""
     diffs = [float(np.abs(a.direct - b.direct).max())]
@@ -219,6 +247,7 @@ def run_channel_suite():
     warm_s, legs_retraced, total_legs = bench_warm_incremental()
     new_s, new_legs, new_rows, new_diff = bench_new_point()
     mono_s = bench_monolithic()
+    direct_two_s, direct_grid_s = bench_direct_trace()
     _, _, _, points = make_scene()
     return {
         "small_scene": SMALL,
@@ -232,6 +261,8 @@ def run_channel_suite():
         "legs_retraced_new_point": int(new_legs),
         "rows_traced_new_point": int(new_rows),
         "monolithic_rebuild_ms": mono_s * 1e3,
+        "direct_trace_2pt_ms": direct_two_s * 1e3,
+        "direct_trace_grid_ms": direct_grid_s * 1e3,
         "speedup_warm_vs_cold": cold_s / warm_s,
         "speedup_warm_vs_monolithic": mono_s / warm_s,
         "speedup_new_point_vs_monolithic": mono_s / new_s,
@@ -272,6 +303,18 @@ def test_bench_channel(benchmark):
                     f"{results['new_point_ms']:.2f}",
                     str(results["legs_retraced_new_point"]),
                     f"{results['cold_ms'] / results['new_point_ms']:.2f}x",
+                ),
+                (
+                    "direct trace (node_to_points, 2 pts)",
+                    f"{results['direct_trace_2pt_ms']:.2f}",
+                    "1",
+                    "",
+                ),
+                (
+                    f"direct trace (node_to_points, {results['num_points']} pts)",
+                    f"{results['direct_trace_grid_ms']:.2f}",
+                    "1",
+                    "",
                 ),
             ],
             title="Channel: incremental leg cache vs monolithic rebuilds",

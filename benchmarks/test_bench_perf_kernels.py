@@ -131,20 +131,20 @@ def _loop_box_mask(lo, hi, a, b):
 def _loop_segment_loss_db(
     self, a, b, frequency_hz, panels=None, exclude_wall_indices=None
 ):
-    """Drop-in loop replacement for ``CompiledGeometry.segment_loss_db``."""
+    """Drop-in loop replacement for ``CompiledGeometry.segment_loss_db``.
+
+    ``exclude_wall_indices`` is per segment, ``(n,)`` or ``(n, k)``,
+    with ``-1`` for none.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     loss = np.zeros(a.shape[0])
-    excluded = (
-        set(np.asarray(exclude_wall_indices).tolist())
-        if exclude_wall_indices is not None
-        else set()
-    )
+    excluded = np.full((a.shape[0], 1), -1)
+    if exclude_wall_indices is not None:
+        excluded = np.asarray(exclude_wall_indices).reshape(a.shape[0], -1)
     wall_losses = self.wall_losses_db(frequency_hz) if self.num_walls else None
     for j, wall in enumerate(self.walls):
-        if j in excluded:
-            continue
-        mask = _loop_wall_mask(wall, a, b)
+        mask = _loop_wall_mask(wall, a, b) & ~(excluded == j).any(axis=1)
         if mask.any():
             loss[mask] += wall_losses[j]
     box_losses = self.box_losses_db(frequency_hz) if self.num_boxes else None

@@ -48,37 +48,15 @@ def _pattern_amplitudes(
 ) -> np.ndarray:
     """Amplitude pattern gains from each source toward each target.
 
-    Shape ``(len(sources), len(targets))``; sources share one boresight.
-    """
-    diff = targets[None, :, :] - sources[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
-    safe = np.maximum(dist, _TINY)
-    cos_theta = np.einsum("stk,k->st", diff, boresight) / safe
-    peak = pattern.peak_gain_linear
-    if pattern.cos_exponent == 0.0:
-        gains = np.full_like(cos_theta, peak)
-    else:
-        gains = peak * np.clip(np.abs(cos_theta), 0.0, 1.0) ** pattern.cos_exponent
-    if pattern.front_only:
-        gains = np.where(cos_theta > 0.0, gains, 0.0)
-    return np.sqrt(gains)
-
-
-def _pattern_amplitudes_pairwise(
-    sources: np.ndarray,
-    boresight: np.ndarray,
-    pattern,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """Amplitude pattern gains toward per-pair targets.
-
-    ``targets`` is ``(S, T, 3)`` — a distinct aim point per source/
-    target pair (reflection bounce points); returns ``(S, T)``.
+    ``targets`` is ``(T, 3)``, shared by every source, or ``(…, S, T,
+    3)``, a distinct aim point per source/target pair (reflection
+    bounce points); returns ``(S, T)`` or ``(…, S, T)``.  Sources share
+    one boresight.
     """
     diff = targets - sources[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
+    dist = np.linalg.norm(diff, axis=-1)
     safe = np.maximum(dist, _TINY)
-    cos_theta = np.einsum("stk,k->st", diff, boresight) / safe
+    cos_theta = np.einsum("...k,k->...", diff, boresight) / safe
     peak = pattern.peak_gain_linear
     if pattern.cos_exponent == 0.0:
         gains = np.full_like(cos_theta, peak)
@@ -129,7 +107,12 @@ def node_to_points(
     if point_pattern is not None and point_pattern.cos_exponent != 0.0:
         raise NotImplementedError("directional receive points not supported")
     rx_gain = 1.0 if point_pattern is None else point_pattern.peak_gain_linear
-    pen = _pairwise_penetration(env, ant, points, frequency_hz, panel_obstacles)
+    panels = PanelStack(panel_obstacles) if panel_obstacles else None
+    # One penetration pass prices the direct rays and, batched over
+    # every reflective wall (image method), both legs of each bounce.
+    pen, bounces = compiled_geometry(env).trace_pairs(
+        ant, points, frequency_hz, panels, include_reflections
+    )
     h = (
         (lam / (4.0 * math.pi * safe))
         * tx_amp
@@ -137,30 +120,21 @@ def node_to_points(
         * pen
         * np.exp(-1j * k_wave * dist)
     )
-    if include_reflections:
-        # Image method, batched per reflective wall: every (antenna,
-        # point) pair bounces in one kernel pass instead of a Python
-        # loop over M×K×walls scalar traces.
-        compiled = compiled_geometry(env)
-        panels = PanelStack(panel_obstacles) if panel_obstacles else None
-        rx_amp = math.sqrt(rx_gain)
-        for index in compiled.reflective_wall_indices():
-            valid, bounce, length, refl_amp = compiled.reflection_legs(
-                index, ant, points, frequency_hz, panels
-            )
-            if not valid.any():
-                continue
-            safe_len = np.where(valid, length, 1.0)
-            pattern_amp = _pattern_amplitudes_pairwise(
-                ant, node.boresight, node.pattern, bounce
-            )
-            amp = (
-                (lam / (4.0 * math.pi * safe_len))
-                * refl_amp  # zero wherever the bounce is invalid
-                * pattern_amp
-                * rx_amp
-            )
-            h += amp * np.exp(-1j * k_wave * length)
+    if bounces.valid.any():
+        safe_len = np.where(bounces.valid, bounces.length, 1.0)
+        pattern_amp = _pattern_amplitudes(
+            ant, node.boresight, node.pattern, bounces.bounce
+        )
+        amp = (
+            (lam / (4.0 * math.pi * safe_len))
+            * bounces.amplitude  # zero wherever the bounce is invalid
+            * pattern_amp
+            * math.sqrt(rx_gain)
+        )
+        paths = amp * np.exp(-1j * k_wave * bounces.length)
+        for valid, path in zip(bounces.valid, paths):
+            if valid.any():
+                h += path
     return h.T  # (K, M)
 
 

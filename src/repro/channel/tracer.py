@@ -84,7 +84,11 @@ def segment_loss_db(
     path) from consideration.
     """
     compiled = compiled_geometry(env)
-    exclude = compiled.wall_indices(exclude_walls) if exclude_walls else None
+    exclude = None
+    if exclude_walls:
+        # The same excluded walls for every segment: ``(n, k)``.
+        indices = compiled.wall_indices(exclude_walls)
+        exclude = np.broadcast_to(indices, (len(np.atleast_2d(a)), indices.size))
     panels = PanelStack(panel_obstacles) if panel_obstacles else None
     return compiled.segment_loss_db(a, b, frequency_hz, panels, exclude)
 
@@ -139,19 +143,14 @@ def reflection_paths(
     a3, b3 = as_vec3(a)[None, :], as_vec3(b)[None, :]
     compiled = compiled_geometry(env)
     panels = PanelStack(panel_obstacles) if panel_obstacles else None
-    paths: List[ReflectionPath] = []
-    for index in compiled.reflective_wall_indices():
-        valid, bounce, length, amp = compiled.reflection_legs(
-            index, a3, b3, frequency_hz, panels
+    _, bounces = compiled.trace_pairs(a3, b3, frequency_hz, panels)
+    return [
+        ReflectionPath(
+            wall=compiled.walls[index],
+            bounce_point=bounces.bounce[w, 0, 0],
+            total_length=float(bounces.length[w, 0, 0]),
+            amplitude_factor=float(bounces.amplitude[w, 0, 0]),
         )
-        if not valid[0, 0]:
-            continue
-        paths.append(
-            ReflectionPath(
-                wall=compiled.walls[index],
-                bounce_point=bounce[0, 0],
-                total_length=float(length[0, 0]),
-                amplitude_factor=float(amp[0, 0]),
-            )
-        )
-    return paths
+        for w, index in enumerate(bounces.walls)
+        if bounces.valid[w, 0, 0]
+    ]

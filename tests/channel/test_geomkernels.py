@@ -238,10 +238,27 @@ def test_excluded_reflector_walls(seed):
     compiled = compiled_geometry(env)
     exclude = [env.walls[0], env.walls[3]]
     ref = _ref_segment_loss_db(env, a, b, FREQ, exclude_walls=exclude)
+    every_segment = np.broadcast_to(compiled.wall_indices(exclude), (len(a), 2))
     vec = compiled.segment_loss_db(
-        a, b, FREQ, exclude_wall_indices=compiled.wall_indices(exclude)
+        a, b, FREQ, exclude_wall_indices=every_segment
     )
     np.testing.assert_allclose(vec, ref, atol=TOL, rtol=0)
+
+
+@pytest.mark.parametrize("seed", [5, 21])
+def test_per_segment_excluded_wall(seed):
+    """Each segment drops only its own wall; ``-1`` drops none."""
+    env, rng = random_environment(seed)
+    a, b = random_segments(rng, n=300)
+    compiled = compiled_geometry(env)
+    exclude = rng.integers(-1, len(env.walls), size=len(a))
+    vec = compiled.segment_loss_db(a, b, FREQ, exclude_wall_indices=exclude)
+    for i, j in enumerate(exclude):
+        skip = () if j < 0 else (env.walls[j],)
+        ref = _ref_segment_loss_db(env, a[i : i + 1], b[i : i + 1], FREQ, exclude_walls=skip)
+        assert abs(vec[i] - ref[0]) <= TOL
+    with pytest.raises(ValueError):
+        compiled.segment_loss_db(a, b, FREQ, exclude_wall_indices=exclude[:2])
 
 
 def test_tracer_wrappers_match_reference(simulator, ap, single_prog):
@@ -281,20 +298,29 @@ def test_panel_stack_matches_per_panel_obstacles(small_passive, small_prog):
 
 
 def test_reflection_paths_match_reference():
+    """The all-walls image method reproduces the per-wall loop for every pair."""
     env = two_room_apartment()
+    compiled = compiled_geometry(env)
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        a = rng.uniform(0.5, 9.5, 3) * np.array([1, 1, 0.25])
-        b = rng.uniform(0.5, 9.5, 3) * np.array([1, 1, 0.25])
-        ref = _ref_reflection_paths(env, a, b, FREQ)
-        got = reflection_paths(env, a, b, FREQ)
-        assert len(got) == len(ref)
-        got_by_wall = {id(p.wall): p for p in got}
-        for wall, bounce, length, amp in ref:
-            path = got_by_wall[id(wall)]
-            np.testing.assert_allclose(path.bounce_point, bounce, atol=TOL)
-            assert abs(path.total_length - length) < TOL
-            assert abs(path.amplitude_factor - amp) < TOL
+    sources = rng.uniform(0.5, 9.5, (4, 3)) * np.array([1, 1, 0.25])
+    targets = rng.uniform(0.5, 9.5, (10, 3)) * np.array([1, 1, 0.25])
+    direct, bounces = compiled.trace_pairs(sources, targets, FREQ)
+    row_of = {id(compiled.walls[index]): w for w, index in enumerate(bounces.walls)}
+    for i, a in enumerate(sources):
+        for j, b in enumerate(targets):
+            loss = _ref_segment_loss_db(env, a[None], b[None], FREQ)[0]
+            assert abs(direct[i, j] - 10.0 ** (-loss / 20.0)) < TOL
+            ref = _ref_reflection_paths(env, a, b, FREQ)
+            assert int(bounces.valid[:, i, j].sum()) == len(ref)
+            for wall, bounce, length, amp in ref:
+                w = row_of[id(wall)]
+                assert bounces.valid[w, i, j]
+                np.testing.assert_allclose(bounces.bounce[w, i, j], bounce, atol=TOL)
+                assert abs(bounces.length[w, i, j] - length) < TOL
+                assert abs(bounces.amplitude[w, i, j] - amp) < TOL
+            # The single-pair tracer wrapper runs the same kernel.
+            got = reflection_paths(env, a, b, FREQ)
+            assert [id(p.wall) for p in got] == [id(r[0]) for r in ref]
 
 
 def test_batch_matches_per_segment_calls():
