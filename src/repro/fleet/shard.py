@@ -144,6 +144,9 @@ class EnvironmentShard:
         #: shards don't all fire their joint solves on the same tick
         #: (reoptimization load-balancing on the shared clock).
         self.coalesce_window_s = spec.coalesce_window_s + stagger_s
+        # Shards tick their own pipeline on the shared fleet clock and
+        # never step their daemon, so the boot pipeline is released.
+        self.system.pipeline.close()
         self.pipeline = RequestPipeline(
             self.system.broker,
             clock=clock,

@@ -1,7 +1,8 @@
 """Concurrent request pipeline: queued admission, coalesced solves.
 
-See :class:`RequestPipeline` for the architecture; attach one to a
-booted kernel with :meth:`repro.core.kernel.SurfOS.attach_pipeline`.
+See :class:`RequestPipeline` for the architecture.  A booted kernel
+always has one (zero window); replace it with a configured one via
+:meth:`repro.core.kernel.SurfOS.attach_pipeline`.
 """
 
 from .coalesce import AdaptiveCoalesceConfig, AdaptiveCoalescer

@@ -7,6 +7,7 @@ from repro import SurfOS, SurfOSError, ghz
 from repro.geometry import apartment_sites, two_room_apartment, vec3
 from repro.hwmgr import AccessPoint, ClientDevice, Sensor
 from repro.orchestrator import Adam
+from repro.pipeline import PipelineConfig
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
 
 FREQ = ghz(28)
@@ -79,6 +80,31 @@ class TestBoot:
     def test_daemon_shares_dynamics_bus(self, unbooted):
         system = unbooted.boot()
         assert system.daemon.bus is system.dynamics.bus
+
+    def test_boot_builds_zero_window_pipeline(self, unbooted):
+        assert unbooted.pipeline is None
+        system = unbooted.boot()
+        pipeline = system.pipeline
+        assert system.daemon.pipeline is pipeline
+        assert system.daemon.clock is pipeline.clock
+        assert pipeline.effective_window_s() == 0.0
+        assert system.orchestrator.optimizer.evaluator is pipeline.evaluator
+
+    def test_attach_pipeline_replaces_boot_pipeline(self, unbooted):
+        system = unbooted.boot()
+        boot_pipeline = system.pipeline
+        boot_evaluator = boot_pipeline.evaluator
+        pipeline = system.attach_pipeline(PipelineConfig(parallelism=2))
+        assert pipeline is not boot_pipeline
+        assert system.pipeline is pipeline
+        assert system.daemon.pipeline is pipeline
+        assert pipeline.clock is system.daemon.clock is boot_pipeline.clock
+        # The boot evaluator is closed and the new one is bound.
+        with pytest.raises(RuntimeError, match="closed"):
+            boot_evaluator.value_many(None, np.zeros((1, 1)))
+        assert system.orchestrator.optimizer.evaluator is pipeline.evaluator
+        assert pipeline.evaluator.parallelism == 2
+        pipeline.close()
 
 
 class TestDelegation:
