@@ -372,6 +372,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         run_sweep,
         write_trace,
     )
+    from .pipeline import AdaptiveCoalesceConfig
 
     if args.sweep:
         try:
@@ -382,8 +383,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
             )
             config_kwargs = {"queue_capacity": args.queue_capacity}
             if args.window > 0:
-                config_kwargs["coalesce_window_s"] = args.window
-                config_kwargs["adaptive"] = None
+                config_kwargs["adaptive"] = AdaptiveCoalesceConfig(
+                    min_window_s=args.window, max_window_s=args.window
+                )
             result = run_sweep(
                 rates=rates,
                 requests_per_rate=args.requests,
@@ -411,9 +413,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
         slo = SLOPolicy.parse(args.slo) if args.slo else None
         config_kwargs = {"queue_capacity": args.queue_capacity}
         if args.window > 0:
-            # A fixed window replaces the adaptive controller.
-            config_kwargs["coalesce_window_s"] = args.window
-            config_kwargs["adaptive"] = None
+            # A fixed window: the controller clamped to [W, W].
+            config_kwargs["adaptive"] = AdaptiveCoalesceConfig(
+                min_window_s=args.window, max_window_s=args.window
+            )
         config = LoadConfig(**config_kwargs)
     except (SurfOSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

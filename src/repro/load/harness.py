@@ -62,10 +62,10 @@ class LoadConfig:
         queue_capacity: bounded admission queue; arrivals beyond it are
             rejected (counted against satisfaction).
         max_batch: requests admitted per batch.
-        coalesce_window_s: fixed coalescing window, used only when
-            ``adaptive`` is None.
-        adaptive: adaptive-coalescing controller config (the default —
-            the harness exists to exercise it).
+        adaptive: coalescing-window controller config (the adaptive
+            default — the harness exists to exercise it).  A fixed
+            window ``W`` is ``AdaptiveCoalesceConfig(min_window_s=W,
+            max_window_s=W)``.
         base_solve_cost_s: modeled solve cost floor.
         per_task_cost_s: modeled marginal solve cost per active task.
         settle_s: modeled hardware settle charged to request latency
@@ -78,8 +78,7 @@ class LoadConfig:
 
     queue_capacity: int = 256
     max_batch: int = 32
-    coalesce_window_s: float = 0.0
-    adaptive: Optional[AdaptiveCoalesceConfig] = field(
+    adaptive: AdaptiveCoalesceConfig = field(
         default_factory=AdaptiveCoalesceConfig
     )
     base_solve_cost_s: float = 0.02
@@ -93,8 +92,6 @@ class LoadConfig:
             raise ServiceError("queue_capacity must be at least 1")
         if self.max_batch < 1:
             raise ServiceError("max_batch must be at least 1")
-        if self.coalesce_window_s < 0:
-            raise ServiceError("coalesce_window_s must be non-negative")
         if self.base_solve_cost_s < 0 or self.per_task_cost_s < 0:
             raise ServiceError("solve costs must be non-negative")
         if self.settle_s < 0 or self.hold_s < 0:
@@ -113,12 +110,12 @@ class LoadConfig:
             "settle_s": self.settle_s,
             "hold_s": self.hold_s,
         }
-        if self.adaptive is not None:
+        if self.adaptive.min_window_s == self.adaptive.max_window_s:
+            out["coalescing"] = "fixed"
+            out["coalesce_window_s"] = self.adaptive.min_window_s
+        else:
             out["coalescing"] = "adaptive"
             out["adaptive_max_window_s"] = self.adaptive.max_window_s
-        else:
-            out["coalescing"] = "fixed"
-            out["coalesce_window_s"] = self.coalesce_window_s
         return out
 
 
@@ -270,9 +267,7 @@ class LoadHarness:
         """
         cfg = self.config
         started_wall = time.perf_counter()
-        coalescer = (
-            AdaptiveCoalescer(cfg.adaptive) if cfg.adaptive is not None else None
-        )
+        coalescer = AdaptiveCoalescer(cfg.adaptive)
 
         queue: List[_ModeledRequest] = []
         admitted: List[_ModeledRequest] = []
@@ -285,11 +280,6 @@ class LoadHarness:
         first_arrival: Optional[float] = None
         last_served_at = 0.0
 
-        def window_at(now: float) -> float:
-            if coalescer is not None:
-                return coalescer.window_s(now)
-            return cfg.coalesce_window_s
-
         def push(at: float, kind: str, payload: float = 0.0) -> None:
             heapq.heappush(events, (at, next(seq), kind, payload))
 
@@ -298,10 +288,9 @@ class LoadHarness:
             pending_triggers += 1
             if pending_first_at is None:
                 pending_first_at = now
-            if coalescer is not None:
-                coalescer.observe_trigger(now)
+            coalescer.observe_trigger(now)
             self.collectors.on_trigger()
-            push(now + window_at(now), "window")
+            push(now + coalescer.window_s(now), "window")
 
         def admit(now: float) -> None:
             """Batch-admit everything queued (admission is not gated on
@@ -317,7 +306,7 @@ class LoadHarness:
             nonlocal active_tasks, busy_until, last_served_at
             if pending_first_at is None:
                 return
-            window = window_at(now)
+            window = coalescer.window_s(now)
             if now - pending_first_at < window - WINDOW_CLOSE_EPS_S:
                 # Window still open — a check will land at its close.
                 push(pending_first_at + window, "window")
@@ -340,8 +329,7 @@ class LoadHarness:
             busy_until = now + cost
             served_at = busy_until + cfg.settle_s
             last_served_at = max(last_served_at, served_at)
-            if coalescer is not None:
-                coalescer.observe_solve_cost(cost)
+            coalescer.observe_solve_cost(cost)
             self.collectors.on_solve(coalesced, cost, window)
             for request in batch:
                 self.collectors.on_served(

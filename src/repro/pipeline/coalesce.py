@@ -47,6 +47,10 @@ __all__ = ["AdaptiveCoalesceConfig", "AdaptiveCoalescer"]
 class AdaptiveCoalesceConfig:
     """Tuning for one :class:`AdaptiveCoalescer`.
 
+    Equal ``min_window_s`` and ``max_window_s`` fix the window: the
+    request pipeline and the load harness spell a constant window ``W``
+    as ``AdaptiveCoalesceConfig(min_window_s=W, max_window_s=W)``.
+
     Attributes:
         min_window_s: window when idle (0 = solve on the admitting
             tick).

@@ -14,6 +14,7 @@ from repro.load import (
     PoissonArrivals,
     SLOPolicy,
 )
+from repro.pipeline import AdaptiveCoalesceConfig
 
 
 def _run(model=None, config=None, slo=None, jsonl=None):
@@ -72,7 +73,9 @@ class TestBehavior:
         assert result.collectors.satisfaction.rate > 0.5
 
     def test_fixed_window_config(self):
-        config = LoadConfig(adaptive=None, coalesce_window_s=0.2)
+        config = LoadConfig(
+            adaptive=AdaptiveCoalesceConfig(min_window_s=0.2, max_window_s=0.2)
+        )
         result = _run(config=config)
         assert result.config["coalescing"] == "fixed"
         reopt = result.collectors.reoptimization
@@ -110,8 +113,6 @@ class TestValidation:
             LoadConfig(queue_capacity=0)
         with pytest.raises(ServiceError):
             LoadConfig(max_batch=0)
-        with pytest.raises(ServiceError):
-            LoadConfig(coalesce_window_s=-0.1)
         with pytest.raises(ServiceError):
             LoadConfig(base_solve_cost_s=-1.0)
         with pytest.raises(ServiceError):

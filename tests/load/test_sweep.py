@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.core.errors import ServiceError
 from repro.load import LoadConfig, run_sweep
 from repro.load.sweep import DEFAULT_SWEEP_RATES
+from repro.pipeline import AdaptiveCoalesceConfig
 
 
 RATES = (5.0, 20.0, 80.0)
@@ -74,7 +75,11 @@ class TestSweep:
     def test_respects_load_config(self):
         adaptive = small_sweep()
         fixed = small_sweep(
-            config=LoadConfig(coalesce_window_s=0.5, adaptive=None)
+            config=LoadConfig(
+                adaptive=AdaptiveCoalesceConfig(
+                    min_window_s=0.5, max_window_s=0.5
+                )
+            )
         )
         # A long fixed window floors every latency at half a second.
         assert fixed.points[0].p50_s > adaptive.points[0].p50_s

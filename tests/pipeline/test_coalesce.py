@@ -86,9 +86,27 @@ class TestAdaptiveCoalescer:
         assert coalescer.window_s(1.0) == 0.0
         assert coalescer.solve_cost_estimate_s == pytest.approx(0.1)
 
+    def test_equal_bounds_fix_the_window(self):
+        # A fixed window W is the controller clamped to [W, W]: idle,
+        # pressured and silent, it always answers W.
+        coalescer = AdaptiveCoalescer(
+            AdaptiveCoalesceConfig(
+                min_window_s=0.2, max_window_s=0.2, initial_cost_s=0.1
+            )
+        )
+        assert coalescer.window_s(0.0) == 0.2
+        for i in range(5):
+            coalescer.observe_trigger(i * 0.01)
+        coalescer.observe_solve_cost(5.0)
+        assert coalescer.window_s(0.05) == 0.2
+        assert coalescer.window_s(100.0) == 0.2
+
     def test_config_validation(self):
         with pytest.raises(ServiceError):
             AdaptiveCoalesceConfig(min_window_s=-0.1)
+        # The fixed-window form rejects a negative window too.
+        with pytest.raises(ServiceError):
+            AdaptiveCoalesceConfig(min_window_s=-0.1, max_window_s=-0.1)
         with pytest.raises(ServiceError):
             AdaptiveCoalesceConfig(min_window_s=0.5, max_window_s=0.1)
         with pytest.raises(ServiceError):
