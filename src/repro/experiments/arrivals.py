@@ -51,10 +51,8 @@ PANEL_SIZE = 16
 #: Default optimizer budget per solve (see PANEL_SIZE).
 SOLVE_ITERATIONS = 100
 
-#: Cap on the adaptive coalescing window (and the fixed window / tick
-#: step of the legacy fixed-grid mode, kept for comparison runs).
+#: Cap on the adaptive coalescing window.
 COALESCE_WINDOW_S = 0.1
-TICK_DT_S = 0.1
 
 #: Application archetypes cycled across arriving clients.
 _APP_CYCLE = ("video_streaming", "online_meeting", "file_transfer")
@@ -324,18 +322,16 @@ def run_pipelined(
     panel_size: int = PANEL_SIZE,
     optimizer: Optional[Optimizer] = None,
     config: Optional[PipelineConfig] = None,
-    dt: Optional[float] = None,
     horizon_s: float = 600.0,
 ):
     """The pipelined discipline over the same trace; returns the pipeline.
 
-    Submissions are scheduled on the sim clock at their arrival times.
-    By default the pipeline runs **event-driven**
-    (:meth:`~repro.pipeline.RequestPipeline.pump`) under **adaptive
-    coalescing**: a lone steady-state request is admitted and solved at
-    its exact arrival instant (zero window), while bursts still
-    coalesce into joint solves.  Pass ``dt`` to force the legacy
-    fixed-grid tick loop instead.
+    Submissions are scheduled on the sim clock at their arrival times
+    and the pipeline runs **event-driven**
+    (:meth:`~repro.pipeline.RequestPipeline.pump`), by default under
+    **adaptive coalescing**: a lone steady-state request is admitted
+    and solved at its exact arrival instant (zero window), while bursts
+    still coalesce into joint solves.
     """
     system = build_system(
         requests, seed=seed, panel_size=panel_size, optimizer=optimizer
@@ -353,15 +349,7 @@ def run_pipelined(
         pipeline.clock.schedule(
             float(arrival), lambda d=demand: pipeline.submit(d)
         )
-    if dt is None:
-        pipeline.pump(horizon_s)
-    else:
-        while pipeline.clock.now < horizon_s:
-            pipeline.clock.advance(dt)
-            pipeline.tick()
-            settled = pipeline.stats.rejected + len(pipeline.stats.latencies)
-            if settled >= requests and not pipeline.queue.depth:
-                break
+    pipeline.pump(horizon_s)
     return pipeline
 
 
@@ -371,7 +359,6 @@ def run(
     seed: int = 0,
     panel_size: int = PANEL_SIZE,
     config: Optional[PipelineConfig] = None,
-    dt: Optional[float] = None,
 ) -> ArrivalSweepResult:
     """Both disciplines over one seeded trace; the benchmark entry point."""
     serial = run_serial(
@@ -386,7 +373,6 @@ def run(
         seed=seed,
         panel_size=panel_size,
         config=config,
-        dt=dt,
     )
     stats = pipeline.stats
     arrivals = arrival_times(requests, rate_hz, seed=seed)
