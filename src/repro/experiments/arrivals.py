@@ -376,12 +376,11 @@ def run(
     )
     stats = pipeline.stats
     arrivals = arrival_times(requests, rate_hz, seed=seed)
-    served_ats = [
-        h.served_at
-        for h in pipeline._handles
-        if h.served_at is not None
-    ]
-    span = (max(served_ats) - float(arrivals[0])) if served_ats else 0.0
+    span = (
+        pipeline.core.last_served_at - float(arrivals[0])
+        if stats.latencies
+        else 0.0
+    )
     pipelined = ModeResult(
         mode="pipelined",
         served=len(stats.latencies),

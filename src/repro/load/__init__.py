@@ -15,7 +15,6 @@ from .collectors import (
     CollectorSet,
     LatencyCollector,
     QueueDepthCollector,
-    ReoptimizationCollector,
     SatisfactionCollector,
 )
 from .harness import DEFAULT_CLASS_MIX, LoadConfig, LoadHarness, LoadResult
@@ -49,7 +48,6 @@ __all__ = [
     "MODEL_NAMES",
     "PoissonArrivals",
     "QueueDepthCollector",
-    "ReoptimizationCollector",
     "SatisfactionCollector",
     "SLOPolicy",
     "SLOReport",

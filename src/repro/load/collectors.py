@@ -13,17 +13,18 @@ Collectors:
   per class; ``rate`` is the fraction of submitted requests that were
   actually served.
 * :class:`QueueDepthCollector` — queue depth sampled at every arrival.
-* :class:`ReoptimizationCollector` — solve count, absorbed triggers,
-  charged solve cost, chosen coalescing windows.
 
-:class:`CollectorSet` bundles the four and fans events out; the harness
-talks only to it.
+:class:`CollectorSet` bundles the three and fans events out.  Solve
+count, absorbed triggers and chosen coalescing windows are the counters
+of the harness's :class:`~repro.pipeline.coalesce.CoalescingCore`,
+which the set reports beside the summed modeled solve cost.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..pipeline.coalesce import CoalescingCore
 from ..pipeline.queue import PriorityClass
 from ..telemetry import Telemetry
 from ..telemetry.histogram import StreamingHistogram
@@ -32,7 +33,6 @@ __all__ = [
     "LatencyCollector",
     "SatisfactionCollector",
     "QueueDepthCollector",
-    "ReoptimizationCollector",
     "CollectorSet",
 ]
 
@@ -136,49 +136,6 @@ class QueueDepthCollector:
         return dict(self.hist.as_dict("queue_depth."))
 
 
-class ReoptimizationCollector:
-    """Solve counts, absorbed triggers, charged cost, chosen windows."""
-
-    def __init__(self):
-        self.reoptimizations = 0
-        self.triggers = 0
-        self.solve_cost_s = 0.0
-        self.window_sum_s = 0.0
-        self.window_max_s = 0.0
-
-    def observe_trigger(self) -> None:
-        self.triggers += 1
-
-    def observe_solve(
-        self, coalesced: int, cost_s: float, window_s: float
-    ) -> None:
-        self.reoptimizations += 1
-        self.solve_cost_s += cost_s
-        self.window_sum_s += window_s
-        self.window_max_s = max(self.window_max_s, window_s)
-
-    @property
-    def coalesce_ratio(self) -> float:
-        if not self.reoptimizations:
-            return 0.0
-        return self.triggers / self.reoptimizations
-
-    def summary(self) -> Dict[str, object]:
-        mean_window = (
-            self.window_sum_s / self.reoptimizations
-            if self.reoptimizations
-            else 0.0
-        )
-        return {
-            "reoptimizations": self.reoptimizations,
-            "triggers": self.triggers,
-            "coalesce_ratio": round(self.coalesce_ratio, 3),
-            "solve_cost_s": round(self.solve_cost_s, 6),
-            "mean_window_s": round(mean_window, 6),
-            "max_window_s": round(self.window_max_s, 6),
-        }
-
-
 class CollectorSet:
     """The harness-facing bundle: one call site per event kind.
 
@@ -188,11 +145,19 @@ class CollectorSet:
     are recorded).
     """
 
-    def __init__(self, telemetry: Optional[Telemetry] = None):
+    def __init__(
+        self,
+        telemetry: Optional[Telemetry] = None,
+        core: Optional[CoalescingCore] = None,
+    ):
         self.latency = LatencyCollector()
         self.satisfaction = SatisfactionCollector()
         self.queue_depth = QueueDepthCollector()
-        self.reoptimization = ReoptimizationCollector()
+        #: The coalescing core the harness drives; its trigger, solve
+        #: and window counters are reported here.
+        self.core = core or CoalescingCore()
+        #: Modeled solve cost summed over solves (sim seconds).
+        self.solve_cost_s = 0.0
         self.telemetry = telemetry or Telemetry(enabled=False)
 
     def on_submitted(self, queue_depth: int) -> None:
@@ -205,11 +170,10 @@ class CollectorSet:
         self.telemetry.counter("load.rejected")
 
     def on_trigger(self) -> None:
-        self.reoptimization.observe_trigger()
         self.telemetry.counter("load.triggers")
 
-    def on_solve(self, coalesced: int, cost_s: float, window_s: float) -> None:
-        self.reoptimization.observe_solve(coalesced, cost_s, window_s)
+    def on_solve(self, cost_s: float) -> None:
+        self.solve_cost_s += cost_s
         self.telemetry.counter("load.reoptimizations")
 
     def on_served(self, pclass: PriorityClass, latency_s: float) -> None:
@@ -223,5 +187,6 @@ class CollectorSet:
         out.update(self.satisfaction.summary())
         out.update(self.latency.summary())
         out.update(self.queue_depth.summary())
-        out.update(self.reoptimization.summary())
+        out.update(self.core.summary())
+        out["solve_cost_s"] = round(self.solve_cost_s, 6)
         return out

@@ -2,12 +2,10 @@
 
 Replaying 10⁵–10⁶ requests through the *real* pipeline is impossible in
 CI — every joint solve costs real optimizer wall time.  The harness
-instead drives a **modeled control plane** that reuses the exact control
-logic under test — the same :class:`~repro.pipeline.AdaptiveCoalescer`,
-the same :class:`~repro.pipeline.PriorityClass` taxonomy, the same
-bounded-queue / batch-admission / coalesced-solve discipline as
-:class:`~repro.pipeline.RequestPipeline` — but replaces the optimizer
-with a deterministic cost model::
+drives the pipeline's own :class:`~repro.pipeline.CoalescingCore` (the
+pending triggers, the inclusive window close, the busy solver and the
+solve counters) with its own admission and its own **modeled** solve
+step, whose cost is invented, not measured::
 
     solve_cost = base_solve_cost_s + per_task_cost_s * active_tasks
 
@@ -17,27 +15,25 @@ pressure, exactly the feedback loop the coalescer is tuned against.
 Everything is a pure function of (model, config, seed): two runs emit
 byte-identical sim-only telemetry, which CI diffs.
 
-The event loop is lazily merged: arrival timestamps stream from the
-:class:`~repro.load.models.ArrivalModel` one at a time against a heap
-of simulator events (window closes, solve completions, task
-departures) — constant memory regardless of trace length.
+The event loop merges the lazy arrival stream of an
+:class:`~repro.load.models.ArrivalModel` against the task departures
+and the core's next deadline — constant memory regardless of trace
+length.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.tables import render_table
 from ..core.errors import ServiceError
 from ..experiments.result import ExperimentResultBase
-from ..pipeline.coalesce import AdaptiveCoalesceConfig, AdaptiveCoalescer
-from ..pipeline.pipeline import WINDOW_CLOSE_EPS_S
+from ..pipeline.coalesce import AdaptiveCoalesceConfig, CoalescingCore
 from ..pipeline.queue import PriorityClass
 from ..telemetry import Telemetry
 from .collectors import CollectorSet
@@ -163,7 +159,7 @@ class LoadResult(ExperimentResultBase):
     def render(self) -> str:
         sat = self.collectors.satisfaction
         lat = self.collectors.latency
-        reopt = self.collectors.reoptimization
+        core = self.collectors.core
         rows = [
             (
                 "overall",
@@ -205,27 +201,23 @@ class LoadResult(ExperimentResultBase):
             (
                 f"throughput {self.throughput_rps:.2f} req/s over "
                 f"{self.span_s:.1f} sim-s; "
-                f"{reopt.reoptimizations} solves, coalesce ratio "
-                f"{reopt.coalesce_ratio:.2f}, mean window "
-                f"{reopt.window_sum_s / reopt.reoptimizations:.4f}s"
-                if reopt.reoptimizations
+                f"{core.reoptimizations} solves, coalesce ratio "
+                f"{core.coalesce_ratio:.2f}, mean window "
+                f"{core.mean_window_s:.4f}s"
+                if core.reoptimizations
                 else f"throughput {self.throughput_rps:.2f} req/s; no solves"
+            ),
+            (
+                "latencies assume the modeled solve cost "
+                f"{self.config['base_solve_cost_s'] * 1e3:g} ms + "
+                f"{self.config['per_task_cost_s'] * 1e3:g} ms x active tasks "
+                f"({self.collectors.solve_cost_s:.2f} modeled sim-s in all)"
             ),
             f"harness wall time {self.wall_s:.2f}s",
         ]
         if self.slo_report is not None:
             lines.append(self.slo_report.render())
         return "\n".join(lines)
-
-
-class _ModeledRequest:
-    """One in-flight request in the modeled control plane."""
-
-    __slots__ = ("arrived_at", "pclass")
-
-    def __init__(self, arrived_at: float, pclass: PriorityClass):
-        self.arrived_at = arrived_at
-        self.pclass = pclass
 
 
 class LoadHarness:
@@ -238,7 +230,6 @@ class LoadHarness:
     ):
         self.config = config or LoadConfig()
         self.telemetry = telemetry or Telemetry()
-        self.collectors = CollectorSet(self.telemetry)
 
     # -- request generation ----------------------------------------------
 
@@ -260,139 +251,104 @@ class LoadHarness:
         slo: Optional[SLOPolicy] = None,
         jsonl: Optional[str] = None,
     ) -> LoadResult:
-        """Replay the model's arrivals; returns the gated result.
-
-        The loop merges the lazy arrival stream against a heap of
-        simulator events; at no point is the full trace in memory.
-        """
+        """Replay the model's arrivals; returns the gated result."""
         cfg = self.config
         started_wall = time.perf_counter()
-        coalescer = AdaptiveCoalescer(cfg.adaptive)
+        core = CoalescingCore(cfg.adaptive)
+        collectors = CollectorSet(self.telemetry, core)
 
-        queue: List[_ModeledRequest] = []
-        admitted: List[_ModeledRequest] = []
-        events: List[Tuple[float, int, str, float]] = []
-        seq = itertools.count()
+        # (arrival time, class) of queued and of admitted requests.
+        queue: List[Tuple[float, PriorityClass]] = []
+        admitted: List[Tuple[float, PriorityClass]] = []
+        # (departure time, tasks): served instants only grow, so
+        # departures leave in the order they were scheduled.
+        departures: Deque[Tuple[float, int]] = deque()
         active_tasks = 0
-        busy_until = 0.0
-        pending_first_at: Optional[float] = None
-        pending_triggers = 0
         first_arrival: Optional[float] = None
-        last_served_at = 0.0
-
-        def push(at: float, kind: str, payload: float = 0.0) -> None:
-            heapq.heappush(events, (at, next(seq), kind, payload))
-
-        def note_trigger(now: float) -> None:
-            nonlocal pending_first_at, pending_triggers
-            pending_triggers += 1
-            if pending_first_at is None:
-                pending_first_at = now
-            coalescer.observe_trigger(now)
-            self.collectors.on_trigger()
-            push(now + coalescer.window_s(now), "window")
 
         def admit(now: float) -> None:
-            """Batch-admit everything queued (admission is not gated on
-            the solver — only solves are)."""
+            """Batch-admit everything queued, one trigger per batch."""
             while queue:
                 batch = queue[: cfg.max_batch]
                 del queue[: len(batch)]
                 admitted.extend(batch)
-                note_trigger(now)
+                core.note_trigger(now)
+                collectors.on_trigger()
 
-        def maybe_solve(now: float) -> None:
-            nonlocal pending_first_at, pending_triggers
-            nonlocal active_tasks, busy_until, last_served_at
-            if pending_first_at is None:
-                return
-            window = coalescer.window_s(now)
-            if now - pending_first_at < window - WINDOW_CLOSE_EPS_S:
-                # Window still open — a check will land at its close.
-                push(pending_first_at + window, "window")
-                return
-            if now < busy_until:
-                # Solver busy; re-check the moment it frees.
-                push(busy_until, "window")
-                return
-            coalesced = pending_triggers
-            pending_first_at = None
-            pending_triggers = 0
-            if not admitted:
-                return
-            batch = list(admitted)
-            admitted.clear()
-            active_tasks += len(batch)
-            cost = (
-                cfg.base_solve_cost_s + cfg.per_task_cost_s * active_tasks
-            )
-            busy_until = now + cost
-            served_at = busy_until + cfg.settle_s
-            last_served_at = max(last_served_at, served_at)
-            coalescer.observe_solve_cost(cost)
-            self.collectors.on_solve(coalesced, cost, window)
-            for request in batch:
-                self.collectors.on_served(
-                    request.pclass, served_at - request.arrived_at
-                )
-            push(served_at + cfg.hold_s, "depart", float(len(batch)))
-            # Arrivals that queued during the solve get admitted the
-            # moment the solver frees (the real pipeline's next tick).
-            push(busy_until, "resume")
-
-        def handle(now: float, kind: str, payload: float) -> None:
+        def solve(now: float) -> None:
+            """The modeled solve step, once the core says one is due."""
             nonlocal active_tasks
-            if kind == "depart":
-                active_tasks -= int(payload)
-            elif kind == "resume":
-                if queue:
-                    admit(now)
-                maybe_solve(now)
-            elif kind == "window":
-                maybe_solve(now)
+            closed = core.close(now)
+            if closed is None or not admitted:
+                return
+            window = closed[1]
+            active_tasks += len(admitted)
+            cost = cfg.base_solve_cost_s + cfg.per_task_cost_s * active_tasks
+            served_at = now + cost + cfg.settle_s
+            core.solved(now, window, served_at, cost_s=cost)
+            collectors.on_solve(cost)
+            for arrived_at, pclass in admitted:
+                collectors.on_served(pclass, served_at - arrived_at)
+            departures.append((served_at + cfg.hold_s, len(admitted)))
+            admitted.clear()
 
         with self.telemetry.span("load-run", model=model.name):
             arrivals = model.times()
             classes = self._classes(model.seed)
             next_arrival = next(arrivals, None)
-            while next_arrival is not None or events:
-                if next_arrival is not None and (
-                    not events or next_arrival <= events[0][0]
+            now = 0.0
+            while True:
+                # Ties go to arrivals, then departures, then the core.
+                deadline = core.next_deadline(now, queued=bool(queue))
+                depart_at = departures[0][0] if departures else None
+                if (
+                    next_arrival is not None
+                    and (deadline is None or next_arrival <= deadline)
+                    and (depart_at is None or next_arrival <= depart_at)
                 ):
                     now = next_arrival
                     if first_arrival is None:
                         first_arrival = now
                     pclass = next(classes)
                     if len(queue) >= cfg.queue_capacity:
-                        self.collectors.on_submitted(len(queue))
-                        self.collectors.on_rejected()
+                        collectors.on_submitted(len(queue))
+                        collectors.on_rejected()
                     else:
-                        queue.append(_ModeledRequest(now, pclass))
-                        self.collectors.on_submitted(len(queue))
-                        if now >= busy_until:
+                        queue.append((now, pclass))
+                        collectors.on_submitted(len(queue))
+                        if now >= core.busy_until:
                             admit(now)
-                            maybe_solve(now)
+                            solve(now)
                     next_arrival = next(arrivals, None)
+                elif depart_at is not None and (
+                    deadline is None or depart_at <= deadline
+                ):
+                    now = depart_at
+                    active_tasks -= departures.popleft()[1]
+                elif deadline is not None:
+                    # The window closed or the solver freed: arrivals
+                    # that queued during a solve are admitted now (the
+                    # real pipeline's next tick).
+                    now = deadline
+                    admit(now)
+                    solve(now)
                 else:
-                    at, _, kind, payload = heapq.heappop(events)
-                    # Drain-only tail: departures after the last serve
-                    # don't matter once nothing is queued or pending.
-                    handle(at, kind, payload)
+                    break
 
         wall_s = time.perf_counter() - started_wall
         span = (
-            last_served_at - first_arrival
-            if first_arrival is not None and last_served_at > 0
+            core.last_served_at - first_arrival
+            if first_arrival is not None and core.last_served_at > 0
             else 0.0
         )
         self.telemetry.gauge("load.span_s", round(span, 9))
-        report = slo.evaluate(self.collectors) if slo is not None else None
+        report = slo.evaluate(collectors) if slo is not None else None
         if jsonl:
             self.telemetry.export_jsonl(jsonl, sim_only=True)
         return LoadResult(
             model=model.describe(),
             config=cfg.describe(),
-            collectors=self.collectors,
+            collectors=collectors,
             slo_report=report,
             span_s=span,
             wall_s=wall_s,

@@ -5,14 +5,14 @@ always has one (zero window); replace it with a configured one via
 :meth:`repro.core.kernel.SurfOS.attach_pipeline`.
 """
 
-from .coalesce import AdaptiveCoalesceConfig, AdaptiveCoalescer
-from .config import PipelineConfig
-from .pipeline import (
+from .coalesce import (
     WINDOW_CLOSE_EPS_S,
-    PipelineStats,
-    RequestPipeline,
-    TickResult,
+    AdaptiveCoalesceConfig,
+    AdaptiveCoalescer,
+    CoalescingCore,
 )
+from .config import PipelineConfig
+from .pipeline import PipelineStats, RequestPipeline, TickResult
 from .queue import PriorityClass, QueuedRequest, RequestQueue
 from .workers import BatchEvaluator
 
@@ -20,6 +20,7 @@ __all__ = [
     "AdaptiveCoalesceConfig",
     "AdaptiveCoalescer",
     "BatchEvaluator",
+    "CoalescingCore",
     "PipelineConfig",
     "PipelineStats",
     "PriorityClass",

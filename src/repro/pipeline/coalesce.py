@@ -31,16 +31,34 @@ feeds measured wall time when ``charge_compute`` is on, and the load
 harness feeds its deterministic modeled cost); without charging the
 cost estimate stays at the configured prior, keeping byte-identical
 same-seed runs byte-identical.
+
+:class:`CoalescingCore` wraps the controller in the bookkeeping both
+solve steps share — the request pipeline's real solve and the load
+harness's modeled one: pending triggers, the inclusive window close, a
+busy solver and the trigger/solve/window counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ServiceError
 
-__all__ = ["AdaptiveCoalesceConfig", "AdaptiveCoalescer"]
+__all__ = [
+    "AdaptiveCoalesceConfig",
+    "AdaptiveCoalescer",
+    "CoalescingCore",
+    "WINDOW_CLOSE_EPS_S",
+]
+
+#: Tolerance for the window-close comparison.  Tick times accumulate
+#: floating-point error (0.1 + 0.1 + ... drifts in the last ulps), and
+#: a strict ``now - first_at >= window`` then closed windows one tick
+#: late whenever the difference landed a few ulps short — visible as an
+#: inflated coalesce_ratio at steady arrival rates.  Within this
+#: epsilon the boundary counts as reached (inclusive close).
+WINDOW_CLOSE_EPS_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,3 +170,111 @@ class AdaptiveCoalescer:
             f"AdaptiveCoalescer(gap_hat={gap}, "
             f"cost_hat={self._cost_hat:.4f}s)"
         )
+
+
+class CoalescingCore:
+    """Pending triggers → one coalesced solve, on the sim clock.
+
+    Callers note triggers, take them with :meth:`close` once a solve is
+    due, run their own solve step and report it with :meth:`solved`.
+    A solve is due when the window of the earliest pending trigger has
+    closed (inclusively, within :data:`WINDOW_CLOSE_EPS_S`) and the
+    solver is free.  :meth:`close` consumes the triggers either way: a
+    caller with no admitted work left simply drops them.
+    """
+
+    def __init__(self, config: Optional[AdaptiveCoalesceConfig] = None):
+        self.coalescer = AdaptiveCoalescer(config)
+        #: ``(sim_time, kind)`` triggers waiting for the next solve.
+        self.pending: List[Tuple[float, str]] = []
+        #: End of the last *charged* solve; uncharged solves take no
+        #: sim time.
+        self.busy_until = 0.0
+        self.triggers = 0
+        self.reoptimizations = 0
+        #: Sum / max of the window at each solve — under adaptive
+        #: coalescing these show what the controller chose.
+        self.window_sum_s = 0.0
+        self.window_max_s = 0.0
+        #: Latest sim time a solve served its requests at.
+        self.last_served_at = 0.0
+
+    def note_trigger(self, at: float, kind: str = "") -> None:
+        self.pending.append((at, kind))
+        self.triggers += 1
+        self.coalescer.observe_trigger(at)
+
+    def window_s(self, now: float) -> float:
+        return self.coalescer.window_s(now)
+
+    def close(
+        self, now: float
+    ) -> Optional[Tuple[List[Tuple[float, str]], float]]:
+        """``(triggers, window)`` when a solve is due at ``now``, else None."""
+        if not self.pending or now < self.busy_until:
+            return None
+        window = self.coalescer.window_s(now)
+        if now - self.pending[0][0] < window - WINDOW_CLOSE_EPS_S:
+            return None
+        triggers, self.pending = self.pending, []
+        return triggers, window
+
+    def solved(
+        self,
+        now: float,
+        window: float,
+        served_at: float,
+        cost_s: Optional[float] = None,
+    ) -> None:
+        """Count one solve started at ``now``.
+
+        ``cost_s`` is the *charged* sim cost: it holds the solver busy
+        and feeds the controller's cost estimate.  ``None`` (compute not
+        charged) leaves both alone — wall time would make window sizing
+        nondeterministic.
+        """
+        self.reoptimizations += 1
+        self.window_sum_s += window
+        self.window_max_s = max(self.window_max_s, window)
+        self.last_served_at = max(self.last_served_at, served_at)
+        if cost_s is not None:
+            self.busy_until = now + cost_s
+            self.coalescer.observe_solve_cost(cost_s)
+
+    def next_deadline(
+        self, now: float, queued: bool = False
+    ) -> Optional[float]:
+        """Earliest sim time a solve step can make progress.
+
+        With ``queued`` work, the moment the solver frees (admission is
+        overdue); otherwise the first pending trigger's window close,
+        held until the solver frees; ``None`` when fully idle.
+        """
+        if queued:
+            return max(now, self.busy_until)
+        if not self.pending:
+            return None
+        first_at = self.pending[0][0]
+        return max(now, self.busy_until, first_at + self.window_s(now))
+
+    @property
+    def coalesce_ratio(self) -> float:
+        """Triggers absorbed per solve (1.0 = no coalescing)."""
+        if not self.reoptimizations:
+            return 0.0
+        return self.triggers / self.reoptimizations
+
+    @property
+    def mean_window_s(self) -> float:
+        if not self.reoptimizations:
+            return 0.0
+        return self.window_sum_s / self.reoptimizations
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "triggers": self.triggers,
+            "reoptimizations": self.reoptimizations,
+            "coalesce_ratio": round(self.coalesce_ratio, 3),
+            "mean_window_s": round(self.mean_window_s, 6),
+            "max_window_s": round(self.window_max_s, 6),
+        }

@@ -1,28 +1,23 @@
-"""The concurrent request pipeline: queue → batch admit → coalesced solve.
+"""The request pipeline: queue → batch admit → coalesced real solve.
 
-Before this subsystem, every demand entering the broker triggered its
-own scheduler admission and its own full joint reoptimization — N
-requests cost N optimizer solves even when they arrived microseconds
-apart.  The pipeline restructures the control plane's concurrency:
+One :class:`~repro.pipeline.coalesce.CoalescingCore` decides *when* to
+solve: it holds the pending triggers (admissions, motion, faults),
+closes the coalescing window inclusively and keeps the trigger, solve
+and window counters.  The pipeline supplies the two steps around it:
 
-1. **Bounded queueing** — demands park in a :class:`RequestQueue` with
-   priority classes and explicit backpressure (reject-with-reason when
-   full), never an unbounded buffer.
-2. **Batched admission** — each daemon tick drains up to a batch of
-   compatible requests and admits them in one
-   :meth:`~repro.orchestrator.scheduler.Scheduler.admit_batch` pass
-   inside the orchestrator's deferred-admission context.
-3. **Coalesced reoptimization** — admission, motion, and degradation
-   triggers landing within a configurable window collapse into a
-   single joint :meth:`reoptimize` covering the whole dirty set.
-4. **Worker-pool evaluation** — with ``parallelism > 1`` the value-only
-   optimizers fan candidate batches over a thread pool of
-   GIL-releasing NumPy kernels, bit-identical to serial evaluation
-   (see :mod:`repro.pipeline.workers`).
+* **Admission** — demands park in a bounded :class:`RequestQueue`
+  (priority classes, reject-with-reason backpressure); each tick
+  drains up to a batch and admits it in one
+  :meth:`~repro.orchestrator.scheduler.Scheduler.admit_batch` pass.
+* **Solve** — once the core says a solve is due, one joint
+  :meth:`reoptimize` covers the whole dirty set and serves every
+  admitted request; its :class:`BatchEvaluator` splits candidate
+  batches over ``parallelism`` threads, bit-identical to serial.
 
-Everything runs on the simulated clock; wall time only enters when
-``charge_compute`` maps measured solve time onto the sim clock for
-latency benchmarking.
+The load harness (:mod:`repro.load.harness`) drives the same core with
+its own modeled solve.  Everything runs on the simulated clock; wall
+time only enters when ``charge_compute`` maps measured solve time onto
+it for latency benchmarking.
 """
 
 from __future__ import annotations
@@ -38,54 +33,36 @@ from ..broker.demands import ApplicationDemand
 from ..broker.handle import ServiceHandle
 from ..core.errors import ServiceError
 from ..runtime.clock import SimClock
-from .coalesce import AdaptiveCoalesceConfig, AdaptiveCoalescer
+from .coalesce import AdaptiveCoalesceConfig, CoalescingCore
 from .config import PipelineConfig
 from .queue import RequestQueue
 from .workers import BatchEvaluator
 
-#: Tolerance for the window-close comparison.  Tick times accumulate
-#: floating-point error (0.1 + 0.1 + ... drifts in the last ulps), and
-#: a strict ``now - first_at >= window`` then closed windows one tick
-#: late whenever the difference landed a few ulps short — visible as an
-#: inflated coalesce_ratio at steady arrival rates.  Within this
-#: epsilon the boundary counts as reached (inclusive close).
-WINDOW_CLOSE_EPS_S = 1e-9
-
 
 @dataclass
 class PipelineStats:
-    """Lifetime statistics of one pipeline instance."""
+    """Lifetime statistics of one pipeline instance.
 
+    Trigger, solve and window counts are the pipeline's
+    :class:`~repro.pipeline.coalesce.CoalescingCore` counters.
+    """
+
+    core: CoalescingCore = field(default_factory=CoalescingCore, repr=False)
     submitted: int = 0
     rejected: int = 0
     admitted: int = 0
     admission_failures: int = 0
-    triggers: int = 0
-    reoptimizations: int = 0
     reoptimize_failures: int = 0
     #: Sim-clock submit→served latency per served request.
     latencies: List[float] = field(default_factory=list)
-    #: Sum / max of the effective coalescing window at each solve —
-    #: under adaptive coalescing these show what the controller chose.
-    window_sum_s: float = 0.0
-    window_max_s: float = 0.0
     #: Real (wall-clock) seconds spent in reoptimize calls.  Varies run
     #: to run, so it stays out of :meth:`summary` and telemetry.
     reoptimize_wall_s: float = 0.0
 
-    @property
-    def coalesce_ratio(self) -> float:
-        """Triggers absorbed per reoptimization (1.0 = no coalescing)."""
-        if not self.reoptimizations:
-            return 0.0
-        return self.triggers / self.reoptimizations
-
-    @property
-    def mean_window_s(self) -> float:
-        """Mean effective coalescing window across solves."""
-        if not self.reoptimizations:
-            return 0.0
-        return self.window_sum_s / self.reoptimizations
+    triggers = property(lambda self: self.core.triggers)
+    reoptimizations = property(lambda self: self.core.reoptimizations)
+    window_sum_s = property(lambda self: self.core.window_sum_s)
+    coalesce_ratio = property(lambda self: self.core.coalesce_ratio)
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile in simulated seconds (0 when unserved)."""
@@ -108,15 +85,11 @@ class PipelineStats:
             "rejected": self.rejected,
             "admitted": self.admitted,
             "admission_failures": self.admission_failures,
-            "triggers": self.triggers,
-            "reoptimizations": self.reoptimizations,
             "reoptimize_failures": self.reoptimize_failures,
             "served": len(self.latencies),
-            "coalesce_ratio": round(self.coalesce_ratio, 3),
             "p50_latency_s": round(self.p50_latency_s, 6),
             "p99_latency_s": round(self.p99_latency_s, 6),
-            "mean_window_s": round(self.mean_window_s, 6),
-            "max_window_s": round(self.window_max_s, 6),
+            **self.core.summary(),
         }
 
 
@@ -175,16 +148,16 @@ class RequestPipeline:
         # every parallelism setting — the chunk grid, not the worker
         # count, is what the results depend on.
         self.orchestrator.optimizer.bind_evaluator(self.evaluator)
-        self.stats = PipelineStats()
-        self._handles: List[ServiceHandle] = []
-        self._pending_triggers: List[Tuple[float, str]] = []
         # A fixed window W is the controller clamped to [W, W].
         window = self.config.coalesce_window_s
-        self.coalescer = AdaptiveCoalescer(
+        self.core = CoalescingCore(
             self.config.adaptive
             if self.config.adaptive is not None
             else AdaptiveCoalesceConfig(min_window_s=window, max_window_s=window)
         )
+        self.stats = PipelineStats(core=self.core)
+        #: ``(queue seq, handle)`` of admitted, not-yet-served requests.
+        self._admitted: List[Tuple[int, ServiceHandle]] = []
 
     # -- intake ----------------------------------------------------------
 
@@ -210,7 +183,6 @@ class RequestPipeline:
         """Queue a pre-built request envelope (typed entry point)."""
         handle = ServiceHandle(self.broker, request)
         handle._bind_pipeline(self)
-        self._handles.append(handle)
         response = self.queue.offer(request, handle, now=self.clock.now)
         if response.status is RequestStatus.REJECTED:
             self.stats.rejected += 1
@@ -223,20 +195,8 @@ class RequestPipeline:
 
     def note_trigger(self, kind: str, now: Optional[float] = None) -> None:
         """Record a reoptimization trigger for the coalescing window."""
-        at = self.clock.now if now is None else now
-        self._pending_triggers.append((at, kind))
-        self.stats.triggers += 1
+        self.core.note_trigger(self.clock.now if now is None else now, kind)
         self.telemetry.counter("pipeline.triggers")
-        self.coalescer.observe_trigger(at)
-
-    def effective_window_s(self, now: Optional[float] = None) -> float:
-        """The coalescing window in force at ``now``.
-
-        The :class:`AdaptiveCoalescer` sizes it from measured trigger
-        pressure versus solve cost; a fixed ``coalesce_window_s`` is
-        the controller with equal minimum and maximum.
-        """
-        return self.coalescer.window_s(self.clock.now if now is None else now)
 
     # -- the engine ------------------------------------------------------
 
@@ -283,6 +243,7 @@ class RequestPipeline:
                 outcome.failures[entry.request.request_id] = reason
                 continue
             handle.admitted_at = now
+            self._admitted.append((entry.seq, handle))
             self.stats.admitted += 1
             outcome.admitted.append(handle)
         if outcome.failures:
@@ -294,22 +255,14 @@ class RequestPipeline:
             self.note_trigger("admission", now)
 
     def _maybe_reoptimize(self, now: float, outcome: TickResult) -> None:
-        if not self._pending_triggers:
+        closed = self.core.close(now)
+        if closed is None:
             return
-        first_at = self._pending_triggers[0][0]
-        window = self.effective_window_s(now)
-        # Inclusive close with an epsilon: accumulated tick times drift
-        # in the last ulps, and a bare `<` kept windows open one whole
-        # tick past their nominal deadline (see WINDOW_CLOSE_EPS_S).
-        if now - first_at < window - WINDOW_CLOSE_EPS_S:
-            return
+        coalesced, window = closed
         if not self.orchestrator.active_contexts():
             # Nothing admitted survives to optimize for; the triggers
             # are moot (e.g. every batch entry failed admission).
-            self._pending_triggers.clear()
             return
-        coalesced = list(self._pending_triggers)
-        self._pending_triggers.clear()
         started = time.perf_counter()
         try:
             with self.telemetry.span(
@@ -328,29 +281,25 @@ class RequestPipeline:
             return
         wall = time.perf_counter() - started
         self.stats.reoptimize_wall_s += wall
+        charged = None
         if self.config.charge_compute:
             self.clock.advance(wall)
             self.orchestrator.clock_now += wall
-            # Cost feedback only from *charged* (sim-visible) time:
-            # without charging, wall time is nondeterministic and would
-            # leak into window sizing, breaking same-seed runs.
-            self.coalescer.observe_solve_cost(wall)
+            charged = wall
+        served_at = self.orchestrator.clock_now
+        self.core.solved(now, window, served_at, cost_s=charged)
         outcome.reoptimized = True
         outcome.coalesced = coalesced
         outcome.result = result
-        self.stats.reoptimizations += 1
-        self.stats.window_sum_s += window
-        self.stats.window_max_s = max(self.stats.window_max_s, window)
         self.telemetry.counter("pipeline.reoptimizations")
         self.telemetry.gauge("pipeline.coalesced_triggers", len(coalesced))
         self.telemetry.gauge("pipeline.coalesce_window_s", window)
-        served_at = self.orchestrator.clock_now
-        for handle in self._handles:
-            if handle.served_at is None and handle.admitted_at is not None:
-                handle.served_at = served_at
-                self.stats.latencies.append(
-                    served_at - handle.submitted_at
-                )
+        # Latencies land in submission (queue seq) order.
+        self._admitted.sort(key=lambda item: item[0])
+        for _, handle in self._admitted:
+            handle.served_at = served_at
+            self.stats.latencies.append(served_at - handle.submitted_at)
+        self._admitted.clear()
 
     # -- conveniences ----------------------------------------------------
 
@@ -362,14 +311,9 @@ class RequestPipeline:
         when the pipeline is fully idle.  :meth:`pump` drives the clock
         straight to this instant instead of polling a tick grid.
         """
-        if now is None:
-            now = self.clock.now
-        if self.queue.depth:
-            return now
-        if self._pending_triggers:
-            first_at = self._pending_triggers[0][0]
-            return max(now, first_at + self.effective_window_s(now))
-        return None
+        return self.core.next_deadline(
+            self.clock.now if now is None else now, queued=self.queue.depth > 0
+        )
 
     def run(self, steps: int, dt: float = 0.5) -> List[TickResult]:
         """Advance the clock and tick ``steps`` times (tests, benchmarks)."""

@@ -87,7 +87,7 @@ class TestBoot:
         pipeline = system.pipeline
         assert system.daemon.pipeline is pipeline
         assert system.daemon.clock is pipeline.clock
-        assert pipeline.effective_window_s() == 0.0
+        assert pipeline.core.window_s(0.0) == 0.0
         assert system.orchestrator.optimizer.evaluator is pipeline.evaluator
 
     def test_attach_pipeline_replaces_boot_pipeline(self, unbooted):

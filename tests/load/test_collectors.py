@@ -8,10 +8,9 @@ from repro.load.collectors import (
     CollectorSet,
     LatencyCollector,
     QueueDepthCollector,
-    ReoptimizationCollector,
     SatisfactionCollector,
 )
-from repro.pipeline import PriorityClass
+from repro.pipeline import CoalescingCore, PriorityClass
 from repro.telemetry import Telemetry
 from repro.telemetry.histogram import StreamingHistogram
 
@@ -86,21 +85,26 @@ class TestQueueDepth:
 
 
 class TestReoptimization:
+    """Solve counters are the coalescing core's; the set sums the cost."""
+
     def test_coalesce_ratio(self):
-        collector = ReoptimizationCollector()
+        collectors = CollectorSet()
+        core = collectors.core
         for _ in range(6):
-            collector.observe_trigger()
-        collector.observe_solve(coalesced=4, cost_s=0.1, window_s=0.2)
-        collector.observe_solve(coalesced=2, cost_s=0.1, window_s=0.0)
-        assert collector.reoptimizations == 2
-        assert collector.triggers == 6
-        assert collector.coalesce_ratio == pytest.approx(3.0)
-        summary = collector.summary()
+            core.note_trigger(0.0)
+        for window in (0.2, 0.0):
+            core.solved(0.0, window, served_at=0.1, cost_s=0.1)
+            collectors.on_solve(cost_s=0.1)
+        assert core.reoptimizations == 2
+        assert core.triggers == 6
+        assert core.coalesce_ratio == pytest.approx(3.0)
+        summary = collectors.summary()
         assert summary["max_window_s"] == pytest.approx(0.2)
         assert summary["mean_window_s"] == pytest.approx(0.1)
+        assert summary["solve_cost_s"] == pytest.approx(0.2)
 
     def test_no_solves_ratio_is_zero(self):
-        assert ReoptimizationCollector().coalesce_ratio == 0.0
+        assert CoalescingCore().coalesce_ratio == 0.0
 
 
 class TestCollectorSet:
@@ -108,8 +112,10 @@ class TestCollectorSet:
         telemetry = Telemetry()
         collectors = CollectorSet(telemetry)
         collectors.on_submitted(queue_depth=1)
+        collectors.core.note_trigger(0.0)
         collectors.on_trigger()
-        collectors.on_solve(coalesced=1, cost_s=0.05, window_s=0.0)
+        collectors.core.solved(0.0, 0.0, served_at=0.06, cost_s=0.05)
+        collectors.on_solve(cost_s=0.05)
         collectors.on_served(PriorityClass.INTERACTIVE, 0.06)
         collectors.on_submitted(queue_depth=2)
         collectors.on_rejected()

@@ -59,7 +59,7 @@ class TestBehavior:
 
     def test_coalescing_merges_burst(self):
         result = _run(BurstArrivals(32))
-        reopt = result.collectors.reoptimization
+        reopt = result.collectors.core
         # One batch admission per max_batch chunk, but far fewer
         # solves than requests.
         assert reopt.reoptimizations < 32
@@ -78,7 +78,7 @@ class TestBehavior:
         )
         result = _run(config=config)
         assert result.config["coalescing"] == "fixed"
-        reopt = result.collectors.reoptimization
+        reopt = result.collectors.core
         assert reopt.window_max_s == pytest.approx(0.2)
 
     def test_tiny_queue_rejects(self):

@@ -1,5 +1,6 @@
-"""Adaptive coalescing: controller unit tests, window boundary pin,
-event-driven pumping, and adaptive-over-fixed window precedence."""
+"""Adaptive coalescing: controller and coalescing-core unit tests,
+window boundary pin, event-driven pumping, and adaptive-over-fixed
+window precedence."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.core.errors import ServiceError
 from repro.pipeline import (
     AdaptiveCoalesceConfig,
     AdaptiveCoalescer,
+    CoalescingCore,
     PipelineConfig,
     WINDOW_CLOSE_EPS_S,
 )
@@ -88,18 +90,23 @@ class TestAdaptiveCoalescer:
 
     def test_equal_bounds_fix_the_window(self):
         # A fixed window W is the controller clamped to [W, W]: idle,
-        # pressured and silent, it always answers W.
-        coalescer = AdaptiveCoalescer(
+        # pressured and silent, the core closes it W after the first
+        # pending trigger.
+        core = CoalescingCore(
             AdaptiveCoalesceConfig(
                 min_window_s=0.2, max_window_s=0.2, initial_cost_s=0.1
             )
         )
-        assert coalescer.window_s(0.0) == 0.2
+        assert core.window_s(0.0) == 0.2
         for i in range(5):
-            coalescer.observe_trigger(i * 0.01)
-        coalescer.observe_solve_cost(5.0)
-        assert coalescer.window_s(0.05) == 0.2
-        assert coalescer.window_s(100.0) == 0.2
+            core.note_trigger(i * 0.01)
+        core.coalescer.observe_solve_cost(5.0)
+        assert core.window_s(0.05) == 0.2
+        assert core.window_s(100.0) == 0.2
+        assert core.next_deadline(0.05) == pytest.approx(0.2)
+        assert core.close(0.19) is None
+        triggers, window = core.close(0.2)
+        assert len(triggers) == 5 and window == 0.2
 
     def test_config_validation(self):
         with pytest.raises(ServiceError):
@@ -116,34 +123,131 @@ class TestAdaptiveCoalescer:
 
 
 class TestWindowBoundary:
-    def test_window_closes_on_exact_boundary_tick(self, system):
-        # The pinned float bug: after trigger at t=0.1 with a 0.1 s
-        # window, ten 0.1 s clock advances put now at 0.2 — but the
-        # accumulated sum is a hair below it in the last ulps, so the
-        # strict `now - first_at < window` comparison kept the window
-        # open one tick too long.  The inclusive (epsilon) close must
-        # solve on the boundary tick.
-        pipeline = system.attach_pipeline(
-            PipelineConfig(coalesce_window_s=0.5)
+    def test_window_closes_on_exact_boundary_tick(self):
+        # The pinned float bug: accumulated 0.05 s ticks land a hair
+        # below first_at + window in the last ulps, so the strict
+        # `now - first_at < window` comparison kept the window open one
+        # tick too long.  The inclusive (epsilon) close must solve on
+        # the boundary tick.
+        core = CoalescingCore(
+            AdaptiveCoalesceConfig(min_window_s=0.5, max_window_s=0.5)
         )
-        pipeline.submit(demand(0))
-        # Advance in 0.05 steps: 11 advances ≈ 0.55, crossing the
-        # admission tick (queue drains on the first) plus the window.
-        solved_at = None
+        now = 0.05
+        core.note_trigger(now, "admission")
+        closed_at = None
         for _ in range(14):
-            pipeline.clock.advance(0.05)
-            outcome = pipeline.tick()
-            if outcome.reoptimized:
-                solved_at = pipeline.clock.now
+            now += 0.05
+            if core.close(now) is not None:
+                closed_at = now
                 break
-        assert solved_at is not None
-        first_tick = 0.05  # admission tick (queue drained, trigger)
-        # Inclusive close: the solve lands on the tick that *reaches*
+        assert closed_at is not None
+        # The accumulated tick sits ulps short of the nominal close, so
+        # a strict comparison would have missed it.
+        assert closed_at - 0.05 < 0.5
+        # Inclusive close: the window closes on the tick that *reaches*
         # first_at + window (0.55), not the one after (0.60).
-        assert solved_at == pytest.approx(first_tick + 0.5, abs=1e-6)
+        assert closed_at == pytest.approx(0.05 + 0.5, abs=1e-6)
 
     def test_epsilon_is_subtick(self):
         assert 0 < WINDOW_CLOSE_EPS_S < 1e-6
+        # A window one epsilon short of its nominal close counts as
+        # closed; two epsilons short does not.
+        core = CoalescingCore(
+            AdaptiveCoalesceConfig(min_window_s=0.5, max_window_s=0.5)
+        )
+        core.note_trigger(0.0)
+        assert core.close(0.5 - 2 * WINDOW_CLOSE_EPS_S) is None
+        assert core.close(0.5 - WINDOW_CLOSE_EPS_S) is not None
+
+
+class TestCoalescingCore:
+    def fixed(self, window_s=0.0):
+        return CoalescingCore(
+            AdaptiveCoalesceConfig(min_window_s=window_s, max_window_s=window_s)
+        )
+
+    def test_idle_core_has_no_deadline(self):
+        core = self.fixed()
+        assert core.next_deadline(1.0) is None
+        assert core.close(1.0) is None
+        # Queued work is due at once while the solver is free.
+        assert core.next_deadline(1.0, queued=True) == 1.0
+
+    def test_next_deadline_waits_for_busy_solver(self):
+        core = self.fixed(0.1)
+        core.note_trigger(0.0)
+        _, window = core.close(0.1)
+        core.solved(0.1, window, served_at=0.4, cost_s=0.3)
+        assert core.busy_until == pytest.approx(0.4)
+        core.note_trigger(0.2)
+        # The window closes at 0.3, but the solver frees only at 0.4.
+        assert core.next_deadline(0.2) == pytest.approx(0.4)
+        assert core.next_deadline(0.2, queued=True) == pytest.approx(0.4)
+        assert core.next_deadline(0.5) == 0.5
+
+    def test_solve_held_until_busy_until(self):
+        core = self.fixed(0.0)
+        core.note_trigger(0.0)
+        _, window = core.close(0.0)
+        core.solved(0.0, window, served_at=0.25, cost_s=0.25)
+        core.note_trigger(0.1)
+        assert core.close(0.2) is None
+        assert core.pending == [(0.1, "")]
+        triggers, _ = core.close(0.25)
+        assert triggers == [(0.1, "")]
+        assert core.pending == []
+
+    def test_trigger_without_work_is_dropped(self):
+        # close() consumes the triggers; a caller with nothing admitted
+        # skips its solve, and no solve is counted.
+        core = self.fixed(0.0)
+        core.note_trigger(0.0, "admission")
+        assert core.close(0.0) == ([(0.0, "admission")], 0.0)
+        assert core.next_deadline(0.0) is None
+        assert (core.triggers, core.reoptimizations) == (1, 0)
+        assert core.coalesce_ratio == 0.0
+
+    def test_uncharged_solve_takes_no_sim_time(self):
+        core = CoalescingCore(AdaptiveCoalesceConfig(initial_cost_s=0.1))
+        core.note_trigger(1.0)
+        _, window = core.close(1.0)
+        core.solved(1.0, window, served_at=1.0)
+        assert core.busy_until == 0.0
+        assert core.coalescer.solve_cost_estimate_s == pytest.approx(0.1)
+        core.note_trigger(1.5)
+        assert core.close(1.5) is not None
+
+    def test_counters_and_latest_served(self):
+        core = self.fixed(0.2)
+        for at in (0.0, 0.1):
+            core.note_trigger(at)
+        _, window = core.close(0.2)
+        core.solved(0.2, window, served_at=0.5, cost_s=0.1)
+        core.note_trigger(1.0)
+        _, window = core.close(1.2)
+        core.solved(1.2, window, served_at=1.3, cost_s=0.1)
+        assert (core.triggers, core.reoptimizations) == (3, 2)
+        assert core.coalesce_ratio == pytest.approx(1.5)
+        assert core.mean_window_s == pytest.approx(0.2)
+        assert core.window_max_s == pytest.approx(0.2)
+        assert core.last_served_at == pytest.approx(1.3)
+
+
+class TestPipelineDropsIdleTriggers:
+    def test_trigger_with_no_active_task_is_dropped(self, system):
+        pipeline = system.attach_pipeline(
+            PipelineConfig(coalesce_window_s=0.0)
+        )
+        assert not system.orchestrator.active_contexts()
+        pipeline.note_trigger("endpoint-moved")
+        outcome = pipeline.tick()
+        assert not outcome.reoptimized
+        assert not outcome.failure_reason
+        assert (pipeline.stats.triggers, pipeline.stats.reoptimizations) == (
+            1,
+            0,
+        )
+        assert pipeline.next_deadline() is None
 
 
 class TestEventDrivenPump:
@@ -204,7 +308,7 @@ class TestConfigConflict:
                 coalesce_window_s=0.4,
             )
         )
-        assert pipeline.effective_window_s(0.0) == 0.0
+        assert pipeline.core.window_s(0.0) == 0.0
 
 
 class TestEvaluatorConfig:
