@@ -174,6 +174,11 @@ class SurfOSDaemon:
         Returns the reaction record when a re-optimization happened.
         """
         self.clock.advance(dt)
+        # Stamp the whole cycle (fault injection, hardware degradation,
+        # the first observation) at this tick's time: telemetry reads
+        # its sim clock from the orchestrator.
+        if self.clock.now > self.orchestrator.clock_now:
+            self.orchestrator.clock_now = self.clock.now
         self.dynamics.step(dt)
         self.orchestrator.hardware.tick_faults(self.clock.now)
         snrs_before = self.observe()

@@ -108,6 +108,18 @@ def test_every_reaction_event_has_one_schema():
     assert [e.attrs["coalesced"] for e in events] == [1]
 
 
+def test_fault_records_carry_their_tick_time():
+    """Fault injection and degradation are stamped at the tick they fire in."""
+    system = degradation.build_system(seed=7)
+    degradation.run(seed=7, system=system)
+    stamps = [
+        event.sim_start_s
+        for name in ("fault.injected", "hwmgr.degraded")
+        for event in system.telemetry.events(name)
+    ]
+    assert stamps == [degradation.FAULT_TIME_S] * 4
+
+
 def test_quiet_run_records_nothing():
     system = _apartment()
     assert system.daemon.run(steps=5, dt=0.5) == []
