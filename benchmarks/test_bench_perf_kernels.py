@@ -69,6 +69,10 @@ JOINT_CALLS = 50 if SMALL else 400
 # One RandomSearch iteration scores a 16-row population (its default)
 # against that joint; every part on a panel shares its amplitudes.
 JOINT_POPULATION = 16
+# Joint-loss arm: the same shapes at 1 to 24 parts (the 12-point part
+# plus links), timed per 16-row value_many and per value() call.
+JOINT_LOSS_PARTS = (1, 3, 6, 12, 24)
+JOINT_LOSS_CALLS = 20 if SMALL else 100
 
 OUTPUT = Path(
     os.environ.get("PERF_BENCH_OUTPUT")
@@ -228,6 +232,54 @@ def _per_part_value_many(joint, batch):
     for objective, weight in joint.parts:
         total += weight * objective.value_many(batch)
     return total
+
+
+def _per_part_value(joint, phases):
+    """The per-part scalar loop the loss pack replaced."""
+    total = 0.0
+    for objective, weight in joint.parts:
+        total += weight * objective.value(phases)
+    return total
+
+
+def bench_joint_loss():
+    """Per-call µs of the per-part loop vs the loss pack, by part count."""
+    rng = np.random.default_rng(19)
+    rows = []
+    for count in JOINT_LOSS_PARTS:
+        amplitudes = rng.uniform(0.3, 1.0, JOINT_ELEMENTS)
+        parts = [_joint_part(rng, 12, amplitudes)]
+        parts += [_joint_part(rng, 1, amplitudes) for _ in range(count - 1)]
+        joint = JointObjective(
+            list(zip(parts, rng.uniform(0.05, 1.0, len(parts))))
+        )
+        batches = [
+            rng.uniform(0, 2 * np.pi, (JOINT_POPULATION, JOINT_ELEMENTS))
+            for _ in range(JOINT_LOSS_CALLS)
+        ]
+        identical = all(
+            joint.value_many(b).tobytes() == _per_part_value_many(joint, b).tobytes()
+            and np.float64(joint.value(b[0])).tobytes()
+            == np.float64(_per_part_value(joint, b[0])).tobytes()
+            for b in batches
+        )
+        row = {"parts": count, "bit_identical": identical}
+        for name, fn in (
+            ("per_part_value_many_us", lambda b: _per_part_value_many(joint, b)),
+            ("pack_value_many_us", joint.value_many),
+            ("per_part_value_us", lambda b: _per_part_value(joint, b[0])),
+            ("pack_value_us", lambda b: joint.value(b[0])),
+        ):
+            seconds = best_of(lambda: [fn(b) for b in batches], KERNEL_REPS)
+            row[name] = seconds / JOINT_LOSS_CALLS * 1e6
+        rows.append(row)
+    return {
+        "elements": JOINT_ELEMENTS,
+        "antennas": JOINT_ANTENNAS,
+        "population": JOINT_POPULATION,
+        "calls": JOINT_LOSS_CALLS,
+        "by_parts": rows,
+    }
 
 
 def bench_joint_value_many():
@@ -456,6 +508,7 @@ def run_perf_suite():
         "kernel_segment_loss_db": bench_kernel(),
         "joint_value_many": bench_joint_value_many(),
         "joint_iteration": bench_joint_iteration(),
+        "joint_loss": bench_joint_loss(),
         "end_to_end_reoptimize": bench_end_to_end(),
     }
 
@@ -466,6 +519,7 @@ def test_bench_perf_kernels(benchmark):
     kernel = results["kernel_segment_loss_db"]
     joint = results["joint_value_many"]
     iteration = results["joint_iteration"]
+    loss = results["joint_loss"]
     e2e = results["end_to_end_reoptimize"]
     print()
     print(
@@ -506,6 +560,27 @@ def test_bench_perf_kernels(benchmark):
                     f"{iteration['one_pass_us_per_iteration']:.1f}",
                     f"{iteration['speedup']:.2f}x",
                 ),
+                *(
+                    (
+                        f"{row['parts']}-part joint value_many / value, "
+                        f"per-part loop (us/call)",
+                        f"{row['per_part_value_many_us']:.1f} / "
+                        f"{row['per_part_value_us']:.1f}",
+                        "1.00x",
+                    )
+                    for row in loss["by_parts"]
+                ),
+                *(
+                    (
+                        f"{row['parts']}-part joint value_many / value, "
+                        f"loss pack (us/call)",
+                        f"{row['pack_value_many_us']:.1f} / "
+                        f"{row['pack_value_us']:.1f}",
+                        f"{row['per_part_value_many_us'] / row['pack_value_many_us']:.2f}x"
+                        f" / {row['per_part_value_us'] / row['pack_value_us']:.2f}x",
+                    )
+                    for row in loss["by_parts"]
+                ),
                 (
                     f"e2e loop kernel ({e2e['tasks']} tasks)",
                     f"{e2e['loop_ms']:.1f}",
@@ -531,6 +606,8 @@ def test_bench_perf_kernels(benchmark):
     assert joint["max_abs_diff"] == 0.0
     # So must evaluating a population in one pass instead of two chunks.
     assert iteration["max_abs_diff"] == 0.0
+    # And the loss pack, batched and scalar, at every part count.
+    assert all(row["bit_identical"] for row in loss["by_parts"])
     # Every kernel/evaluator variant must land bit-identical slot phases —
     # the determinism contract, asserted in both bench modes.
     assert e2e["max_abs_diff"] == 0.0

@@ -74,8 +74,8 @@ class LinearChannelForm:
         """Channels ``(P, K, M)`` for a batch of coefficients ``(P, E)``.
 
         One tensor contraction for the whole population.  Coverage and
-        powering losses batch through their stack kernels instead
-        (:mod:`repro.orchestrator.objectives`), which run the same GEMM.
+        powering losses batch through their loss pack instead
+        (:mod:`repro.orchestrator.objectives`), which runs the same GEMM.
         """
         x = np.atleast_2d(np.asarray(x))
         if x.ndim != 2 or x.shape[1] != self.num_elements:

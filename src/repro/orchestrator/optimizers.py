@@ -24,6 +24,10 @@ from .objectives import Objective
 #: Maps a raw phase vector onto the hardware's feasible set.
 Projection = Callable[[np.ndarray], np.ndarray]
 
+#: Largest block of :class:`RandomSearch` draws kept between solves
+#: (60 iterations × 16 × 64 elements is 0.5 MB).
+_NORMALS_KEPT_BYTES = 4 << 20
+
 
 @dataclass
 class OptimizationResult:
@@ -331,9 +335,24 @@ class RandomSearch(Optimizer):
     #: disables the stop — bit-identical to the fixed-budget loop.
     early_stop_eps: Optional[float] = None
     early_stop_patience: int = 3
+    #: Standard-normal draws per ``(seed, population, dim)``, read-only.
+    _normals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _draws(self, dim: int, rows: int) -> np.ndarray:
+        """``(≥rows, population, dim)`` normals: every solve reseeds, so
+        each draws this stream, and ``scale * draws[i]`` has the bits of
+        ``rng.normal(scale=scale)`` (NumPy's ``0.0 + scale·z``)."""
+        key = (self.seed, self.population, dim)
+        draws = self._normals.get(key)
+        if draws is None or len(draws) < rows:
+            rng = np.random.default_rng(self.seed)
+            draws = rng.standard_normal((rows, self.population, dim))
+            draws.flags.writeable = False
+            if draws.nbytes <= _NORMALS_KEPT_BYTES:
+                self._normals[key] = draws
+        return draws
 
     def optimize(self, objective, initial_phases, projection=None, budget=None):
-        rng = np.random.default_rng(self.seed)
         phases = np.asarray(initial_phases, dtype=float).reshape(-1).copy()
         best_loss = float(objective.value(phases))
         self._count_evals(1)
@@ -342,9 +361,10 @@ class RandomSearch(Optimizer):
         scale = self.initial_scale
         limit = self._limit(budget)
         stop = _EarlyStop(self.early_stop_eps, self.early_stop_patience)
-        for _ in range(limit):
-            offsets = rng.normal(scale=scale, size=(self.population, phases.size))
-            candidates = phases[None, :] + offsets
+        draws = self._draws(phases.size, limit)
+        for i in range(limit):
+            candidates = scale * draws[i]
+            candidates += phases
             losses = self._value_many(objective, candidates)
             self._count_evals(self.population)
             evaluations += self.population

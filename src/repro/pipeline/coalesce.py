@@ -158,12 +158,6 @@ class AdaptiveCoalescer:
             return cfg.min_window_s
         return min(cfg.max_window_s, max(cfg.min_window_s, self._cost_hat))
 
-    def reset(self) -> None:
-        """Forget all pressure/cost history (back to the cold state)."""
-        self._gap_hat = None
-        self._last_trigger_at = None
-        self._cost_hat = self.config.initial_cost_s
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gap = "∅" if self._gap_hat is None else f"{self._gap_hat:.4f}s"
         return (

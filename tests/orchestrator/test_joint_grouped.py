@@ -215,12 +215,12 @@ class TestGroupedBitIdentity:
     def test_lone_objective_reuses_one_pack(self, rng):
         for objective in (coverage(rng, 4), powering(rng, 3)):
             batch = rng.uniform(0, 2 * np.pi, (4, E))
-            assert objective._packed is None
+            assert objective._pack is None
             first = objective.value_many(batch)
-            packed = objective._packed
+            packed = objective._pack
             assert packed is not None
             second = objective.value_many(batch)
-            assert objective._packed is packed
+            assert objective._pack is packed
             assert first.tobytes() == second.tobytes()
 
     def test_value_many_rejects_wrong_width(self, rng):
@@ -233,12 +233,15 @@ class TestGroupedBitIdentity:
         joint = churn_joint(rng, 5)
         batch = rng.uniform(0, 2 * np.pi, (8, E))
         first = joint.value_many(batch)
-        grouped = joint._grouped()
+        pack = joint._pack
         assert joint.value_many(batch).tobytes() == first.tobytes()
-        assert joint._grouped() is grouped
-        groups, loose = grouped
-        assert loose == []
-        assert [indices for _, _, indices in groups] == [[0], [1, 2, 3, 4, 5]]
+        assert joint._pack is pack
+        assert pack.loose == []
+        # Rows are already in part order, so a group's rows are its parts.
+        assert pack.order is None
+        assert [
+            list(range(group.row, group.row + group.size)) for group in pack.groups
+        ] == [[0], [1, 2, 3, 4, 5]]
 
 
 class TestRowStability:
@@ -281,8 +284,8 @@ class TestAmplitudePacking:
 
     @staticmethod
     def amplitude_shapes(joint):
-        groups, _ = joint._grouped()
-        return [ops[0].shape for _, ops, _ in groups]
+        pack = joint._pack
+        return [pack.amplitudes[group.amplitudes].shape for group in pack.groups]
 
     @pytest.mark.parametrize("rows", [1, 8, 16])
     def test_equal_amplitudes_collapse_to_one_row(self, rng, rows):
@@ -330,7 +333,7 @@ class TestAmplitudePacking:
             assert np.array_equal(
                 part.value_many(batch), reference_value_many(part, batch)
             )
-        assert [part._packed[0].shape for part in parts] == [(1, E)] * 3
+        assert [part._pack.amplitudes.shape for part in parts] == [(1, E)] * 3
 
 
 class TestEvaluatorRouting:

@@ -77,17 +77,6 @@ class TestAdaptiveCoalescer:
             coalescer.observe_trigger(i * 0.01)
         assert coalescer.window_s(0.05) == pytest.approx(0.08)
 
-    def test_reset_returns_to_cold(self):
-        coalescer = AdaptiveCoalescer(
-            AdaptiveCoalesceConfig(initial_cost_s=0.1)
-        )
-        for i in range(5):
-            coalescer.observe_trigger(i * 0.01)
-        coalescer.observe_solve_cost(0.4)
-        coalescer.reset()
-        assert coalescer.window_s(1.0) == 0.0
-        assert coalescer.solve_cost_estimate_s == pytest.approx(0.1)
-
     def test_equal_bounds_fix_the_window(self):
         # A fixed window W is the controller clamped to [W, W]: idle,
         # pressured and silent, the core closes it W after the first
