@@ -355,21 +355,21 @@ class RandomSearch(Optimizer):
     def optimize(self, objective, initial_phases, projection=None, budget=None):
         phases = np.asarray(initial_phases, dtype=float).reshape(-1).copy()
         best_loss = float(objective.value(phases))
-        self._count_evals(1)
         evaluations = 1
         history = [best_loss]
         scale = self.initial_scale
         limit = self._limit(budget)
         stop = _EarlyStop(self.early_stop_eps, self.early_stop_patience)
         draws = self._draws(phases.size, limit)
+        # Refilled every iteration; the incumbent is always a copy.
+        candidates = np.empty((self.population, phases.size))
         for i in range(limit):
-            candidates = scale * draws[i]
+            np.multiply(draws[i], scale, out=candidates)
             candidates += phases
             losses = self._value_many(objective, candidates)
-            self._count_evals(self.population)
             evaluations += self.population
             previous = best_loss
-            j = int(np.argmin(losses))
+            j = losses.argmin()
             if losses[j] < best_loss:
                 best_loss, phases = float(losses[j]), candidates[j].copy()
             else:
@@ -377,6 +377,7 @@ class RandomSearch(Optimizer):
             history.append(best_loss)
             if stop.update(previous, best_loss):
                 break
+        self._count_evals(evaluations)
         return self._finalize(
             objective, phases, history, len(history) - 1, False, projection,
             evaluations=evaluations, budget=limit,

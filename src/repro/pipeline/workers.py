@@ -21,9 +21,12 @@ project is tested against does for multi-row chunks, and
 ``tests/orchestrator/test_joint_grouped.py`` pins it.  A one-row chunk
 runs as a matrix-vector product and rounds differently.
 
-The default chunk equals RandomSearch's default population, so a lone
-objective's population is one chunk, evaluated on the calling thread;
-the pool only splits batches wider than one chunk.
+The default chunk equals RandomSearch's default population, so one
+solver iteration's population is one chunk.  A batch of at most one
+chunk goes straight to ``objective.value_many`` on the calling thread
+(no split, copy or concatenation) and counts as one chunk; the pool
+only splits batches wider than one chunk.  Loss packs keep their
+buffers per thread, so chunks of one objective evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ class BatchEvaluator:
     def value_many(self, objective, batch: np.ndarray) -> np.ndarray:
         """Evaluate a ``(N, D)`` candidate batch; returns ``(N,)`` losses."""
         self._check_open()
+        if np.ndim(batch) == 2 and len(batch) <= self.chunk:  # one chunk: no split
+            self._note(1)
+            return objective.value_many(batch)
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
         chunks = self._chunks(batch)
         self._note(len(chunks))

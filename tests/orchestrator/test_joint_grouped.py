@@ -396,6 +396,57 @@ class TestEvaluatorRouting:
             sys.setswitchinterval(interval)
 
 
+class TestReusedBuffers:
+    """RandomSearch refills one candidate buffer per solve, and a batch of
+    at most one chunk goes to the objective without a split."""
+
+    @staticmethod
+    def bound_search(parallelism=1, population=16, chunk=16):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        evaluator = BatchEvaluator(parallelism=parallelism, chunk=chunk)
+        evaluator.bind_telemetry(telemetry)
+        optimizer = RandomSearch(max_iterations=8, population=population, seed=3)
+        optimizer.bind_telemetry(telemetry)
+        optimizer.bind_evaluator(evaluator)
+        return optimizer
+
+    def test_later_solve_leaves_earlier_phases(self, rng):
+        optimizer = self.bound_search()
+        first_joint, second_joint = churn_joint(rng, 3), churn_joint(rng, 6)
+        first = optimizer.optimize(first_joint, rng.uniform(0, 2 * np.pi, E))
+        assert first.history[-1] < first.history[0]  # the incumbent moved
+        kept = first.phases.tobytes()
+        optimizer.optimize(second_joint, rng.uniform(0, 2 * np.pi, E))
+        optimizer.optimize(first_joint, rng.uniform(0, 2 * np.pi, E))
+        assert first.phases.tobytes() == kept
+        assert first.loss == first_joint.value(first.phases)
+
+    @pytest.mark.parametrize("population, chunk, chunks", [(16, 16, 1), (20, 16, 2), (16, 8, 2)])
+    def test_counts_keep_their_totals(self, rng, population, chunk, chunks):
+        optimizer = self.bound_search(population=population, chunk=chunk)
+        result = optimizer.optimize(churn_joint(rng, 3), rng.uniform(0, 2 * np.pi, E))
+        evaluator, telemetry = optimizer.evaluator, optimizer.telemetry
+        assert result.iterations == 8
+        assert result.evaluations == 1 + 8 * population + 1
+        assert telemetry.get_counter("optimizer.objective_evaluations") == result.evaluations
+        assert evaluator.batches == telemetry.get_counter("evaluator.batches") == 8
+        assert evaluator.chunks_evaluated == telemetry.get_counter("evaluator.chunks") == 8 * chunks
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_one_chunk_path_equals_chunked_path(self, rng, parallelism):
+        joint = churn_joint(rng, 6)
+        batch = rng.uniform(0, 2 * np.pi, (16, E))
+        with BatchEvaluator(parallelism=parallelism, chunk=16) as evaluator:
+            straight = evaluator.value_many(joint, batch)  # one chunk
+            chunked = evaluator.value_many(joint, np.concatenate([batch, batch[::-1]]))
+            assert evaluator.chunks_evaluated == 1 + 2
+        assert straight.tobytes() == chunked[:16].tobytes()
+        assert straight[::-1].tobytes() == chunked[16:].tobytes()
+        assert straight.tobytes() == joint.value_many(batch).tobytes()
+
+
 class TestGradientFreeValue:
     @pytest.mark.parametrize(
         "build",
