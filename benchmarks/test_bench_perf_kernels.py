@@ -59,7 +59,6 @@ SCENE_BOXES = 8 if SMALL else 40
 PANEL_SIDE = 8 if SMALL else 16
 SOLVE_ITERATIONS = 8 if SMALL else 20
 SOLVE_POPULATION = 8 if SMALL else 16
-THREAD_WORKERS = 2
 
 # Joint-objective scene: the shapes of the largest co-served group the
 # admit-churn workload builds — one 12-point coverage part plus twelve
@@ -605,11 +604,9 @@ def build_multi_task_system():
     return system
 
 
-def _timed_reoptimize(system, evaluator=None, loop_kernel=False):
+def _timed_reoptimize(system, loop_kernel=False):
     """Best-of-N reoptimize and channel-build times plus the final slot
     phases (for diffs)."""
-    if evaluator is not None:
-        system.orchestrator.optimizer.bind_evaluator(evaluator)
     original = CompiledGeometry.segment_loss_db
     if loop_kernel:
         CompiledGeometry.segment_loss_db = _loop_segment_loss_db
@@ -624,7 +621,6 @@ def _timed_reoptimize(system, evaluator=None, loop_kernel=False):
             build = min(build, result.timing["channel_build_s"])
     finally:
         CompiledGeometry.segment_loss_db = original
-        system.orchestrator.optimizer.unbind_evaluator()
     phases = [
         result.slots[tid][sid].phases
         for tid in sorted(result.slots)
@@ -634,29 +630,21 @@ def _timed_reoptimize(system, evaluator=None, loop_kernel=False):
 
 
 def bench_end_to_end():
-    """The multi-task reoptimize() under every kernel/evaluator variant.
+    """The multi-task reoptimize() under the loop and vectorized kernels.
 
     Baseline: the pre-vectorization loop kernel.  Headline: vectorized
-    kernels.  The thread arm evaluates candidates on a 2-worker pool.
-    All variants must produce bit-identical slot phases.  The kernel
-    only changes the channel build, so each arm also records its build
-    time (``timing["channel_build_s"]``); the solve that follows is the
-    same code in every arm.
+    kernels.  Both arms must produce bit-identical slot phases.  The
+    kernel only changes the channel build, so each arm also records its
+    build time (``timing["channel_build_s"]``); the solve that follows
+    is the same code in both arms.
     """
     system = build_multi_task_system()
     loop_s, loop_build_s, loop_phases = _timed_reoptimize(system, loop_kernel=True)
     vec_s, vec_build_s, vec_phases = _timed_reoptimize(system)
-    with BatchEvaluator(
-        parallelism=THREAD_WORKERS, chunk=SOLVE_POPULATION
-    ) as thread_eval:
-        thread_s, thread_build_s, thread_phases = _timed_reoptimize(
-            system, evaluator=thread_eval
-        )
 
     max_abs_diff = max(
         float(np.abs(np.asarray(a) - np.asarray(b)).max())
-        for variant in (loop_phases, thread_phases)
-        for a, b in zip(vec_phases, variant)
+        for a, b in zip(vec_phases, loop_phases)
     )
     return {
         "tasks": NUM_CLIENTS,
@@ -667,11 +655,9 @@ def bench_end_to_end():
         "scene_boxes": SCENE_BOXES,
         "loop_ms": loop_s * 1e3,
         "vec_ms": vec_s * 1e3,
-        "thread_ms": thread_s * 1e3,
         "speedup": loop_s / vec_s,
         "loop_build_ms": loop_build_s * 1e3,
         "vec_build_ms": vec_build_s * 1e3,
-        "thread_build_ms": thread_build_s * 1e3,
         "build_speedup": loop_build_s / vec_build_s,
         "max_abs_diff": max_abs_diff,
     }
@@ -680,7 +666,7 @@ def bench_end_to_end():
 def run_perf_suite():
     return {
         "small_scene": SMALL,
-        "meta": bench_meta(thread_workers=THREAD_WORKERS),
+        "meta": bench_meta(),
         "kernel_segment_loss_db": bench_kernel(),
         "joint_value_many": bench_joint_value_many(),
         "joint_iteration": bench_joint_iteration(),
@@ -779,12 +765,6 @@ def test_bench_perf_kernels(benchmark):
                     f"{e2e['vec_ms']:.1f} / {e2e['vec_build_ms']:.1f}",
                     f"{e2e['speedup']:.2f}x / {e2e['build_speedup']:.2f}x",
                 ),
-                (
-                    f"e2e vec kernel + thread x{THREAD_WORKERS}, reoptimize / build",
-                    f"{e2e['thread_ms']:.1f} / {e2e['thread_build_ms']:.1f}",
-                    f"{e2e['loop_ms'] / e2e['thread_ms']:.2f}x / "
-                    f"{e2e['loop_build_ms'] / e2e['thread_build_ms']:.2f}x",
-                ),
             ],
             title="Perf: vectorized kernels vs loops",
         )
@@ -799,8 +779,8 @@ def test_bench_perf_kernels(benchmark):
     assert all(row["bit_identical"] for row in loss["by_parts"])
     # Reusing the solver's buffers must not change a bit or a count.
     assert all(row["identical"] for row in solver["by_links"])
-    # Every kernel/evaluator variant must land bit-identical slot phases —
-    # the determinism contract, asserted in both bench modes.
+    # Both kernels must land bit-identical slot phases — the
+    # determinism contract, asserted in both bench modes.
     assert e2e["max_abs_diff"] == 0.0
     # Vectorization must pay for itself; floors stay
     # conservative because this host's timings swing under load.  The

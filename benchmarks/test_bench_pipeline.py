@@ -12,9 +12,9 @@ burst and at Poisson arrival rates, asserting the headline claims:
   pipeline regressed to ~0.93-0.95x here), while batch-while-busy
   merging keeps the solve count strictly below serial's.
 
-Both disciplines bind the same 2-worker evaluator, so the comparison
-isolates the control-plane discipline (per-request solves vs batched,
-coalesced solves) rather than evaluator differences.
+Both disciplines evaluate candidates on the calling thread, so the
+comparison isolates the control-plane discipline (per-request solves
+vs batched, coalesced solves) rather than evaluator differences.
 
 Results land in ``BENCH_pipeline.json`` at the repo root.
 

@@ -202,15 +202,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     frequency = ghz(28)
     sites = apartment_sites()
-    # With an evaluation pool bound, trace a population optimizer —
-    # gradient descent never evaluates candidate batches, so Adam would
-    # leave the evaluator (and its telemetry) idle.  Adaptive budgets
-    # also need a budget-capable population optimizer with early stop.
-    if args.eval_pool or args.adaptive_budget:
+    # Adaptive budgets need a budget-capable population optimizer with
+    # early stop; its candidate batches also fill the evaluator.*
+    # counters that Adam, which scores one point per step, leaves idle.
+    if args.adaptive_budget:
         optimizer = RandomSearch(
-            max_iterations=args.iterations,
-            seed=0,
-            early_stop_eps=1e-3 if args.adaptive_budget else None,
+            max_iterations=args.iterations, seed=0, early_stop_eps=1e-3
         )
     else:
         optimizer = Adam(max_iterations=args.iterations)
@@ -243,23 +240,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     system.boot()
     system.orchestrator.optimize_coverage("bedroom")
     system.orchestrator.enhance_link("phone", snr=25.0)
-    evaluator = None
-    if args.eval_pool:
-        from .pipeline import BatchEvaluator
-
-        evaluator = BatchEvaluator(parallelism=2)
-        evaluator.bind_telemetry(system.telemetry)
-        system.orchestrator.optimizer.bind_evaluator(evaluator)
-    try:
+    result = system.reoptimize(rounds=args.rounds)
+    if args.adaptive_budget:
+        # A second pass hits the solution store warm: the drift probe
+        # and the budget clamp both show up in solver.*.
         result = system.reoptimize(rounds=args.rounds)
-        if args.adaptive_budget:
-            # A second pass hits the solution store warm: the drift
-            # probe and the budget clamp both show up in solver.*.
-            result = system.reoptimize(rounds=args.rounds)
-    finally:
-        if evaluator is not None:
-            system.orchestrator.optimizer.unbind_evaluator()
-            evaluator.close()
 
     passes = "two reoptimize() passes" if args.adaptive_budget else (
         "one reoptimize()"
@@ -325,7 +310,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         requests=args.requests,
         seed=args.seed,
         strategy=args.strategy,
-        parallelism=args.workers,
         jsonl=args.jsonl,
         scene=args.scene,
     )
@@ -348,10 +332,8 @@ def _cmd_mobility(args: argparse.Namespace) -> int:
         walkers=args.walkers,
         churn_rate_hz=args.churn_rate,
         prefetch=not args.no_prefetch,
-        channel_workers=args.workers,
         panel_size=args.panel_size,
         adaptive_budget=args.adaptive_budget,
-        eval_pool=args.eval_pool,
     )
     result = mobility.run(config, jsonl=args.jsonl)
     code = finish(result, args.json, artifact_label="scenario results")
@@ -374,6 +356,18 @@ def _cmd_load(args: argparse.Namespace) -> int:
     )
     from .pipeline import AdaptiveCoalesceConfig
 
+    try:
+        config_kwargs = {"queue_capacity": args.queue_capacity}
+        if args.window > 0:
+            # A fixed window: the controller clamped to [W, W].
+            config_kwargs["adaptive"] = AdaptiveCoalesceConfig(
+                min_window_s=args.window, max_window_s=args.window
+            )
+        config = LoadConfig(**config_kwargs)
+    except (SurfOSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     if args.sweep:
         try:
             rates = (
@@ -381,16 +375,11 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 if args.sweep_rates
                 else DEFAULT_SWEEP_RATES
             )
-            config_kwargs = {"queue_capacity": args.queue_capacity}
-            if args.window > 0:
-                config_kwargs["adaptive"] = AdaptiveCoalesceConfig(
-                    min_window_s=args.window, max_window_s=args.window
-                )
             result = run_sweep(
                 rates=rates,
                 requests_per_rate=args.requests,
                 seed=args.seed,
-                config=LoadConfig(**config_kwargs),
+                config=config,
             )
         except (SurfOSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -411,13 +400,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             multiplier=args.multiplier,
         )
         slo = SLOPolicy.parse(args.slo) if args.slo else None
-        config_kwargs = {"queue_capacity": args.queue_capacity}
-        if args.window > 0:
-            # A fixed window: the controller clamped to [W, W].
-            config_kwargs["adaptive"] = AdaptiveCoalesceConfig(
-                min_window_s=args.window, max_window_s=args.window
-            )
-        config = LoadConfig(**config_kwargs)
     except (SurfOSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -498,15 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--rounds", type=int, default=2, help="block-coordinate rounds"
-    )
-    trace.add_argument(
-        "--eval-pool",
-        action="store_true",
-        help=(
-            "evaluate candidates on a 2-worker thread pool for the traced "
-            "pass (bit-identical results; evaluator.* metrics land in the "
-            "report)"
-        ),
     )
     trace.add_argument(
         "--iterations", type=int, default=60, help="optimizer iteration budget"
@@ -603,13 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="placement strategy (default congestion-aware)",
     )
     fleet.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="evaluation workers per shard (results identical at any N)",
-    )
-    fleet.add_argument(
         "--jsonl",
         metavar="FILE",
         help="export the sim-only (wall-clock-free) fleet event log",
@@ -664,13 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable speculative leg pre-tracing",
     )
     mobility.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="channel-leg trace workers (results identical at any N)",
-    )
-    mobility.add_argument(
         "--panel-size", type=int, default=8, help="elements per surface side"
     )
     mobility.add_argument(
@@ -679,14 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "drift-aware adaptive solve budgets with early stop "
             "(same-seed results stay byte-identical)"
-        ),
-    )
-    mobility.add_argument(
-        "--eval-pool",
-        action="store_true",
-        help=(
-            "evaluate candidates on a 2-worker thread pool "
-            "(bit-identical results)"
         ),
     )
     mobility.add_argument(

@@ -220,9 +220,8 @@ class SurfOS:
         broker on the same clock, shared with the daemon so environment
         triggers (motion, degradation) coalesce with admission
         triggers.  Pass a :class:`~repro.pipeline.PipelineConfig` to
-        tune queue capacity, batch size, the coalescing window, and
-        evaluation parallelism (results are bit-identical at any worker
-        count).  Returns the new pipeline.
+        tune queue capacity, batch size and the coalescing window.
+        Returns the new pipeline.
         """
         self._require_boot()
         self.pipeline.close()

@@ -276,41 +276,27 @@ def run_serial(
     A busy-server model: each request starts when both it has arrived
     and the previous solve finished; its service time is the measured
     solve wall time plus the hardware settle the push paid.
-
-    The same 2-worker evaluator the pipelined discipline uses is bound
-    here too, so the comparison isolates the control-plane discipline
-    (per-request solves vs batched, coalesced solves) rather than
-    mixing in evaluator differences.
     """
-    from ..pipeline import BatchEvaluator
-
     system = build_system(
         requests, seed=seed, panel_size=panel_size, optimizer=optimizer
     )
-    evaluator = BatchEvaluator(parallelism=2)
-    evaluator.bind_telemetry(system.telemetry)
-    system.orchestrator.optimizer.bind_evaluator(evaluator)
     arrivals = arrival_times(requests, rate_hz, seed=seed)
     result = ModeResult(mode="serial", served=0)
     free_at = 0.0
     last_done = 0.0
-    try:
-        for arrival, demand in zip(arrivals, _demands(requests)):
-            start = max(float(arrival), free_at)
-            system.broker.register_application(demand)
-            began = time.perf_counter()
-            reopt = system.orchestrator.reoptimize(now=start)
-            wall = time.perf_counter() - began
-            result.wall_s += wall
-            result.reoptimizations += 1
-            done = start + wall + reopt.settle_s
-            result.latencies_s.append(done - float(arrival))
-            result.served += 1
-            free_at = done
-            last_done = done
-    finally:
-        system.orchestrator.optimizer.unbind_evaluator()
-        evaluator.close()
+    for arrival, demand in zip(arrivals, _demands(requests)):
+        start = max(float(arrival), free_at)
+        system.broker.register_application(demand)
+        began = time.perf_counter()
+        reopt = system.orchestrator.reoptimize(now=start)
+        wall = time.perf_counter() - began
+        result.wall_s += wall
+        result.reoptimizations += 1
+        done = start + wall + reopt.settle_s
+        result.latencies_s.append(done - float(arrival))
+        result.served += 1
+        free_at = done
+        last_done = done
     result.span_s = last_done - float(arrivals[0])
     return result
 
@@ -339,7 +325,6 @@ def run_pipelined(
     config = config or PipelineConfig(
         adaptive=AdaptiveCoalesceConfig(max_window_s=COALESCE_WINDOW_S),
         charge_compute=True,
-        parallelism=2,
     )
     pipeline = system.attach_pipeline(config)
     demands = _demands(requests)

@@ -14,9 +14,8 @@ control paths the single-environment stack cannot express:
   losing service (``fleet.rebalanced``).
 
 Everything runs on the shared sim clock with seeded arrivals, so the
-same seed produces byte-identical sim-only telemetry exports at any
-evaluation worker count — the CLI ``fleet`` command and the
-``fleet-smoke`` CI job diff exactly that.
+same seed produces byte-identical sim-only telemetry exports — the CLI
+``fleet`` command and the ``scenario-smoke`` CI job diff exactly that.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ def build_fleet(
     strategy: str = "congestion",
     panel_size: int = PANEL_SIZE,
     queue_capacity: int = 64,
-    parallelism: int = 1,
     scene: str = "two-room",
 ) -> FleetBroker:
     """A seeded N-shard fleet with reset id counters (determinism)."""
@@ -106,7 +104,6 @@ def build_fleet(
     return FleetBroker(
         specs,
         strategy=make_strategy(strategy, shards),
-        parallelism=parallelism,
     )
 
 
@@ -234,7 +231,6 @@ def run(
     seed: int = 0,
     strategy: str = "congestion",
     panel_size: int = PANEL_SIZE,
-    parallelism: int = 1,
     jsonl: Optional[str] = None,
     fleet: Optional[FleetBroker] = None,
     horizon_s: float = 60.0,
@@ -248,8 +244,7 @@ def run(
             seed=seed,
             strategy=strategy,
             panel_size=panel_size,
-            parallelism=parallelism,
-                scene=scene,
+            scene=scene,
         )
     demands = _demands(requests, shards, seed)
     rng = np.random.default_rng(seed + 17)

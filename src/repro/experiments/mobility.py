@@ -97,8 +97,6 @@ class MobilityConfig:
         prefetch: speculatively pre-trace predicted legs each step.
         panel_size: elements per surface side.
         grid_spacing_m: coverage/observation grid pitch.
-        channel_workers: thread-pool size for leg tracing (results are
-            bit-identical at any count).
         leg_cache_size: override for the simulator's leg LRU bound
             (``None`` keeps the default; ``0`` disables leg caching —
             the "cold" baseline).
@@ -107,9 +105,6 @@ class MobilityConfig:
         adaptive_budget: drift-aware adaptive solve budgets + solution
             memory + optimizer early-stop (off = fixed budgets,
             byte-identical to the pre-feature control plane).
-        eval_pool: evaluate candidates on a 2-worker thread pool
-            instead of the default serial evaluation.  Bit-identical
-            either way.
         client_pause_s: dwell seconds at each client waypoint (0 keeps
             the legacy always-moving endpoints).  Dwells create
             quiescent reactions where the objective goes static — the
@@ -137,11 +132,9 @@ class MobilityConfig:
     panel_size: int = 8
     solve_iterations: int = SOLVE_ITERATIONS
     grid_spacing_m: float = 1.0
-    channel_workers: int = 0
     leg_cache_size: Optional[int] = None
     measure_wall: bool = False
     adaptive_budget: bool = False
-    eval_pool: bool = False
     client_pause_s: float = 0.0
     search_scale: float = 1.0
     search_decay: float = 0.9
@@ -203,7 +196,6 @@ class MobilityResult(ExperimentResultBase):
             "walkers": cfg.walkers,
             "churn_rate_hz": cfg.churn_rate_hz,
             "prefetch": cfg.prefetch,
-            "channel_workers": cfg.channel_workers,
             "reactions": self.reactions,
             "reaction_p50_s": round(self.reaction_p50_s, 6),
             "reaction_p95_s": round(self.reaction_p95_s, 6),
@@ -306,7 +298,7 @@ class MobilityResult(ExperimentResultBase):
 
 
 def _guest_seed(seed: int, client_id: str) -> int:
-    """Id-derived seed: stable across arrival order and worker counts."""
+    """Id-derived seed: stable across arrival order."""
     return seed * 7919 + zlib.crc32(client_id.encode("utf-8"))
 
 
@@ -389,19 +381,13 @@ def build_system(
         ),
         grid_spacing_m=config.grid_spacing_m,
         telemetry=telemetry,
-        channel_workers=config.channel_workers,
         solve_budget=(
             _solve_budget_config(config) if config.adaptive_budget else None
         ),
     )
     if config.leg_cache_size is not None:
         system.orchestrator.simulator.leg_cache_size = config.leg_cache_size
-    system.attach_pipeline(
-        PipelineConfig(
-            adaptive=AdaptiveCoalesceConfig(),
-            parallelism=2 if config.eval_pool else 1,
-        )
-    )
+    system.attach_pipeline(PipelineConfig(adaptive=AdaptiveCoalesceConfig()))
     scene = system.scene
     if config.walkers and not scene.walker_loops:
         raise ValueError(f"scene {scene.name!r} defines no walker loops")

@@ -64,7 +64,6 @@ class FleetBroker:
         telemetry: Optional[Telemetry] = None,
         clock: Optional[SimClock] = None,
         stagger_s: float = DEFAULT_STAGGER_S,
-        parallelism: int = 1,
     ):
         if not specs:
             raise ServiceError("a fleet needs at least one shard")
@@ -84,7 +83,6 @@ class FleetBroker:
                 clock=self.clock,
                 telemetry=self.telemetry,
                 stagger_s=index * stagger_s,
-                parallelism=parallelism,
             )
         #: app@client key → shard id of the live registration.
         self._routes: Dict[str, str] = {}
@@ -429,7 +427,7 @@ class FleetBroker:
         return self.telemetry.export_jsonl(path, sim_only=sim_only)
 
     def close(self) -> None:
-        """Release every shard's evaluation workers."""
+        """Close every shard's pipeline."""
         for shard in self.shards.values():
             shard.close()
 

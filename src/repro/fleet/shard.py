@@ -13,7 +13,7 @@ stack plus the load/health signals the placement strategies consume.
 All shards share one :class:`~repro.runtime.clock.SimClock` and one
 :class:`~repro.telemetry.Telemetry` stream, so a fleet run stays a
 single deterministic simulation: same seed → byte-identical sim-only
-JSONL, regardless of evaluation worker counts.
+JSONL.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ class EnvironmentShard:
         clock: SimClock,
         telemetry: Telemetry,
         stagger_s: float = 0.0,
-        parallelism: int = 1,
     ):
         self.spec = spec
         self.shard_id = spec.shard_id
@@ -153,7 +152,6 @@ class EnvironmentShard:
             config=PipelineConfig(
                 queue_capacity=spec.queue_capacity,
                 coalesce_window_s=self.coalesce_window_s,
-                parallelism=parallelism,
             ),
         )
         #: Set by :meth:`FleetBroker.quarantine_shard`; a quarantined
@@ -212,8 +210,8 @@ class EnvironmentShard:
 
         Fleet requests name clients the shard has never seen; the shard
         materializes them at a deterministic seeded position inside the
-        serviceable room (stable across runs and worker counts — the
-        position derives from the client id, not from arrival order).
+        serviceable room (stable across runs — the position derives
+        from the client id, not from arrival order).
         """
         try:
             self.system.hardware.client(client_id)
@@ -231,7 +229,7 @@ class EnvironmentShard:
         self.system.add_client(ClientDevice(client_id, position))
 
     def close(self) -> None:
-        """Release the shard pipeline's evaluation workers."""
+        """Close the shard pipeline and its evaluator."""
         self.pipeline.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

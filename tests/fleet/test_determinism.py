@@ -1,4 +1,4 @@
-"""Determinism: byte-identical sim-only JSONL across repeats and workers."""
+"""Determinism: byte-identical sim-only JSONL across repeats."""
 
 import filecmp
 import json
@@ -6,13 +6,12 @@ import json
 from repro.experiments import fleet as fleet_experiment
 
 
-def run_to(path, parallelism=1, seed=3):
+def run_to(path, seed=3):
     result = fleet_experiment.run(
         shards=3,
         requests=9,
         seed=seed,
         panel_size=4,
-        parallelism=parallelism,
         jsonl=str(path),
     )
     return result
@@ -27,13 +26,6 @@ class TestJsonlDeterminism:
         assert first.placements == second.placements
         assert filecmp.cmp(a, b, shallow=False)
         assert a.stat().st_size > 0
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        a = tmp_path / "w1.jsonl"
-        b = tmp_path / "w2.jsonl"
-        run_to(a, parallelism=1)
-        run_to(b, parallelism=2)
-        assert filecmp.cmp(a, b, shallow=False)
 
     def test_jsonl_is_sim_only_and_parseable(self, tmp_path):
         path = tmp_path / "events.jsonl"

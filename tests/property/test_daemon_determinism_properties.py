@@ -3,8 +3,9 @@
 The determinism contract: one seed gives the same sim-only JSONL across
 repeats and across channel-worker counts.  Each example drives a short
 apartment run (a mobile client, an obstacle walker, optionally a panel
-death) through the daemon's one reaction path, three times — serial
-twice and with two channel workers once — and compares the exports.
+death, fixed or adaptive solve budgets) through the daemon's one
+reaction path, three times — serial twice and with two channel workers
+once — and compares the exports.
 """
 
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from repro.broker.calls import reset_request_counter
 from repro.faults import FaultInjector
 from repro.hwmgr import ClientDevice
 from repro.mobility import WaypointWalker
-from repro.orchestrator import RandomSearch
+from repro.orchestrator import RandomSearch, SolveBudgetConfig
 from repro.orchestrator.tasks import reset_task_counter
 from repro.runtime import Walker
 
@@ -29,6 +30,8 @@ RUN = st.fixed_dictionaries(
         "death": st.one_of(
             st.none(), st.tuples(st.integers(0, 1), st.floats(0.0, 3.0))
         ),
+        # Drift-aware budgets with solution memory and early stop.
+        "adaptive": st.booleans(),
     }
 )
 
@@ -40,10 +43,17 @@ def export(run, channel_workers):
     system = SurfOS.from_scene(
         "apartment",
         panel_size=4,
-        optimizer=RandomSearch(max_iterations=3, seed=run["seed"]),
+        optimizer=RandomSearch(
+            max_iterations=3,
+            seed=run["seed"],
+            early_stop_eps=1e-3 if run["adaptive"] else None,
+        ),
         grid_spacing_m=1.0,
         fault_injector=injector,
         channel_workers=channel_workers,
+        solve_budget=(
+            SolveBudgetConfig(enabled=True) if run["adaptive"] else None
+        ),
     )
     scene = system.scene
     if run["death"] is not None:

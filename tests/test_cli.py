@@ -109,3 +109,19 @@ def test_fleet_scene_flag():
     args = build_parser().parse_args(["fleet", "--scene", "office"])
     assert args.scene == "office"
     assert build_parser().parse_args(["fleet"]).scene == "two-room"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--eval-pool"],
+        ["mobility", "--workers", "4"],
+        ["mobility", "--eval-pool"],
+        ["fleet", "--workers", "2"],
+    ],
+)
+def test_worker_pool_flags_are_gone(argv):
+    # Scenarios run serially: no command exposes a worker count.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code != 0
