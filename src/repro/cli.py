@@ -12,45 +12,49 @@ Usage::
     python -m repro.cli plan --room bedroom --target-snr 20
     python -m repro.cli trace --jsonl /tmp/trace.jsonl
     python -m repro.cli trace --report /tmp/trace.jsonl
-    python -m repro.cli faults --seed 7 --jsonl /tmp/faults.jsonl
     python -m repro.cli pipeline --requests 10 --json /tmp/bench.json
+    python -m repro.cli faults --seed 7 --jsonl /tmp/faults.jsonl
     python -m repro.cli fleet --shards 3 --requests 12 --seed 7
+    python -m repro.cli mobility --adaptive-budget --churn-rate 0.4
     python -m repro.cli load --model poisson --rate 20 --requests 100000
     python -m repro.cli load --model flash-crowd --slo "interactive=0.2"
     python -m repro.cli load --sweep --requests 2000 --json /tmp/sweep.json
-    python -m repro.cli mobility --adaptive-budget --churn-rate 0.4
+    python -m repro.cli determinism fleet --seed 7
     python -m repro.cli info
 
 Every experiment prints the same rendering its benchmark asserts on.
 ``trace`` runs one orchestrated pass on the two-room apartment and
 prints the telemetry summary (optionally exporting the raw event log
 as JSON lines); ``trace --report`` renders a previously exported file.
-``faults`` runs the degraded-mode recovery scenario (two of five panels
-die mid-run); its ``--jsonl`` export strips wall-clock fields, so two
-runs with the same seed produce byte-identical files — CI diffs them to
-catch nondeterminism.  ``pipeline`` runs the open-loop arrival
-benchmark (serial vs pipelined admission) and exits nonzero if the
-pipelined p99 latency exceeds serial.  ``fleet`` runs the multi-shard
-scenario (quarantine spill + roaming handoff) and exits nonzero when
-the interactive SLO is missed; its ``--jsonl`` export is sim-only and
-byte-stable per seed, diffed by the ``fleet-smoke`` CI job.  ``load``
-replays a seeded arrival model (Poisson, diurnal, flash-crowd, burst,
-or a recorded JSONL trace) through the modeled control plane and gates
-on an ``--slo`` policy (per-class p99 bounds + satisfaction floor);
-``pipeline``, ``fleet``, ``faults``, and ``load`` all share one
-result contract — render, optional ``--json`` artifact, ``FAIL:``
-lines on stderr, nonzero exit on any gate violation.  ``load --sweep``
-instead ladders the offered rate and records the latency-vs-rate
-saturation knee (observational — never gated); ``mobility
---adaptive-budget`` turns on drift-aware adaptive solve budgets, which
-keep same-seed runs byte-identical while skipping converged solves.
+``pipeline`` runs the open-loop arrival benchmark (serial vs pipelined
+admission) and exits nonzero if the pipelined p99 latency exceeds
+serial.
+
+:data:`SCENARIOS` is the one table of scenarios with a sim-only event
+log: ``faults`` (two of five panels die mid-run), ``fleet`` (quarantine
+spill + roaming handoff across shards), ``mobility`` (motion and churn
+through the daemon loop) and ``load`` (a seeded arrival model through
+the modeled control plane, gated on an ``--slo`` policy; ``--sweep``
+ladders the offered rate instead and is never gated).  Each gets the
+same ``--json`` summary and ``--jsonl`` export flags and the one
+epilogue of :func:`repro.experiments.result.finish`: the rendering,
+``FAIL:`` lines on stderr, and exit 1 on any gate violation.  The
+``--jsonl`` export strips wall-clock fields, so two runs with one seed
+write byte-identical files; ``determinism <scenario> [args...]`` runs a
+scenario twice in fresh interpreters and exits 1 when they differ.
+``pipeline`` is not in the table: its solves charge wall time to the sim
+clock, so it has no sim-only log.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    from .experiments.result import ExperimentResult
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -61,7 +65,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("Paper: SurfOS: Towards an Operating System for Programmable")
     print("       Radio Environments (HotNets '24)")
     print(f"Known surface designs: {', '.join(list_designs())}")
-    print("Experiments: table1, fig2, fig4, fig5, fig6, faults (see DESIGN.md)")
+    print(f"Commands: {', '.join(args.commands)} (see EXPERIMENTS.md)")
     return 0
 
 
@@ -269,26 +273,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from .experiments import degradation
-    from .experiments.result import finish
-
-    system = degradation.build_system(
-        seed=args.seed, panel_size=args.panels
-    )
-    result = degradation.run(
-        seed=args.seed,
-        kill=tuple(args.kill),
-        panel_size=args.panels,
-        system=system,
-    )
-    code = finish(result, args.json, artifact_label="scenario results")
-    if args.jsonl:
-        system.telemetry.export_jsonl(args.jsonl, sim_only=True)
-        print(f"\nsim-only event log written to {args.jsonl}")
-    return code
-
-
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     from .experiments import arrivals
     from .experiments.result import finish
@@ -301,11 +285,62 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return finish(result, args.json, artifact_label="benchmark results")
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .experiments import fleet as fleet_experiment
-    from .experiments.result import finish
+class _UsageError(Exception):
+    """Scenario arguments that do not fit together: ``error:`` and exit 2."""
 
-    result = fleet_experiment.run(
+
+class Scenario(NamedTuple):
+    """A :data:`SCENARIOS` entry; ``run`` exports the log to ``args.jsonl``."""
+
+    help: str
+    artifact_label: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], ExperimentResult]
+
+
+def _faults_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="fault-injection seed")
+    parser.add_argument(
+        "--panels", type=int, default=10, metavar="N", help="elements per panel side (default 10)"
+    )
+    parser.add_argument(
+        "--kill",
+        nargs="+",
+        default=["rs-2", "rs-4"],
+        metavar="ID",
+        help="panel ids to kill mid-run (default rs-2 rs-4)",
+    )
+
+
+def _run_faults(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import degradation
+
+    return degradation.run(
+        seed=args.seed, kill=tuple(args.kill), panel_size=args.panels, jsonl=args.jsonl
+    )
+
+
+def _fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--shards", type=int, default=3, help="environment shards (zones)")
+    parser.add_argument("--requests", type=int, default=12, help="requests in the trace")
+    parser.add_argument("--seed", type=int, default=0, help="workload/placement seed")
+    parser.add_argument(
+        "--strategy",
+        choices=("zone", "least-loaded", "congestion"),
+        default="congestion",
+        help="placement strategy (default congestion-aware)",
+    )
+    parser.add_argument(
+        "--scene",
+        default="two-room",
+        help="registered scene every shard stands up (see `mobility`)",
+    )
+
+
+def _run_fleet(args: argparse.Namespace) -> ExperimentResult:
+    from .experiments import fleet
+
+    return fleet.run(
         shards=args.shards,
         requests=args.requests,
         seed=args.seed,
@@ -313,15 +348,46 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         jsonl=args.jsonl,
         scene=args.scene,
     )
-    code = finish(result, args.json, artifact_label="scenario results")
-    if args.jsonl:
-        print(f"\nsim-only event log written to {args.jsonl}")
-    return code
 
 
-def _cmd_mobility(args: argparse.Namespace) -> int:
+def _mobility_arguments(parser: argparse.ArgumentParser) -> None:
+    from .geometry.scenes import SCENE_NAMES
+
+    parser.add_argument(
+        "--scene", choices=SCENE_NAMES, default="apartment", help="registered scene to run in"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="motion/churn seed")
+    parser.add_argument("--steps", type=int, default=60, help="daemon cycles to run")
+    parser.add_argument("--dt", type=float, default=0.25, help="simulated seconds per cycle")
+    parser.add_argument(
+        "--clients", type=int, default=1, help="mobile endpoints on the scene loops"
+    )
+    parser.add_argument(
+        "--walkers", type=int, default=1, help="obstacle walkers on the scene loops"
+    )
+    parser.add_argument(
+        "--churn-rate",
+        type=float,
+        default=0.0,
+        metavar="HZ",
+        help="Poisson guest arrival rate (0 = pure motion)",
+    )
+    parser.add_argument(
+        "--no-prefetch", action="store_true", help="disable speculative leg pre-tracing"
+    )
+    parser.add_argument("--panel-size", type=int, default=8, help="elements per surface side")
+    parser.add_argument(
+        "--adaptive-budget",
+        action="store_true",
+        help=(
+            "drift-aware adaptive solve budgets with early stop "
+            "(same-seed results stay byte-identical)"
+        ),
+    )
+
+
+def _run_mobility(args: argparse.Namespace) -> ExperimentResult:
     from .experiments import mobility
-    from .experiments.result import finish
 
     config = mobility.MobilityConfig(
         scene=args.scene,
@@ -335,16 +401,92 @@ def _cmd_mobility(args: argparse.Namespace) -> int:
         panel_size=args.panel_size,
         adaptive_budget=args.adaptive_budget,
     )
-    result = mobility.run(config, jsonl=args.jsonl)
-    code = finish(result, args.json, artifact_label="scenario results")
-    if args.jsonl:
-        print(f"\nsim-only event log written to {args.jsonl}")
-    return code
+    return mobility.run(config, jsonl=args.jsonl)
 
 
-def _cmd_load(args: argparse.Namespace) -> int:
+def _load_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--model",
+        choices=("poisson", "diurnal", "flash-crowd", "burst", "trace"),
+        default="poisson",
+        help="arrival model (default poisson)",
+    )
+    parser.add_argument("--requests", type=int, default=10_000, help="requests in the run")
+    parser.add_argument(
+        "--rate", type=float, default=20.0, metavar="HZ", help="mean arrival rate (default 20)"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="arrival/class-mix seed")
+    parser.add_argument(
+        "--trace", metavar="FILE", help="JSONL arrival trace to replay (model=trace)"
+    )
+    parser.add_argument(
+        "--record-trace",
+        metavar="FILE",
+        help="write the model's arrival times as a JSONL trace first",
+    )
+    parser.add_argument(
+        "--period",
+        type=float,
+        default=None,
+        metavar="S",
+        help="diurnal: rate-profile period in seconds",
+    )
+    parser.add_argument(
+        "--depth", type=float, default=None, help="diurnal: modulation depth in [0, 1]"
+    )
+    parser.add_argument(
+        "--flash-at", type=float, default=None, metavar="S", help="flash-crowd: spike start time"
+    )
+    parser.add_argument(
+        "--flash-duration",
+        type=float,
+        default=None,
+        metavar="S",
+        help="flash-crowd: spike duration",
+    )
+    parser.add_argument(
+        "--multiplier",
+        type=float,
+        default=None,
+        help="flash-crowd: rate multiplier during the spike",
+    )
+    parser.add_argument(
+        "--slo",
+        metavar="SPEC",
+        help=(
+            "SLO policy, e.g. "
+            "'interactive=0.2,normal=1.0,bulk=5.0,satisfaction=0.95,"
+            "p99=2.0' — violations exit nonzero"
+        ),
+    )
+    parser.add_argument(
+        "--queue-capacity", type=int, default=256, help="admission queue capacity (default 256)"
+    )
+    parser.add_argument(
+        "--window",
+        type=float,
+        default=0.0,
+        metavar="S",
+        help="fixed coalesce window; 0 = adaptive (default)",
+    )
+    parser.add_argument(
+        "--sweep",
+        action="store_true",
+        help=(
+            "offered-load sweep: replay the seeded Poisson workload over "
+            "an ascending rate ladder and report the saturation knee "
+            "(observational; never gated)"
+        ),
+    )
+    parser.add_argument(
+        "--sweep-rates",
+        metavar="R1,R2,...",
+        help="comma-separated ascending rates for --sweep (req/s)",
+    )
+
+
+def _run_load(args: argparse.Namespace) -> ExperimentResult:
     from .core.errors import SurfOSError
-    from .experiments.result import finish
     from .load import (
         DEFAULT_SWEEP_RATES,
         LoadConfig,
@@ -356,6 +498,11 @@ def _cmd_load(args: argparse.Namespace) -> int:
     )
     from .pipeline import AdaptiveCoalesceConfig
 
+    if args.window < 0:
+        raise _UsageError(f"--window must be >= 0 (0 = adaptive), got {args.window:g}")
+    if args.sweep and args.jsonl:
+        # Every rate of a sweep runs its own harness: there is no one log.
+        raise _UsageError("--sweep writes no event log; drop --jsonl")
     try:
         config_kwargs = {"queue_capacity": args.queue_capacity}
         if args.window > 0:
@@ -364,29 +511,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
                 min_window_s=args.window, max_window_s=args.window
             )
         config = LoadConfig(**config_kwargs)
-    except (SurfOSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.sweep:
-        try:
+        if args.sweep:
             rates = (
                 tuple(float(r) for r in args.sweep_rates.split(","))
                 if args.sweep_rates
                 else DEFAULT_SWEEP_RATES
             )
-            result = run_sweep(
-                rates=rates,
-                requests_per_rate=args.requests,
-                seed=args.seed,
-                config=config,
+            return run_sweep(
+                rates=rates, requests_per_rate=args.requests, seed=args.seed, config=config
             )
-        except (SurfOSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return finish(result, args.json, artifact_label="sweep results")
-
-    try:
         model = build_model(
             args.model,
             requests=args.requests,
@@ -401,17 +534,90 @@ def _cmd_load(args: argparse.Namespace) -> int:
         )
         slo = SLOPolicy.parse(args.slo) if args.slo else None
     except (SurfOSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from exc
     if args.record_trace:
         write_trace(args.record_trace, model.times())
         print(f"arrival trace written to {args.record_trace}")
-    harness = LoadHarness(config)
-    result = harness.run(model, slo=slo, jsonl=args.jsonl)
-    code = finish(result, args.json, artifact_label="load results")
+    return LoadHarness(config).run(model, slo=slo, jsonl=args.jsonl)
+
+
+#: The scenarios with a sim-only event log, by subcommand name: the one
+#: place the parser, the epilogue and ``determinism`` look them up.
+SCENARIOS: Dict[str, Scenario] = {
+    "faults": Scenario(
+        "degraded-mode recovery scenario (panels die mid-run)",
+        "scenario results",
+        _faults_arguments,
+        _run_faults,
+    ),
+    "fleet": Scenario(
+        "multi-shard fleet scenario: quarantine spill + handoff",
+        "scenario results",
+        _fleet_arguments,
+        _run_fleet,
+    ),
+    "mobility": Scenario(
+        "mobility & churn scenario with speculative leg prefetch",
+        "scenario results",
+        _mobility_arguments,
+        _run_mobility,
+    ),
+    "load": Scenario(
+        "trace-driven load harness: arrival models + SLO gate",
+        "load results",
+        _load_arguments,
+        _run_load,
+    ),
+}
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .experiments.result import finish
+
+    scenario = SCENARIOS[args.command]
+    try:
+        result = scenario.run(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    code = finish(result, args.json, artifact_label=scenario.artifact_label)
     if args.jsonl:
         print(f"\nsim-only event log written to {args.jsonl}")
     return code
+
+
+def _cmd_determinism(args: argparse.Namespace) -> int:
+    import os
+    import subprocess
+    import tempfile
+
+    if any(arg.startswith("--jsonl") for arg in args.args):
+        print("error: determinism passes --jsonl itself", file=sys.stderr)
+        return 2
+    # Fresh interpreters (each its own hash seed and module counters),
+    # importing the same package as this one.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = [os.path.join(tmp, f"run{run}.jsonl") for run in (1, 2)]
+        for run, log in enumerate(logs, 1):
+            argv = [sys.executable, "-m", "repro.cli", args.scenario, *args.args, "--jsonl", log]
+            code = subprocess.run(argv, env=env).returncode
+            if code != 0:
+                print(f"error: run {run} exited {code}", file=sys.stderr)
+                return 1
+            if not os.path.exists(log) or os.path.getsize(log) == 0:
+                print(f"error: run {run} wrote no event log", file=sys.stderr)
+                return 1
+        with open(logs[0], "rb") as first, open(logs[1], "rb") as second:
+            pairs = enumerate(itertools.zip_longest(first, second), 1)
+            line = next((n for n, (a, b) in pairs if a != b), None)
+    if line is not None:
+        print(f"error: the two event logs differ at line {line}", file=sys.stderr)
+        return 1
+    print(f"{args.scenario} deterministic: two runs wrote identical sim-only event logs")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,9 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="package and catalog summary").set_defaults(
-        fn=_cmd_info
-    )
+    info = sub.add_parser("info", help="package and catalog summary")
+    info.set_defaults(fn=_cmd_info)
     sub.add_parser("table1", help="regenerate Table 1").set_defaults(
         fn=_cmd_table1
     )
@@ -503,37 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.set_defaults(fn=_cmd_trace)
 
-    faults = sub.add_parser(
-        "faults",
-        help="degraded-mode recovery scenario (panels die mid-run)",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=0, help="fault-injection seed"
-    )
-    faults.add_argument(
-        "--panels",
-        type=int,
-        default=10,
-        metavar="N",
-        help="elements per panel side (default 10)",
-    )
-    faults.add_argument(
-        "--kill",
-        nargs="+",
-        default=["rs-2", "rs-4"],
-        metavar="ID",
-        help="panel ids to kill mid-run (default rs-2 rs-4)",
-    )
-    faults.add_argument(
-        "--jsonl",
-        metavar="FILE",
-        help="export the sim-only (wall-clock-free) event log",
-    )
-    faults.add_argument(
-        "--json", metavar="FILE", help="write the scenario summary as JSON"
-    )
-    faults.set_defaults(fn=_cmd_faults)
-
     pipeline = sub.add_parser(
         "pipeline",
         help="open-loop arrival benchmark: serial vs pipelined admission",
@@ -556,211 +730,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.set_defaults(fn=_cmd_pipeline)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="multi-shard fleet scenario: quarantine spill + handoff",
-    )
-    fleet.add_argument(
-        "--shards", type=int, default=3, help="environment shards (zones)"
-    )
-    fleet.add_argument(
-        "--requests", type=int, default=12, help="requests in the trace"
-    )
-    fleet.add_argument(
-        "--seed", type=int, default=0, help="workload/placement seed"
-    )
-    fleet.add_argument(
-        "--strategy",
-        choices=("zone", "least-loaded", "congestion"),
-        default="congestion",
-        help="placement strategy (default congestion-aware)",
-    )
-    fleet.add_argument(
-        "--jsonl",
-        metavar="FILE",
-        help="export the sim-only (wall-clock-free) fleet event log",
-    )
-    fleet.add_argument(
-        "--json", metavar="FILE", help="write the scenario summary as JSON"
-    )
-    fleet.add_argument(
-        "--scene",
-        default="two-room",
-        help="registered scene every shard stands up (see `mobility`)",
-    )
-    fleet.set_defaults(fn=_cmd_fleet)
+    for name, scenario in SCENARIOS.items():
+        command = sub.add_parser(name, help=scenario.help)
+        scenario.add_arguments(command)
+        command.add_argument(
+            "--json",
+            metavar="FILE",
+            help=f"write the {scenario.artifact_label} as JSON",
+        )
+        command.add_argument(
+            "--jsonl",
+            metavar="FILE",
+            help="export the sim-only (wall-clock-free) event log",
+        )
+        command.set_defaults(fn=_cmd_scenario)
 
-    from .geometry.scenes import SCENE_NAMES
+    determinism = sub.add_parser(
+        "determinism",
+        help="run a scenario twice and fail unless its sim-only logs match",
+    )
+    determinism.add_argument("scenario", choices=tuple(SCENARIOS), help="scenario to run twice")
+    determinism.add_argument(
+        "args",
+        nargs=argparse.REMAINDER,
+        help="the scenario's own arguments (not --jsonl)",
+    )
+    determinism.set_defaults(fn=_cmd_determinism)
 
-    mobility = sub.add_parser(
-        "mobility",
-        help="mobility & churn scenario with speculative leg prefetch",
-    )
-    mobility.add_argument(
-        "--scene",
-        choices=SCENE_NAMES,
-        default="apartment",
-        help="registered scene to run in",
-    )
-    mobility.add_argument(
-        "--seed", type=int, default=0, help="motion/churn seed"
-    )
-    mobility.add_argument(
-        "--steps", type=int, default=60, help="daemon cycles to run"
-    )
-    mobility.add_argument(
-        "--dt", type=float, default=0.25, help="simulated seconds per cycle"
-    )
-    mobility.add_argument(
-        "--clients", type=int, default=1, help="mobile endpoints on the scene loops"
-    )
-    mobility.add_argument(
-        "--walkers", type=int, default=1, help="obstacle walkers on the scene loops"
-    )
-    mobility.add_argument(
-        "--churn-rate",
-        type=float,
-        default=0.0,
-        metavar="HZ",
-        help="Poisson guest arrival rate (0 = pure motion)",
-    )
-    mobility.add_argument(
-        "--no-prefetch",
-        action="store_true",
-        help="disable speculative leg pre-tracing",
-    )
-    mobility.add_argument(
-        "--panel-size", type=int, default=8, help="elements per surface side"
-    )
-    mobility.add_argument(
-        "--adaptive-budget",
-        action="store_true",
-        help=(
-            "drift-aware adaptive solve budgets with early stop "
-            "(same-seed results stay byte-identical)"
-        ),
-    )
-    mobility.add_argument(
-        "--jsonl",
-        metavar="FILE",
-        help="export the sim-only (wall-clock-free) event log",
-    )
-    mobility.add_argument(
-        "--json", metavar="FILE", help="write the scenario summary as JSON"
-    )
-    mobility.set_defaults(fn=_cmd_mobility)
-
-    load = sub.add_parser(
-        "load",
-        help="trace-driven load harness: arrival models + SLO gate",
-    )
-    load.add_argument(
-        "--model",
-        choices=("poisson", "diurnal", "flash-crowd", "burst", "trace"),
-        default="poisson",
-        help="arrival model (default poisson)",
-    )
-    load.add_argument(
-        "--requests", type=int, default=10_000, help="requests in the run"
-    )
-    load.add_argument(
-        "--rate",
-        type=float,
-        default=20.0,
-        metavar="HZ",
-        help="mean arrival rate (default 20)",
-    )
-    load.add_argument(
-        "--seed", type=int, default=0, help="arrival/class-mix seed"
-    )
-    load.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="JSONL arrival trace to replay (model=trace)",
-    )
-    load.add_argument(
-        "--record-trace",
-        metavar="FILE",
-        help="write the model's arrival times as a JSONL trace first",
-    )
-    load.add_argument(
-        "--period",
-        type=float,
-        default=None,
-        metavar="S",
-        help="diurnal: rate-profile period in seconds",
-    )
-    load.add_argument(
-        "--depth",
-        type=float,
-        default=None,
-        help="diurnal: modulation depth in [0, 1]",
-    )
-    load.add_argument(
-        "--flash-at",
-        type=float,
-        default=None,
-        metavar="S",
-        help="flash-crowd: spike start time",
-    )
-    load.add_argument(
-        "--flash-duration",
-        type=float,
-        default=None,
-        metavar="S",
-        help="flash-crowd: spike duration",
-    )
-    load.add_argument(
-        "--multiplier",
-        type=float,
-        default=None,
-        help="flash-crowd: rate multiplier during the spike",
-    )
-    load.add_argument(
-        "--slo",
-        metavar="SPEC",
-        help=(
-            "SLO policy, e.g. "
-            "'interactive=0.2,normal=1.0,bulk=5.0,satisfaction=0.95,"
-            "p99=2.0' — violations exit nonzero"
-        ),
-    )
-    load.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=256,
-        help="admission queue capacity (default 256)",
-    )
-    load.add_argument(
-        "--window",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="fixed coalesce window; 0 = adaptive (default)",
-    )
-    load.add_argument(
-        "--sweep",
-        action="store_true",
-        help=(
-            "offered-load sweep: replay the seeded Poisson workload over "
-            "an ascending rate ladder and report the saturation knee "
-            "(observational; never gated)"
-        ),
-    )
-    load.add_argument(
-        "--sweep-rates",
-        metavar="R1,R2,...",
-        help="comma-separated ascending rates for --sweep (req/s)",
-    )
-    load.add_argument(
-        "--json", metavar="FILE", help="write the load summary as JSON"
-    )
-    load.add_argument(
-        "--jsonl",
-        metavar="FILE",
-        help="export the sim-only (wall-clock-free) event log",
-    )
-    load.set_defaults(fn=_cmd_load)
+    info.set_defaults(commands=[name for name in sub.choices if name != "info"])
     return parser
 
 

@@ -12,7 +12,8 @@ model (they are still mounted) but scatter nothing.
 Expected shape: coverage drops when the panels die, then recovers to
 within :data:`RECOVERY_BOUND_DB` of the pre-fault median SNR, with zero
 unhandled exceptions along the way.  The whole run is deterministic per
-seed, so CI runs it twice and diffs the telemetry exports.
+seed: ``repro.cli determinism faults`` runs it twice and diffs the
+sim-only telemetry exports.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ def run(
     recovery_bound_db: float = RECOVERY_BOUND_DB,
     optimizer: Optional[Optimizer] = None,
     system: Optional[SurfOS] = None,
+    jsonl: Optional[str] = None,
 ) -> DegradationResult:
-    """Kill ``kill`` mid-run and measure the daemon's recovery."""
+    """Kill ``kill`` mid-run and measure the daemon's recovery (sim-only log to ``jsonl``)."""
     system = system or build_system(
         seed=seed, panel_size=panel_size, optimizer=optimizer
     )
@@ -251,6 +253,8 @@ def run(
             f"run too short: {steps} steps of {dt}s never reached the "
             f"fault at t={fault_time_s}s"
         )
+    if jsonl:
+        system.telemetry.export_jsonl(jsonl, sim_only=True)
 
     return DegradationResult(
         pre_fault_median_snr_db=pre_fault,

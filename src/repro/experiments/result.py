@@ -1,8 +1,8 @@
 """One result contract for every experiment the CLI can run.
 
-``pipeline``, ``fleet``, ``faults``, and ``load`` each used to hand-roll
-their own JSON writing and pass/fail plumbing in :mod:`repro.cli`.  They
-now share one small contract:
+``pipeline``, ``fleet``, ``faults``, ``mobility``, and ``load`` each used
+to hand-roll their own JSON writing and pass/fail plumbing in
+:mod:`repro.cli`.  They now share one small contract:
 
 * :class:`ExperimentResult` — the protocol: ``summary()`` (flat,
   JSON-able dict), ``render()`` (human-readable report),

@@ -95,6 +95,12 @@ def test_blockage_records():
     assert _as_tuples(records) == BLOCKAGE
     assert _as_tuples(system.daemon.reactions) == BLOCKAGE
     assert len(system.daemon.monitor.anomalies) == 26
+    # The telemetry log mirrors the daemon's reaction records.
+    assert (
+        len(system.telemetry.events("daemon.reaction"))
+        == system.telemetry.get_counter("daemon.reactions")
+        == len(BLOCKAGE)
+    )
 
 
 def test_every_reaction_event_has_one_schema():

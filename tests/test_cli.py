@@ -1,8 +1,11 @@
 """CLI smoke tests (fast subcommands only)."""
 
+import json
+import subprocess
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SCENARIOS, build_parser, main
 
 
 def test_info(capsys):
@@ -10,6 +13,9 @@ def test_info(capsys):
     out = capsys.readouterr().out
     assert "SurfOS" in out
     assert "AutoMS" in out
+    # The command list comes from the parser, so no command is left out.
+    commands = out.split("Commands: ")[1]
+    assert "mobility" in commands and "load" in commands
 
 
 def test_table1(capsys):
@@ -68,36 +74,114 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-def test_mobility_runs_and_writes_artifacts(tmp_path, capsys):
-    jsonl = str(tmp_path / "mob.jsonl")
-    json_path = str(tmp_path / "mob.json")
-    assert (
-        main(
-            [
-                "mobility",
-                "--steps",
-                "5",
-                "--panel-size",
-                "6",
-                "--jsonl",
-                jsonl,
-                "--json",
-                json_path,
-            ]
-        )
-        == 0
-    )
+#: The fastest arguments of each table scenario, and a line its
+#: rendering always prints.
+FAST_ARGS = {
+    "faults": (["--panels", "6"], "recovery within bound"),
+    "fleet": ([], "Fleet"),
+    "mobility": (["--steps", "5", "--panel-size", "6"], "prefetch hit rate"),
+    "load": (["--requests", "2000", "--seed", "3"], "Load run: poisson x2000"),
+}
+
+
+def test_fast_args_cover_the_table():
+    assert set(FAST_ARGS) == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", sorted(FAST_ARGS))
+def test_scenario_runs_and_writes_artifacts(scenario, tmp_path, capsys):
+    args, rendered = FAST_ARGS[scenario]
+    jsonl = tmp_path / "run.jsonl"
+    json_path = tmp_path / "run.json"
+    argv = [scenario, *args, "--jsonl", str(jsonl), "--json", str(json_path)]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "prefetch hit rate" in out
-    assert "scenario results written to" in out
-    assert "sim-only event log written to" in out
+    assert rendered in out
+    assert f"{SCENARIOS[scenario].artifact_label} written to {json_path}" in out
+    assert out.endswith(f"sim-only event log written to {jsonl}\n")
 
-    import json as _json
+    summary = json.loads(json_path.read_text())
+    assert summary
+    if scenario == "mobility":
+        assert summary["reactions"] > 0
+        assert summary["leg_cache_full_purges"] == 0
+    assert jsonl.read_text().count("\n") > 0
 
-    summary = _json.loads(open(json_path).read())
-    assert summary["reactions"] > 0
-    assert summary["leg_cache_full_purges"] == 0
-    assert open(jsonl).read().count("\n") > 0
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--window", "-1"], "error: --window"),
+        # A sweep runs one harness per rate, so it has no one log to write.
+        (["--sweep", "--sweep-rates", "5,10", "--jsonl", "sweep.jsonl"], "error: --sweep"),
+    ],
+)
+def test_load_rejects_bad_arguments(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["load", "--requests", "200", *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_determinism_passes_on_a_seeded_scenario(capsys):
+    assert main(["determinism", "load", "--requests", "2000", "--seed", "3"]) == 0
+    assert "load deterministic" in capsys.readouterr().out
+
+
+def _fake_runs(monkeypatch, logs, returncode=0):
+    """Stand-in for the two scenario runs: run i writes ``logs[i]``."""
+    runs = []
+
+    def run(argv, **kwargs):
+        assert argv[-2] == "--jsonl"
+        with open(argv[-1], "w") as fh:
+            fh.write(logs[len(runs)])
+        runs.append(argv)
+        return subprocess.CompletedProcess(argv, returncode)
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "logs, line",
+    [(["a\nb\nc\nd\n", "a\nb\nX\nd\n"], 3), (["a\nb\n", "a\n"], 2)],
+)
+def test_determinism_reports_the_first_differing_line(logs, line, monkeypatch, capsys):
+    _fake_runs(monkeypatch, logs)
+    assert main(["determinism", "faults", "--seed", "7"]) == 1
+    assert f"differ at line {line}" in capsys.readouterr().err
+
+
+def test_determinism_fails_on_an_empty_log(monkeypatch, capsys):
+    runs = _fake_runs(monkeypatch, ["", ""])
+    assert main(["determinism", "faults"]) == 1
+    assert "run 1 wrote no event log" in capsys.readouterr().err
+    assert len(runs) == 1
+
+
+def test_determinism_fails_when_a_run_fails(monkeypatch, capsys):
+    _fake_runs(monkeypatch, ["a\n", "a\n"], returncode=1)
+    assert main(["determinism", "faults"]) == 1
+    assert "run 1 exited 1" in capsys.readouterr().err
+
+
+def test_determinism_passes_the_scenario_arguments(monkeypatch, capsys):
+    runs = _fake_runs(monkeypatch, ["a\n", "a\n"])
+    assert main(["determinism", "fleet", "--seed", "7", "--json", "f.json"]) == 0
+    assert [argv[3:7] for argv in runs] == [["fleet", "--seed", "7", "--json"]] * 2
+    assert runs[0][-1] != runs[1][-1]
+
+
+@pytest.mark.parametrize("flag", [["--jsonl", "x.jsonl"], ["--jsonl=x.jsonl"]])
+def test_determinism_rejects_a_caller_jsonl(flag, capsys):
+    assert main(["determinism", "load", "--requests", "10", *flag]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_determinism_scenarios_come_from_the_table():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["determinism", "pipeline"])
 
 
 def test_mobility_rejects_unknown_scene():
