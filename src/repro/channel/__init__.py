@@ -10,12 +10,6 @@ from .geomkernels import CompiledGeometry, PanelStack, compiled_geometry
 from .model import ChannelModel, LinearChannelForm, LinearFormCache
 from .nodes import RadioNode, single_antenna_node, ula_node
 from .simulator import ChannelSimulator, live_configs
-from .wideband import (
-    WidebandResponse,
-    band_report,
-    subcarrier_frequencies,
-    sweep_point,
-)
 from .tracer import (
     PanelObstacle,
     ReflectionPath,
@@ -34,8 +28,6 @@ __all__ = [
     "PanelStack",
     "RadioNode",
     "ReflectionPath",
-    "WidebandResponse",
-    "band_report",
     "compiled_geometry",
     "elements_to_elements",
     "elements_to_points",
@@ -46,7 +38,5 @@ __all__ = [
     "segment_amplitude",
     "segment_loss_db",
     "single_antenna_node",
-    "subcarrier_frequencies",
-    "sweep_point",
     "ula_node",
 ]

@@ -871,19 +871,6 @@ class ChannelSimulator:
 
     # ------------------------------------------------------------------
 
-    def point_channel(
-        self,
-        ap: RadioNode,
-        point: Sequence[float],
-        panels: Sequence[SurfacePanel],
-        configs: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Channel ``(M,)`` to a single point with the panels' live configs."""
-        model = self.build(ap, np.asarray(point, dtype=float)[None, :], panels)
-        if configs is None:
-            configs = live_configs(panels)
-        return model.evaluate(configs)[0]
-
     def invalidate(self) -> None:
         """Drop all cached models and legs, and reset hit/miss stats.
 

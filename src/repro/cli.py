@@ -35,7 +35,8 @@ log: ``faults`` (two of five panels die mid-run), ``fleet`` (quarantine
 spill + roaming handoff across shards), ``mobility`` (motion and churn
 through the daemon loop) and ``load`` (a seeded arrival model through
 the modeled control plane, gated on an ``--slo`` policy; ``--sweep``
-ladders the offered rate instead and is never gated).  Each gets the
+ladders the offered Poisson rate instead, is never gated, and rejects
+``--model``, ``--slo``, ``--record-trace`` and ``--jsonl``).  Each gets the
 same ``--json`` summary and ``--jsonl`` export flags and the one
 epilogue of :func:`repro.experiments.result.finish`: the rendering,
 ``FAIL:`` lines on stderr, and exit 1 on any gate violation.  The
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
@@ -408,7 +410,6 @@ def _load_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
         choices=("poisson", "diurnal", "flash-crowd", "burst", "trace"),
-        default="poisson",
         help="arrival model (default poisson)",
     )
     parser.add_argument("--requests", type=int, default=10_000, help="requests in the run")
@@ -500,9 +501,18 @@ def _run_load(args: argparse.Namespace) -> ExperimentResult:
 
     if args.window < 0:
         raise _UsageError(f"--window must be >= 0 (0 = adaptive), got {args.window:g}")
-    if args.sweep and args.jsonl:
-        # Every rate of a sweep runs its own harness: there is no one log.
-        raise _UsageError("--sweep writes no event log; drop --jsonl")
+    if args.sweep:
+        # Every rate of a sweep runs its own seeded Poisson harness,
+        # ungated: there is no one log, model, SLO or trace to apply.
+        flags = {
+            "--jsonl": args.jsonl,
+            "--model": args.model,
+            "--slo": args.slo,
+            "--record-trace": args.record_trace,
+        }
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise _UsageError(f"--sweep runs an ungated Poisson ladder; drop {', '.join(given)}")
     try:
         config_kwargs = {"queue_capacity": args.queue_capacity}
         if args.window > 0:
@@ -521,7 +531,7 @@ def _run_load(args: argparse.Namespace) -> ExperimentResult:
                 rates=rates, requests_per_rate=args.requests, seed=args.seed, config=config
             )
         model = build_model(
-            args.model,
+            args.model or "poisson",
             requests=args.requests,
             rate_hz=args.rate,
             seed=args.seed,
@@ -587,7 +597,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_determinism(args: argparse.Namespace) -> int:
-    import os
     import subprocess
     import tempfile
 
@@ -764,7 +773,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point it at devnull so
+        # the interpreter's own flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,11 +51,6 @@ def dbm_to_milliwatts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def milliwatts_to_dbm(milliwatts: float) -> float:
-    """Convert power from milliwatts to dBm (clamped at -270 dBm)."""
-    return 10.0 * math.log10(max(milliwatts, _MIN_LINEAR))
-
-
 def wavelength(frequency_hz: float) -> float:
     """Free-space wavelength (m) for a carrier frequency (Hz)."""
     if frequency_hz <= 0:

@@ -36,11 +36,6 @@ class FrequencySelectiveDriver(SurfaceDriver):
         self.bands_hz = tuple((float(lo), float(hi)) for lo, hi in bands_hz)
         self._row_bands = np.zeros(panel.rows, dtype=int)
 
-    @property
-    def row_bands(self) -> np.ndarray:
-        """Current band index per row."""
-        return self._row_bands.copy()
-
     def set_row_bands(self, band_indices: Sequence[int]) -> None:
         """Tune each row to a band index (local, row-wise actuation)."""
         self._check_reconfigurable()

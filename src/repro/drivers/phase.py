@@ -14,7 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..core.configuration import SurfaceConfiguration
-from ..em.steering import beam_codebook_targets, focus_configuration
+from ..em.steering import focus_configuration
 from ..surfaces.panel import SurfacePanel
 from ..surfaces.specs import SignalProperty
 from ..core.operations import OperationResult
@@ -64,42 +64,8 @@ class ProgrammablePhaseDriver(SurfaceDriver):
             names.append(name)
         return names
 
-    def load_region_codebook(
-        self,
-        source: Sequence[float],
-        region_center: Sequence[float],
-        region_span: Sequence[float],
-        frequency_hz: float,
-        beams_x: int = 4,
-        beams_y: int = 4,
-        z: float = 1.0,
-        now: float = 0.0,
-    ) -> List[str]:
-        """Codebook covering a rectangular region with a beam grid."""
-        targets = beam_codebook_targets(
-            region_center, region_span, beams_x, beams_y, z=z
-        )
-        return self.load_beam_codebook(source, targets, frequency_hz, now=now)
-
 
 class PassivePhaseDriver(PassiveDriver):
     """Driver for passive phase surfaces (fixed at fabrication)."""
 
     controlled_property = SignalProperty.PHASE
-
-    def fabricate_focus(
-        self,
-        source: Sequence[float],
-        target: Sequence[float],
-        frequency_hz: float,
-    ) -> OperationResult:
-        """Fabricate the one-time configuration as a focus profile."""
-        cfg = focus_configuration(
-            self.panel.element_positions(),
-            self.panel.shape,
-            source,
-            target,
-            frequency_hz,
-            name="fabricated",
-        )
-        return self.fabricate(cfg)

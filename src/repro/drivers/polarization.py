@@ -55,10 +55,3 @@ class PolarizationDriver(SurfaceDriver):
             amplitudes=self.effective_amplitudes(receiver_polarization_rad),
             name=f"pol-effective@{receiver_polarization_rad:.3f}",
         )
-
-    def align_to(
-        self, receiver_polarization_rad: float, now: float = 0.0
-    ) -> OperationResult:
-        """Rotate every element to match a receiver's polarization."""
-        angles = np.full(self.panel.shape, receiver_polarization_rad)
-        return self.set_polarizations(angles, now=now, name="aligned")

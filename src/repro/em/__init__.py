@@ -23,7 +23,6 @@ from .propagation import (
 from .steering import (
     beam_codebook_targets,
     focus_configuration,
-    steering_phases_toward_angle,
     steering_phases_toward_point,
     ula_positions,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "propagation_delay_s",
     "shannon_required_snr_db",
     "snr_db_from_channel",
-    "steering_phases_toward_angle",
     "steering_phases_toward_point",
     "ula_positions",
 ]

@@ -65,36 +65,6 @@ def steering_phases_toward_point(
     return wrap_phase(2.0 * math.pi * total / lam)
 
 
-def steering_phases_toward_angle(
-    element_positions: np.ndarray,
-    source: Sequence[float],
-    azimuth_rad: float,
-    plane_axes: Sequence[Sequence[float]],
-    frequency_hz: float,
-) -> np.ndarray:
-    """Phase profile steering a plane wave toward a far-field azimuth.
-
-    ``plane_axes`` gives the two in-plane unit axes of the surface; the
-    azimuth is measured in that plane from the first axis's normal
-    projection.  Used to build DFT-style beam codebooks.
-    """
-    lam = wavelength(frequency_hz)
-    u, v = (as_vec3(a) for a in plane_axes)
-    # Outgoing direction in the surface's local frame: rotate the
-    # surface normal (u × v) by the azimuth within the (normal, u) plane.
-    normal = np.cross(u, v)
-    normal = normal / np.linalg.norm(normal)
-    direction = math.cos(azimuth_rad) * normal + math.sin(azimuth_rad) * (
-        u / np.linalg.norm(u)
-    )
-    src = as_vec3(source)
-    d_in = np.linalg.norm(element_positions - src[None, :], axis=1)
-    # Far-field: outgoing phase advance is the projection on the
-    # steering direction.
-    proj = element_positions @ direction
-    return wrap_phase(2.0 * math.pi * (d_in - proj) / lam)
-
-
 def focus_configuration(
     element_positions: np.ndarray,
     shape: Sequence[int],

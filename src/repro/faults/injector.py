@@ -85,31 +85,6 @@ class FaultInjector:
         """Schedule a whole-panel death."""
         return self.schedule(PanelDeath(surface_id, at_time))
 
-    def fail_elements(
-        self,
-        surface_id: str,
-        fraction: float,
-        at_time: float = 0.0,
-        mode: str = "dead",
-    ) -> FaultSpec:
-        """Schedule a random element-subset failure."""
-        return self.schedule(
-            ElementFailure(surface_id, at_time, fraction=fraction, mode=mode)
-        )
-
-    def drift_phases(
-        self,
-        surface_id: str,
-        sigma_rad_per_sqrt_s: float = 0.05,
-        at_time: float = 0.0,
-    ) -> FaultSpec:
-        """Schedule analog phase drift."""
-        return self.schedule(
-            PhaseDrift(
-                surface_id, at_time, sigma_rad_per_sqrt_s=sigma_rad_per_sqrt_s
-            )
-        )
-
     def lossy_link(
         self,
         surface_id: str,
@@ -292,25 +267,6 @@ class FaultInjector:
             | set(self._drift)
         )
         return sorted(impaired)
-
-    def is_dead(self, surface_id: str) -> bool:
-        """Whether a whole panel has died."""
-        return surface_id in self._dead
-
-    def element_failure_fraction(self, surface_id: str) -> float:
-        """Fraction of a surface's elements dead or stuck (0 when clean)."""
-        if surface_id in self._dead:
-            return 1.0
-        failed = None
-        dead = self._dead_elements.get(surface_id)
-        if dead is not None:
-            failed = dead.copy()
-        stuck = self._stuck.get(surface_id)
-        if stuck is not None:
-            failed = stuck[0] if failed is None else (failed | stuck[0])
-        if failed is None:
-            return 0.0
-        return float(failed.mean())
 
     def corrupt(
         self, surface_id: str, config: SurfaceConfiguration

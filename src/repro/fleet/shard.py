@@ -95,11 +95,6 @@ class ShardLoad:
     quarantined: bool
 
     @property
-    def saturated(self) -> bool:
-        """Whether the shard's admission queue is full."""
-        return self.queue_depth >= self.queue_capacity
-
-    @property
     def utilization(self) -> float:
         """Queue fill fraction in [0, 1]."""
         if self.queue_capacity <= 0:

@@ -18,7 +18,6 @@ from .materials import (
     WOOD,
     Material,
     get_material,
-    list_materials,
 )
 from .scenes import (
     SCENE_NAMES,
@@ -32,12 +31,9 @@ from .scenes import (
 from .shapes import Box, Room, Wall
 from .vec import (
     as_vec3,
-    azimuth_of,
     centroid,
     cross,
-    distance,
     dot,
-    lerp,
     norm,
     normalize,
     vec3,
@@ -68,15 +64,11 @@ __all__ = [
     "register_scene",
     "scene_names",
     "as_vec3",
-    "azimuth_of",
     "centroid",
     "cross",
     "describe_obstructions",
-    "distance",
     "dot",
     "get_material",
-    "lerp",
-    "list_materials",
     "norm",
     "normalize",
     "two_room_apartment",

@@ -12,7 +12,7 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import math
 
@@ -133,8 +133,3 @@ def get_material(name: str) -> Material:
     except KeyError:
         known = ", ".join(sorted(MATERIALS))
         raise KeyError(f"unknown material {name!r}; known: {known}") from None
-
-
-def list_materials() -> Sequence[str]:
-    """Names of all built-in materials."""
-    return sorted(MATERIALS)

@@ -31,11 +31,6 @@ def as_vec3(value: Vec3Like) -> np.ndarray:
     raise ValueError(f"expected 2 or 3 components, got {arr.size}")
 
 
-def distance(a: Vec3Like, b: Vec3Like) -> float:
-    """Euclidean distance between two points."""
-    return float(np.linalg.norm(as_vec3(a) - as_vec3(b)))
-
-
 def norm(v: Vec3Like) -> float:
     """Euclidean length of a vector."""
     return float(np.linalg.norm(as_vec3(v)))
@@ -58,18 +53,6 @@ def dot(a: Vec3Like, b: Vec3Like) -> float:
 def cross(a: Vec3Like, b: Vec3Like) -> np.ndarray:
     """Cross product."""
     return np.cross(as_vec3(a), as_vec3(b))
-
-
-def lerp(a: Vec3Like, b: Vec3Like, t: float) -> np.ndarray:
-    """Linear interpolation between two points."""
-    av, bv = as_vec3(a), as_vec3(b)
-    return av + (bv - av) * t
-
-
-def azimuth_of(direction: Vec3Like) -> float:
-    """Azimuth angle (radians, CCW from +x) of a direction's xy part."""
-    d = as_vec3(direction)
-    return math.atan2(d[1], d[0])
 
 
 def centroid(points: Iterable[Vec3Like]) -> np.ndarray:

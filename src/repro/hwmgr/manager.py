@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional
 from ..core.configuration import SurfaceConfiguration
 from ..core.errors import TransientHardwareError, UnknownDeviceError
 from ..core.operations import OperationResult, OperationStatus
-from ..drivers.base import FeedbackReport, PassiveDriver, SurfaceDriver
+from ..drivers.base import PassiveDriver, SurfaceDriver
 from ..drivers.amplitude import AmplitudeDriver
 from ..drivers.frequency import FrequencySelectiveDriver
 from ..drivers.phase import PassivePhaseDriver, ProgrammablePhaseDriver
@@ -483,12 +483,6 @@ class HardwareManager:
         return {
             sid: d.panel.configuration for sid, d in self._drivers.items()
         }
-
-    def route_feedback(
-        self, surface_id: str, report: FeedbackReport
-    ) -> Optional[str]:
-        """Deliver endpoint feedback to one surface's local selection."""
-        return self.driver(surface_id).apply_feedback(report)
 
     def summary(self) -> str:
         """One-line deployment description."""

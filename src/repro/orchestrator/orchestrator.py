@@ -323,11 +323,6 @@ class SurfaceOrchestrator:
                 )
             )
 
-    @property
-    def dirty_task_ids(self) -> List[str]:
-        """Tasks awaiting reoptimization, in sorted order."""
-        return sorted(self._dirty_tasks)
-
     # ------------------------------------------------------------------
     # service request APIs (the paper's Fig. 6 call surface)
     # ------------------------------------------------------------------
@@ -953,23 +948,6 @@ class SurfaceOrchestrator:
     # ------------------------------------------------------------------
     # time-division multiplexing (data plane)
     # ------------------------------------------------------------------
-
-    def tdm_schedule(self) -> List[Tuple[str, float]]:
-        """Active time-division slots as ``(task_id, time_fraction)``.
-
-        Fractions come from the tasks' admitted slices; the runtime
-        cycles slots proportionally via :meth:`activate_task_slot`.
-        """
-        schedule = []
-        for ctx in self.active_contexts():
-            if self._is_joint(ctx):
-                continue
-            slices = self.scheduler.slices_of(ctx.task.task_id)
-            if not slices:
-                continue
-            fraction = min(s.time_fraction for s in slices)
-            schedule.append((ctx.task.task_id, fraction))
-        return schedule
 
     def activate_task_slot(self, task_id: str) -> List[str]:
         """Switch every programmable surface to a task's stored slot.

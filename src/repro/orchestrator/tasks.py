@@ -115,11 +115,6 @@ class ServiceTask:
             self.failure_reason = reason
 
     @property
-    def is_active(self) -> bool:
-        """Whether the task currently holds (or will hold) resources."""
-        return self.state in (TaskState.READY, TaskState.RUNNING)
-
-    @property
     def is_terminal(self) -> bool:
         """Whether the task is finished for good."""
         return self.state in (TaskState.COMPLETED, TaskState.FAILED)

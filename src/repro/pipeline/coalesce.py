@@ -134,11 +134,6 @@ class AdaptiveCoalescer:
 
     # -- the window ------------------------------------------------------
 
-    @property
-    def solve_cost_estimate_s(self) -> float:
-        """Current EWMA of the charged solve cost."""
-        return self._cost_hat
-
     def pressure_gap_s(self, now: float) -> float:
         """Effective inter-trigger gap: EWMA, aged by current silence."""
         if self._last_trigger_at is None or self._gap_hat is None:

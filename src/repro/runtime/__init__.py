@@ -5,23 +5,19 @@ from .daemon import ReactionRecord, SurfOSDaemon
 from .dynamics import HUMAN_SIZE, EnvironmentDynamics, Walker
 from .events import (
     ChannelDegraded,
-    DemandArrived,
     EndpointMoved,
     Event,
     EventBus,
-    FurnitureMoved,
     HumanMoved,
     SurfaceDegraded,
 )
 
 __all__ = [
     "ChannelDegraded",
-    "DemandArrived",
     "EndpointMoved",
     "Event",
     "EventBus",
     "EnvironmentDynamics",
-    "FurnitureMoved",
     "HUMAN_SIZE",
     "HumanMoved",
     "ReactionRecord",

@@ -26,10 +26,6 @@ class SimClock:
             raise ValueError(f"cannot schedule in the past ({at} < {self._now})")
         heapq.heappush(self._queue, (at, next(self._counter), callback))
 
-    def schedule_in(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run a callback ``delay`` seconds from now."""
-        self.schedule(self._now + delay, callback)
-
     def advance(self, dt: float) -> int:
         """Move time forward, firing due callbacks in order.
 

@@ -1,4 +1,4 @@
-"""Environment dynamics: scripted people, clients, and furniture.
+"""Environment dynamics: scripted people and mobile clients.
 
 The runtime's job is reacting to a physical world it cannot control.
 This engine drives :class:`~repro.mobility.MobilityModel` instances —
@@ -26,7 +26,7 @@ from ..geometry.materials import HUMAN
 from ..geometry.shapes import Box
 from ..geometry.vec import as_vec3
 from ..mobility import MobilityModelBase
-from .events import EndpointMoved, EventBus, FurnitureMoved, HumanMoved
+from .events import EndpointMoved, EventBus, HumanMoved
 
 #: Footprint and height of the walker obstacle (meters).
 HUMAN_SIZE = (0.5, 0.5, 1.8)
@@ -123,10 +123,6 @@ class EnvironmentDynamics:
         """Stop carrying a client (e.g. on churn departure)."""
         return self._clients.pop(client_id, None) is not None
 
-    def mobile_clients(self) -> Dict[str, MobilityModelBase]:
-        """client_id → mobility model for every carried endpoint."""
-        return {cid: mc.model for cid, mc in self._clients.items()}
-
     def step(self, dt: float) -> int:
         """Advance all walkers and mobile clients; returns events published.
 
@@ -170,17 +166,6 @@ class EnvironmentDynamics:
         return {
             cid: mc.model.peek(dt) for cid, mc in self._clients.items()
         }
-
-    def move_furniture(self, key: str, offset: Sequence[float]) -> None:
-        """Translate a dynamic obstacle once and publish the event."""
-        self.env.move_dynamic_box(key, offset)
-        self.bus.publish(
-            FurnitureMoved(
-                time=self._time,
-                key=key,
-                offset=tuple(map(float, as_vec3(offset))),
-            )
-        )
 
     def move_endpoint(self, client, position: Sequence[float]) -> None:
         """Relocate a client device and publish the event."""

@@ -30,27 +30,11 @@ class HumanMoved(Event):
 
 
 @dataclass(frozen=True)
-class FurnitureMoved(Event):
-    """A furniture obstacle moved."""
-
-    key: str = ""
-    offset: tuple = (0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class EndpointMoved(Event):
     """A client device changed position."""
 
     client_id: str = ""
     position: tuple = (0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class DemandArrived(Event):
-    """A new application demand arrived at the broker."""
-
-    app_name: str = ""
-    client_id: str = ""
 
 
 @dataclass(frozen=True)

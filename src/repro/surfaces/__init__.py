@@ -10,7 +10,6 @@ from .catalog import (
     CatalogEntry,
     get_design,
     list_designs,
-    table1_rows,
 )
 from .panel import SurfacePanel
 from .specs import OperationMode, SignalProperty, SurfaceSpec
@@ -29,5 +28,4 @@ __all__ = [
     "TABLE1",
     "get_design",
     "list_designs",
-    "table1_rows",
 ]

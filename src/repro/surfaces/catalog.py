@@ -228,8 +228,3 @@ def get_design(name: str) -> SurfaceSpec:
 def list_designs() -> List[str]:
     """All known design names."""
     return sorted(list(CATALOG) + list(GENERIC_DESIGNS))
-
-
-def table1_rows() -> List[Tuple[str, str, str, str, str]]:
-    """Table 1 rendered from the specs: design, band, mode, reconfig, cost."""
-    return [entry.spec.summary_row() for entry in TABLE1]

@@ -15,7 +15,7 @@ what lets the sim-only JSONL determinism gates cover load runs too.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -88,19 +88,6 @@ class StreamingHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a batch in (vectorized bucketing)."""
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            return
-        idx = ((arr - self.lowest) / self.bucket_width).astype(np.int64)
-        np.clip(idx, 0, self.buckets, out=idx)
-        np.add.at(self._counts, idx, 1)
-        self.count += int(arr.size)
-        self.total += float(arr.sum())
-        self.min = min(self.min, float(arr.min()))
-        self.max = max(self.max, float(arr.max()))
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold another histogram with the same grid into this one."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OperationStatus, SurfaceConfiguration
-from repro.faults import FaultInjector
+from repro.faults import ElementFailure, FaultInjector
 from repro.geometry import vec3
 from repro.hwmgr import HardwareManager
 from repro.hwmgr.health import HealthStatus, RetryPolicy
@@ -176,7 +176,7 @@ class TestTickFaults:
     def test_element_failure_marks_degraded(self):
         manager = HardwareManager(fault_injector=FaultInjector(seed=0))
         manager.register_surface(make_panel())
-        manager.faults.fail_elements("s1", fraction=0.25)
+        manager.faults.schedule(ElementFailure("s1", fraction=0.25))
         manager.tick_faults(0.0)
         assert manager.health("s1").status is HealthStatus.DEGRADED
         assert manager.health("s1").operational
@@ -185,7 +185,7 @@ class TestTickFaults:
     def test_commit_reapplies_corruption(self):
         manager = HardwareManager(fault_injector=FaultInjector(seed=0))
         manager.register_surface(make_panel())
-        manager.faults.fail_elements("s1", fraction=0.25)
+        manager.faults.schedule(ElementFailure("s1", fraction=0.25))
         manager.tick_faults(0.0)
         dark_before = manager.panel("s1").configuration.amplitudes == 0.0
         assert dark_before.any()

@@ -153,8 +153,8 @@ class TestUnifiedOps:
                 activate=False,
             )
         manager.commit_all(now=1.0)
-        chosen = manager.route_feedback(
-            "s1", FeedbackReport("phone", {"a": 5.0, "b": 9.0})
+        chosen = manager.driver("s1").apply_feedback(
+            FeedbackReport("phone", {"a": 5.0, "b": 9.0})
         )
         assert chosen == "b"
 

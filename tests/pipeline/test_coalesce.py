@@ -65,9 +65,9 @@ class TestAdaptiveCoalescer:
             AdaptiveCoalesceConfig(alpha=0.5, initial_cost_s=0.1)
         )
         coalescer.observe_solve_cost(0.3)
-        assert coalescer.solve_cost_estimate_s == pytest.approx(0.2)
+        assert coalescer._cost_hat == pytest.approx(0.2)
         coalescer.observe_solve_cost(-1.0)  # ignored
-        assert coalescer.solve_cost_estimate_s == pytest.approx(0.2)
+        assert coalescer._cost_hat == pytest.approx(0.2)
 
     def test_window_capped_at_max(self):
         coalescer = AdaptiveCoalescer(
@@ -202,7 +202,7 @@ class TestCoalescingCore:
         _, window = core.close(1.0)
         core.solved(1.0, window, served_at=1.0)
         assert core.busy_until == 0.0
-        assert core.coalescer.solve_cost_estimate_s == pytest.approx(0.1)
+        assert core.coalescer._cost_hat == pytest.approx(0.1)
         core.note_trigger(1.5)
         assert core.close(1.5) is not None
 

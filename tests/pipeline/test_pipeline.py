@@ -172,7 +172,7 @@ class TestDirtySet:
         pipeline.submit(demand(0))
         pipeline.clock.advance(0.5)
         pipeline.tick()
-        assert system.orchestrator.dirty_task_ids == []
+        assert sorted(system.orchestrator._dirty_tasks) == []
 
     def test_mobility_marks_affected_tasks_dirty(self, system):
         pipeline = system.attach_pipeline(
@@ -183,7 +183,7 @@ class TestDirtySet:
         system.hardware.client("cl-0").move_to((5.5, 1.0, 1.0))
         affected = system.orchestrator.refresh_client_tasks("cl-0")
         assert affected == handle.task_ids
-        assert system.orchestrator.dirty_task_ids == sorted(handle.task_ids)
+        assert sorted(system.orchestrator._dirty_tasks) == sorted(handle.task_ids)
 
     def test_batch_admission_context_rejects_nesting(self, system):
         from repro.core.errors import ServiceError

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Granularity
 from repro.core.units import ghz
+from repro.experiments import table1
 from repro.surfaces import (
     CATALOG,
     TABLE1,
@@ -13,7 +14,6 @@ from repro.surfaces import (
     SignalProperty,
     get_design,
     list_designs,
-    table1_rows,
 )
 
 PAPER_ROWS = {
@@ -79,10 +79,10 @@ def test_get_design_and_listing():
 
 
 def test_table1_rows_render():
-    rows = table1_rows()
+    rows = table1.run().rows
     assert len(rows) == 13
     assert rows[0][0] == "LAIA"
-    assert all(len(r) == 5 for r in rows)
+    assert all(len(r) == 6 for r in rows)
     # Scrolls band renders as a range.
     scrolls = next(r for r in rows if r[0] == "Scrolls")
     assert "0.9-6" in scrolls[1]

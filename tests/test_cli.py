@@ -1,10 +1,13 @@
 """CLI smoke tests (fast subcommands only)."""
 
 import json
+import os
 import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import SCENARIOS, build_parser, main
 
 
@@ -114,6 +117,10 @@ def test_scenario_runs_and_writes_artifacts(scenario, tmp_path, capsys):
         (["--window", "-1"], "error: --window"),
         # A sweep runs one harness per rate, so it has no one log to write.
         (["--sweep", "--sweep-rates", "5,10", "--jsonl", "sweep.jsonl"], "error: --sweep"),
+        # It replays seeded Poisson arrivals and gates nothing.
+        (["--sweep", "--sweep-rates", "5,10", "--model", "flash-crowd"], "drop --model"),
+        (["--sweep", "--sweep-rates", "5,10", "--slo", "p99=0.0001"], "drop --slo"),
+        (["--sweep", "--sweep-rates", "5,10", "--record-trace", "t.jsonl"], "drop --record-trace"),
     ],
 )
 def test_load_rejects_bad_arguments(argv, message, tmp_path, monkeypatch, capsys):
@@ -121,6 +128,27 @@ def test_load_rejects_bad_arguments(argv, message, tmp_path, monkeypatch, capsys
     assert main(["load", "--requests", "200", *argv]) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The reader is gone before the command writes: printing must end in
+    # exit 1 with no traceback, not a BrokenPipeError.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "table1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_determinism_passes_on_a_seeded_scenario(capsys):
