@@ -8,8 +8,6 @@ doubles as a reproduction check.
 
 from __future__ import annotations
 
-import pytest
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark an expensive experiment with a single measured round."""

@@ -7,7 +7,6 @@ into (design, site, size) plans; this bench checks the automation finds
 a target-meeting plan and that its site choice genuinely matters.
 """
 
-import numpy as np
 from conftest import run_once
 
 from repro.analysis.tables import render_table

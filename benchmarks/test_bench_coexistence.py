@@ -7,7 +7,6 @@ hardware — the monitoring/diagnosis capability §5 says the central
 control plane enables.
 """
 
-import numpy as np
 from conftest import run_once
 
 from repro.analysis.tables import render_table

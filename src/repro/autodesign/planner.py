@@ -9,9 +9,8 @@ met (or a constraint binds), and ranks the feasible plans by cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from ..orchestrator.optimizers import Adam, Optimizer
 from ..services import connectivity
 from ..surfaces.panel import SurfacePanel
 from ..surfaces.specs import SurfaceSpec
-from .designdb import DesignQuery, find_design
+from .designdb import DesignQuery
 from .requirements import DeploymentGoal
 from .sites import CandidateSite, enumerate_sites, sites_facing_room, sites_seeing_point
 

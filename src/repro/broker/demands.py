@@ -10,7 +10,7 @@ layer maps it down to service-level targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.errors import TranslationError

@@ -20,7 +20,7 @@ Modeling notes (documented substitutions vs. a full EM solver):
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ optimization needs — and :meth:`ChannelModel.linear_form` extracts that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 

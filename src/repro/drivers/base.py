@@ -18,9 +18,8 @@ paper:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..core.configuration import SurfaceConfiguration
 from ..core.errors import CapabilityError, ConfigurationError, DriverError

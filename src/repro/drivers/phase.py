@@ -9,13 +9,12 @@ endpoint feedback."
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from ..core.configuration import SurfaceConfiguration
 from ..em.steering import focus_configuration
-from ..surfaces.panel import SurfacePanel
 from ..surfaces.specs import SignalProperty
 from ..core.operations import OperationResult
 from .base import PassiveDriver, SurfaceDriver

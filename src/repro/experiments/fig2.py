@@ -11,7 +11,7 @@ localization algorithm relies on (§2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -15,7 +15,7 @@ median SNR, because it exploits both designs' advantages at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from ..analysis.heatmap import Heatmap
 from ..analysis.tables import render_table
 from ..channel import live_configs
-from ..core.configuration import SurfaceConfiguration
 from ..em.steering import focus_configuration
 from ..orchestrator.optimizers import Adam, Optimizer
 from ..services import connectivity

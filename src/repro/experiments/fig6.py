@@ -12,13 +12,12 @@ remaining services.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..broker.calls import ServiceCall
 from ..llm.client import LLMClient
 from ..llm.intent import IntentTranslator
 from ..llm.mock import MockLLM
-from ..analysis.tables import render_table
 
 #: The paper's Figure 6 rows: user input → expected calls.
 PAPER_CASES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (

@@ -9,8 +9,8 @@ relay).  Centralizing it keeps the per-figure modules about the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

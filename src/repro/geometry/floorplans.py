@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Environment
-from .materials import BRICK, CONCRETE, DRYWALL, WOOD
+from .materials import BRICK, CONCRETE, WOOD
 from .shapes import Box, Room
 from .vec import vec3
 

@@ -8,7 +8,6 @@ the codebase.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence, Union
 
 import numpy as np

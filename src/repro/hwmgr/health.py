@@ -12,7 +12,7 @@ channel model (they are still mounted) but scatter nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

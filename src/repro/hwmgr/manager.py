@@ -21,7 +21,7 @@ paths; with none attached (the default) no fault code runs at all.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.configuration import SurfaceConfiguration
 from ..core.errors import TransientHardwareError, UnknownDeviceError

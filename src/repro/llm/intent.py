@@ -14,7 +14,7 @@ language model's output is untrusted input to the control plane.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..broker.calls import SERVICE_SIGNATURES, ServiceCall

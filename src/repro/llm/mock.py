@@ -13,8 +13,8 @@ parsing, validation, and dispatch around it are identical either way.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)

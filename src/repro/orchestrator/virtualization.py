@@ -23,8 +23,8 @@ provisions exactly that, giving each tenant a policy-enforced
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ServiceError
 from .orchestrator import SurfaceOrchestrator

@@ -8,10 +8,8 @@ layer) to the SurfOS daemon, which decides when to re-optimize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Type
-
-import numpy as np
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Deque, Dict, List, Optional
 
 from .histogram import StreamingHistogram
 

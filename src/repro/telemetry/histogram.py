@@ -15,7 +15,7 @@ what lets the sim-only JSONL determinism gates cover load runs too.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 

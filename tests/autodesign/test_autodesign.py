@@ -1,7 +1,5 @@
 """Design database, site enumeration, and the deployment planner."""
 
-import math
-
 import numpy as np
 import pytest
 

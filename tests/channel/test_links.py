@@ -1,7 +1,5 @@
 """Leg-builder physics: Friis scaling, patterns, penetration, efficiency."""
 
-import math
-
 import numpy as np
 import pytest
 

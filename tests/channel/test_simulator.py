@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel import ChannelSimulator, live_configs, single_antenna_node, ula_node
+from repro.channel import ChannelSimulator, live_configs
 from repro.core.errors import SimulationError
 from repro.core.units import ghz
 from repro.em import focus_configuration, snr_db_from_channel

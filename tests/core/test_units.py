@@ -1,7 +1,5 @@
 """Unit-conversion sanity and round-trip tests."""
 
-import math
-
 import pytest
 
 from repro.core import units

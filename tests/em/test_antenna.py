@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.em import ISOTROPIC, META_ATOM, PATCH, AntennaPattern

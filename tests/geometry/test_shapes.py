@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import CONCRETE, DRYWALL, WOOD, Box, Room, Wall, vec3
+from repro.geometry import CONCRETE, WOOD, Box, Room, Wall, vec3
 
 
 @pytest.fixture()

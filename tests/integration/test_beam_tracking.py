@@ -12,7 +12,7 @@ with zero control-plane writes.
 import numpy as np
 import pytest
 
-from repro.channel import ChannelSimulator, live_configs
+from repro.channel import ChannelSimulator
 from repro.core.units import ghz
 from repro.drivers import FeedbackReport, ProgrammablePhaseDriver
 from repro.em import beam_codebook_targets

@@ -1,6 +1,5 @@
 """Broker + kernel + daemon integration on the apartment scenario."""
 
-import numpy as np
 import pytest
 
 from repro import SurfOS, SurfOSError, ghz

@@ -1,18 +1,12 @@
 """End-to-end orchestrator flows on the apartment scenario."""
 
-import numpy as np
 import pytest
 
 from repro.core.errors import ServiceError
 from repro.core.units import ghz
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.hwmgr import AccessPoint, ClientDevice, HardwareManager
-from repro.orchestrator import (
-    Adam,
-    MultiplexStrategy,
-    SurfaceOrchestrator,
-    TaskState,
-)
+from repro.orchestrator import Adam, SurfaceOrchestrator, TaskState
 from repro.surfaces import (
     GENERIC_PASSIVE_28,
     GENERIC_PROGRAMMABLE_28,

@@ -1,7 +1,7 @@
 """Property-based tests: core configuration and unit invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import EmpiricalCDF
 from repro.channel import ChannelModel
-from repro.core.units import ghz
 from repro.geometry import CONCRETE, Wall, vec3
 from repro.orchestrator import ResourceSlice
 

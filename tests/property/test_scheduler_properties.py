@@ -1,7 +1,6 @@
 """Property-based tests: the allocator never overcommits capacity."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,12 +1,11 @@
 """Cross-network blocking audits (§2.1's coexistence hazard)."""
 
 import numpy as np
-import pytest
 
 from repro.core.units import ghz
 from repro.channel import ula_node
 from repro.em import LinkBudget
-from repro.geometry import BRICK, Environment, vec3
+from repro.geometry import Environment, vec3
 from repro.services import VictimNetwork, audit_network, audit_networks
 from repro.surfaces import (
     GENERIC_PROGRAMMABLE_28,

@@ -1,6 +1,5 @@
 """Channel monitor: anomaly detection and health reporting."""
 
-import numpy as np
 import pytest
 
 from repro.core.errors import ServiceError

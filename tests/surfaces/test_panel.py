@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ConfigurationError, Granularity, SurfaceConfiguration
+from repro.core import ConfigurationError, SurfaceConfiguration
 from repro.surfaces import (
     GENERIC_COLUMNWISE_28,
     GENERIC_PASSIVE_28,
