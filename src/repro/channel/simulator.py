@@ -310,6 +310,7 @@ class ChannelSimulator:
         self._prefetched_legs = 0
         self._prefetch_hits = 0
         self._prefetch_wasted = 0
+        self._plan: Optional[Tuple[Tuple[str, ...], List[_LegTask]]] = None
 
     # ------------------------------------------------------------------
 
@@ -389,7 +390,7 @@ class ChannelSimulator:
         self._cache_misses += 1
         self.telemetry.counter("channel.cache_misses")
 
-        model = self._assemble(ap, points, panels)
+        model = self._assemble(ap, points, panels, key)
 
         # Evict before inserting so the cache never transiently exceeds
         # its bound and the new entry can't push out a live one's slot.
@@ -543,6 +544,26 @@ class ChannelSimulator:
                 task.keys = [(*parts, obstacles[0])]
         return plan
 
+    def _leg_plan(
+        self,
+        ap: RadioNode,
+        points: np.ndarray,
+        panels: Sequence[SurfacePanel],
+        key: str,
+    ) -> List[_LegTask]:
+        """The plan for this build's inputs, reusing the last one on a match.
+
+        ``key`` is the build's :meth:`_cache_key`; the panel order joins
+        it, because the plan lists legs in that order.  One entry is
+        kept: a cycle's ``prefetch`` plans exactly the point set its
+        reaction build then plans again.  The plan's trace closures read
+        its own copy of ``points``, never the caller's array.
+        """
+        plan_key = (key, *(p.panel_id for p in panels))
+        if self._plan is None or self._plan[0] != plan_key:
+            self._plan = (plan_key, self._plan_legs(ap, points.copy(), panels))
+        return self._plan[1]
+
     def _panel_box(self, panel: SurfacePanel, digest: str) -> np.ndarray:
         """The panel's padded ``[lo, hi]`` box, memoized by its digest."""
         box = self._panel_boxes.get(digest)
@@ -557,6 +578,7 @@ class ChannelSimulator:
         ap: RadioNode,
         points: np.ndarray,
         panels: Sequence[SurfacePanel],
+        key: str,
     ) -> ChannelModel:
         """Serve rows from the leg cache, trace the rest, assemble.
 
@@ -564,7 +586,7 @@ class ChannelSimulator:
         a cache hit when every row was cached; each leg's missing rows
         are traced in one kernel call.
         """
-        plan = self._plan_legs(ap, points, panels)
+        plan = self._leg_plan(ap, points, panels, key)
         use_legs = self.leg_cache_size > 0
         rows: Dict[_Key, np.ndarray] = {}
         jobs: List[Tuple[_LegTask, Optional[List[int]]]] = []
@@ -712,6 +734,9 @@ class ChannelSimulator:
         ``channel.prefetch_wasted`` when all its rows are purged or
         evicted unserved.
 
+        Its leg plan stays behind too, so a ``build`` of the same point
+        set, panels and environment version does not plan again.
+
         Prefetching never changes outputs: a row key digests the exact
         float bytes of its point, so a warmed row is served only to a
         build computing the identical trace, and assembly is
@@ -730,7 +755,8 @@ class ChannelSimulator:
         self._sync_leg_cache()
         wanted = set(legs)
         jobs = []
-        for task in self._plan_legs(ap, points, panels):
+        key = self._cache_key(ap, points, panels)
+        for task in self._leg_plan(ap, points, panels, key):
             if task.slot[0] not in wanted:
                 continue
             missing = [

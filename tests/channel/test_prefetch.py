@@ -171,3 +171,62 @@ def test_parallel_prefetch_identical_results_and_telemetry(env, ap, bedroom_poin
     ]
     assert kinds_a == kinds_b
     assert serial.prefetch_stats == pooled.prefetch_stats
+
+
+def _count_plans(sim, monkeypatch):
+    calls = []
+    plan_legs = sim._plan_legs
+
+    def counting(*args):
+        calls.append(args)
+        return plan_legs(*args)
+
+    monkeypatch.setattr(sim, "_plan_legs", counting)
+    return calls
+
+
+def _assert_same_model(a, b):
+    assert a.direct.tobytes() == b.direct.tobytes()
+    for legs in ("ap_to_surface", "surface_to_points", "surface_to_surface"):
+        mine, theirs = getattr(a, legs), getattr(b, legs)
+        assert list(mine) == list(theirs)
+        assert all(mine[k].tobytes() == theirs[k].tobytes() for k in mine)
+
+
+def test_build_reuses_the_prefetch_plan(
+    simulator, ap, bedroom_points, small_passive, small_prog, monkeypatch
+):
+    panels = [small_passive, small_prog]
+    calls = _count_plans(simulator, monkeypatch)
+    simulator.prefetch(ap, bedroom_points, panels)
+    model = simulator.build(ap, bedroom_points, panels)
+    assert len(calls) == 1
+    assert model.surface_to_surface  # the plan covers the cascade legs too
+    fresh = ChannelSimulator(two_room_apartment(), FREQ)
+    _assert_same_model(model, fresh.build(ap, bedroom_points, panels))
+
+
+def test_plan_does_not_alias_the_callers_points(
+    simulator, ap, bedroom_points, small_prog
+):
+    points = bedroom_points.copy()
+    # Warm no point rows, so the build traces them through the plan.
+    simulator.prefetch(ap, points, [small_prog], legs=("a2s",))
+    points += 0.25
+    model = simulator.build(ap, bedroom_points, [small_prog])
+    fresh = ChannelSimulator(two_room_apartment(), FREQ)
+    _assert_same_model(model, fresh.build(ap, bedroom_points, [small_prog]))
+
+
+def test_changed_environment_version_replans(
+    simulator, env, ap, bedroom_points, single_prog, monkeypatch
+):
+    calls = _count_plans(simulator, monkeypatch)
+    simulator.prefetch(ap, bedroom_points, [single_prog])
+    env.add_dynamic_box("person", Box(vec3(6, 2, 0), vec3(6.5, 2.5, 1.8), HUMAN))
+    model = simulator.build(ap, bedroom_points, [single_prog])
+    assert len(calls) == 2
+    moved = two_room_apartment()
+    moved.add_dynamic_box("person", Box(vec3(6, 2, 0), vec3(6.5, 2.5, 1.8), HUMAN))
+    fresh = ChannelSimulator(moved, FREQ)
+    _assert_same_model(model, fresh.build(ap, bedroom_points, [single_prog]))
