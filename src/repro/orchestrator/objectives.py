@@ -84,6 +84,29 @@ def _phase_gradient(x: np.ndarray, accumulated: np.ndarray) -> np.ndarray:
     return -2.0 * np.imag(x * accumulated)
 
 
+class _KernelObjective(Objective):
+    """A loss the pack evaluates with one GEMM of its linear form."""
+
+    form: LinearChannelForm
+
+    def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
+        return _loss_pack(self, [(self, 1.0)]).value_many(self._check_batch(phases_batch))
+
+    def refit(self, form: LinearChannelForm) -> "_KernelObjective":
+        """Re-point the loss at ``form``, a later round's form of the same shape.
+
+        A built pack keeps its plans and refills its coefficients and offsets.
+        """
+        if form.coeffs.shape != self.form.coeffs.shape:
+            raise OptimizationError(
+                f"refit form has shape {form.coeffs.shape}, expected {self.form.coeffs.shape}"
+            )
+        self.form = form
+        if self._pack is not None:
+            self._pack.refit([(self, 1.0)])
+        return self
+
+
 @dataclass(frozen=True)
 class CoverageGoal:
     """Parameters of a coverage/link objective.
@@ -97,7 +120,7 @@ class CoverageGoal:
     weights: Optional[np.ndarray] = None
 
 
-class CoverageObjective(Objective):
+class CoverageObjective(_KernelObjective):
     """Negative mean Shannon capacity across evaluation points.
 
     The paper's coverage-task loss: "the negative sum of link capacity
@@ -141,9 +164,6 @@ class CoverageObjective(Objective):
         gains = np.sum(np.abs(h) ** 2, axis=1)
         return np.array([self.goal.budget.snr_db(g) for g in gains])
 
-    def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
-        return _loss_pack(self, [(self, 1.0)]).value_many(self._check_batch(phases_batch))
-
     def _forward(self, phases: np.ndarray):
         """Loss plus the intermediates its gradient reuses."""
         phases = self._check(phases)
@@ -173,7 +193,7 @@ class CoverageObjective(Objective):
         return loss, _phase_gradient(x, acc)
 
 
-class PoweringObjective(Objective):
+class PoweringObjective(_KernelObjective):
     """Negative mean harvested power (dB-scaled) at charging points.
 
     Wireless powering cares about raw incident power, not capacity;
@@ -207,9 +227,6 @@ class PoweringObjective(Objective):
         return np.array(
             [watts_to_dbm(self.budget.tx_power_watts * g) for g in gains]
         )
-
-    def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
-        return _loss_pack(self, [(self, 1.0)]).value_many(self._check_batch(phases_batch))
 
     def _forward(self, phases: np.ndarray):
         """Loss plus the intermediates its gradient reuses."""
@@ -267,19 +284,35 @@ class JointObjective(Objective):
         """``Σ w_i · part.value_many(batch)`` in part order, bit for bit."""
         return _loss_pack(self, self.parts).value_many(self._check_batch(phases_batch))
 
+    def refit(self, parts: Sequence[Objective]) -> "JointObjective":
+        """Take a later round's parts, one per part in order, at the same weights.
+
+        Each part must be of its predecessor's type; a coverage or powering
+        part is normally its predecessor, refitted to the new form.  A built
+        pack keeps its plans and refills its coefficients, offsets and
+        loose rows.
+        """
+        if [type(p) for p in parts] != [type(p) for p, _ in self.parts]:
+            raise OptimizationError("refit parts must match the joint's part types")
+        self.parts = [(part, weight) for part, (_, weight) in zip(parts, self.parts)]
+        if self._pack is not None:
+            self._pack.refit(self.parts)
+        return self
+
 
 # ----------------------------------------------------------------------
 # the loss pack
 # ----------------------------------------------------------------------
 #
 # Every coverage/powering loss, lone or in a joint, runs through one
-# immutable pack built lazily once per objective.  Its parts sit in one
-# flat part-major buffer, a ``(P, K_i, M_i)`` block each for a ``P``-row
-# batch, grouped by kernel key ``(kind, K, M)`` with coverage first.  A
-# batch costs one shared ``x = a·e^{jθ}`` (a row per distinct amplitude
-# vector; a panel's parts share one, and an all-ones row is skipped),
-# one ``np.matmul`` per group (``(G, P, E) @ (G, E, K·M)``) into the
-# buffer, one elementwise pass over every point (offsets, ``|h|²``,
+# pack built lazily on the objective's first evaluation.  Its parts sit
+# in one flat part-major buffer, a ``(P, K_i, M_i)`` block each for a
+# ``P``-row batch, grouped by kernel key ``(kind, K, M)`` with coverage
+# first.  A batch costs one shared ``x = a·e^{jθ}`` (a row per distinct
+# amplitude vector; a panel's parts share one, and an all-ones row is
+# skipped), one ``np.matmul`` per group (``(G, P, E) @ (G, E, K·M)``)
+# into the buffer with the group's ``(G, 1, K·M)`` offsets added by
+# broadcasting, one elementwise pass over every point (``|h|²``,
 # ``Σ_M``, then ``·tx / noise + 1``, ``log2`` and point weights), one
 # ``Σ_K`` per group into a ``(parts, P)`` array, the powering rows'
 # ``mean → log10``, one negation, ``× w`` and a cumulative sum down the
@@ -289,25 +322,36 @@ class JointObjective(Objective):
 # ``(G, K, M, E) @ (E, 1)`` matmul per group, which NumPy runs as one
 # ``gemv`` per ``(M, E)`` slice: each part's own ``form.evaluate`` call.
 #
+# A reaction's later block-coordinate rounds change a panel's linear
+# form: its offset, and through the cascade legs its coefficients too.
+# They refit the objective instead of building a new one: the pack keeps
+# its groups, buffers and plans, re-points each group's coefficient
+# views, refills its offset row in place and swaps in the loose parts.
+#
 # Each thread keeps one plan per row count in the pack's
 # ``threading.local``: every buffer and view a pass touches (phase,
 # amplitude and channel buffers, ``|h|²``, point sums, each group's GEMM
 # ``out=`` and ``Σ_M``/``Σ_K`` views, loss rows, per-point factors laid
-# out for that row count).  A pass fills its plan in place; plans never
-# point back at the pack, so they die with it.
+# out for that row count).  Plans hold nothing a refit changes.  A pass
+# fills its plan in place; plans never point back at the pack, so they
+# die with it.
 #
 # Determinism: a GEMM slice runs the *same* BLAS kernel on the *same*
 # operand shapes and layout as one objective's own GEMM, and ``Σ_M`` and
 # ``Σ_K`` reduce contiguous last axes as each part's own loss does, so
 # packing never changes bits (asserted in test_joint_grouped.py and
-# test_joint_pack_properties.py).  The ``out=`` forms run the same
-# ufunc loops as the allocating ones.  Parts are deliberately *not*
+# test_joint_pack_properties.py; refits in test_pack_refit.py).  The
+# ``out=`` forms run the same ufunc loops as the allocating ones, and a
+# broadcast offset adds the same two floats per entry as a laid-out one.  Parts are deliberately *not*
 # concatenated along K into one wider GEMM: a different GEMM shape may
 # take a different BLAS blocking and round differently.
 
 #: One kernel key's parts: entry/point bounds, first row, G, K, M, amplitude
-#: rows, ``(G, K, M, E)`` coefficients and their ``(G, E, K·M)`` GEMM operand.
-_Group = namedtuple("_Group", "e0 e1 p0 p1 row size points antennas amplitudes stack bts")
+#: rows, ``(G, K, M, E)`` coefficients, their ``(G, E, K·M)`` GEMM operand and
+#: the ``(G, 1, K·M)`` offsets added to the GEMM's output.
+_Group = namedtuple(
+    "_Group", "e0 e1 p0 p1 row size points antennas amplitudes stack bts offset"
+)
 
 #: The scalar log each powering part's own ``value`` takes; ``np.log10``
 #: differs from it in the last bit on some inputs.
@@ -353,10 +397,8 @@ class _Plan:
                 flat[lo:hi].reshape(g, 1, -1).repeat(p, axis=1).reshape(-1) for lo, hi, g in blocks
             ] or [flat])
 
-        offsets, *coverage = pack.factors
         cover = [(g.p0, g.p1, g.size) for g in pack.groups if g.row < pack.coverage_rows]
-        self.offsets = per_row([(g.e0, g.e1, g.size) for g in pack.groups], offsets)
-        self.tx, self.noise, self.point_weights = (per_row(cover, f) for f in coverage)
+        self.tx, self.noise, self.point_weights = (per_row(cover, f) for f in pack.factors)
         self.snr = points[: self.tx.size]  # the coverage points
 
 
@@ -365,7 +407,8 @@ class _LossPack:
 
     Rows hold the kernel parts group by group, then the loose parts.
     Entry/point bounds are for one row; ``P`` rows scale them by ``P``.
-    Nothing changes after the build but the per-thread plans.
+    A :meth:`refit` swaps in a later round's coefficients, offsets and
+    loose parts; the structure and the per-thread plans stay.
     """
 
     def __init__(self, parts: Sequence[Tuple[Objective, float]]):
@@ -383,7 +426,8 @@ class _LossPack:
         # Not ``parts``: a lone objective's parts hold the objective itself.
         self.rows, self.kernel_rows = len(parts), len(kernel)
         self.coverage_rows = sum(len(ix) for key, ix in keyed if key[0] == 0)
-        self.loose = [(row, parts[i][0]) for row, i in enumerate(order)][len(kernel) :]
+        #: The part each row holds.
+        self.part_of_row = order
         weights = [parts[i][1] for i in order]
         # One part at weight 1 (a lone objective) is its own total.
         self.weights = None if weights == [1.0] else np.array(weights, dtype=float)[:, None]
@@ -403,31 +447,55 @@ class _LossPack:
         e = list(accumulate((o.form.offset.size for o in kernel), initial=0))
         p = list(accumulate(points, initial=0))
         self.entries, self.points = e[-1], p[-1]
-        self.dim = dim = parts[0][0].dim
-        rows = [o.form.coeffs.reshape(-1, dim) for o in kernel]
-        # A lone objective's pack views its form's coefficients, not a copy.
-        coeffs = rows[0] if len(rows) == 1 else np.concatenate(rows or [np.empty((0, dim))])
+        self.dim = parts[0][0].dim
+        #: One row's offsets, refilled in place by a refit.
+        self.offsets = np.empty(self.entries, dtype=complex)
+        # Several kernel parts' coefficients are copied into one buffer; a
+        # lone one's are viewed where its form keeps them.
+        self._coeffs = None if len(kernel) == 1 else np.empty((self.entries, self.dim), complex)
         self.groups, hi = [], 0
         for (_, k, m), indices in keyed:
             lo, hi = hi, hi + len(indices)
             shared = len(set(amp[lo:hi])) == 1
             select = slice(amp[lo], amp[lo] + 1) if shared else np.array(amp[lo:hi])
-            stack = coeffs[e[lo] : e[hi]].reshape(hi - lo, k, m, dim)
-            # Fortran-ordered (E, K·M) slices, as a lone form's own GEMM.
-            bts = stack.reshape(hi - lo, k * m, dim).transpose(0, 2, 1)
-            self.groups.append(
-                _Group(e[lo], e[hi], p[lo], p[hi], lo, hi - lo, k, m, select, stack, bts)
-            )
+            self.groups.append(_Group(
+                e[lo], e[hi], p[lo], p[hi], lo, hi - lo, k, m, select, None, None, None
+            ))
         budgets = [o.goal.budget for o in coverage]
         coverage_points = points[: len(coverage)]
-        #: One row's offsets, then the coverage points' tx, noise and weights.
+        #: The coverage points' tx, noise and weights for one row.
         self.factors = (
-            np.concatenate([o.form.offset.reshape(-1) for o in kernel] or [np.empty(0)]),
             np.array([b.tx_power_watts for b in budgets]).repeat(coverage_points),
             np.array([b.noise_watts for b in budgets]).repeat(coverage_points),
             np.concatenate([o._weights for o in coverage] or [np.empty(0)]),
         )
+        self.refit(parts)
         self._plans = threading.local()
+
+    def refit(self, parts: Sequence[Tuple[Objective, float]]) -> None:
+        """Load ``parts``: the built parts, or parts of the same structure.
+
+        Each kernel part's coefficients and offsets are read from its
+        form again and each loose part is swapped into its row.  Weights,
+        amplitudes, budgets and point weights stay as built.
+        """
+        kernel = [parts[i][0] for i in self.part_of_row[: self.kernel_rows]]
+        self.loose = [
+            (row, parts[self.part_of_row[row]][0]) for row in range(self.kernel_rows, self.rows)
+        ]
+        if not kernel:
+            return
+        rows = [o.form.coeffs.reshape(-1, self.dim) for o in kernel]
+        coeffs = rows[0] if self._coeffs is None else np.concatenate(rows, out=self._coeffs)
+        np.concatenate([o.form.offset.reshape(-1) for o in kernel], out=self.offsets)
+        groups = []
+        for g in self.groups:
+            stack = coeffs[g.e0 : g.e1].reshape(g.size, g.points, g.antennas, self.dim)
+            # Fortran-ordered (E, K·M) slices, as a lone form's own GEMM.
+            bts = stack.reshape(g.size, -1, self.dim).transpose(0, 2, 1)
+            offset = self.offsets[g.e0 : g.e1].reshape(g.size, 1, -1)
+            groups.append(g._replace(stack=stack, bts=bts, offset=offset))
+        self.groups = groups
 
     def value_many(self, batch: np.ndarray) -> np.ndarray:
         """``(P,)`` weighted losses of a checked ``(P, E)`` batch."""
@@ -452,10 +520,11 @@ class _LossPack:
                 if not isinstance(g.amplitudes, slice):
                     np.take(plan.x, g.amplitudes, axis=0, out=x)
                 if scalar:  # one gemv per part, as its own form.evaluate
-                    out = out.reshape(g.size, g.points, g.antennas, 1)
-                    np.matmul(g.stack, x[..., None], out=out)
+                    gemv = out.reshape(g.size, g.points, g.antennas, 1)
+                    np.matmul(g.stack, x[..., None], out=gemv)
                 else:
                     np.matmul(x, g.bts, out=out)
+                out += g.offset
             self._losses(plan, _SCALAR_LOG10 if scalar else np.log10)
         losses, spare = plan.losses, plan.spare
         for row, part in self.loose:
@@ -470,7 +539,6 @@ class _LossPack:
 
     def _losses(self, plan: _Plan, log10) -> None:
         """Fill the kernel rows of the plan's losses from its channel buffer."""
-        plan.h += plan.offsets
         power = np.abs(plan.h, out=plan.power)
         power *= power
         for source, sums in plan.m_sums:  # Σ_M

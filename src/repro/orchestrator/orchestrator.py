@@ -84,14 +84,16 @@ class _SolveUnit:
 
     ``key`` names the unit in the solution store (the joint group's
     :func:`group_key`, or a slotted task's id); ``phases`` is the
-    unit's own flat phase state per optimizable surface, and
-    ``budgets`` its round-0 drift budget per surface.
+    unit's own flat phase state per optimizable surface, ``budgets``
+    its round-0 drift budget per surface, and ``objectives`` its loss
+    per surface, kept for the reaction's later rounds.
     """
 
     key: str
     contexts: List[_TaskContext]
     phases: Dict[str, np.ndarray]
     budgets: Dict[str, Optional[int]] = field(default_factory=dict)
+    objectives: Dict[str, Objective] = field(default_factory=dict)
 
 
 @dataclass
@@ -498,12 +500,23 @@ class SurfaceOrchestrator:
         amplitudes: np.ndarray,
         surface_id: str,
         model: ChannelModel,
+        previous: Optional[Objective] = None,
     ) -> Objective:
+        """One task's loss on one surface.
+
+        ``previous``, the task's objective from an earlier round of the
+        same reaction, is refitted to ``form`` when it is a coverage or
+        powering loss, keeping its loss pack; other losses are rebuilt.
+        """
         k = ctx.points.shape[0]
         local = form.restricted(
             range(ctx.point_offset, ctx.point_offset + k)
         )
         service = ctx.task.service
+        if service in (
+            ServiceType.LINK, ServiceType.COVERAGE, ServiceType.POWERING
+        ) and previous is not None:
+            return previous.refit(local)
         if service in (ServiceType.LINK, ServiceType.COVERAGE):
             return connectivity.coverage_objective(
                 local, amplitudes=amplitudes, budget=self.budget
@@ -615,18 +628,35 @@ class SurfaceOrchestrator:
         model: ChannelModel,
     ) -> Objective:
         """One unit's loss on one surface: a lone task's objective, or
-        the priority-weighted :class:`JointObjective` of a group."""
+        the priority-weighted :class:`JointObjective` of a group.
+
+        Built on the unit's first round on the surface and refitted to
+        ``form`` on later rounds of the reaction, so each (unit,
+        surface) builds at most one loss pack.
+        """
+        previous = unit.objectives.get(surface_id)
+        if previous is None:
+            parts = [None] * len(unit.contexts)
+        elif len(unit.contexts) == 1:
+            parts = [previous]
+        else:
+            parts = [part for part, _ in previous.parts]
         objectives = [
-            self._task_objective(ctx, form, amplitudes, surface_id, model)
-            for ctx in unit.contexts
+            self._task_objective(ctx, form, amplitudes, surface_id, model, part)
+            for ctx, part in zip(unit.contexts, parts)
         ]
         if len(objectives) == 1:
-            return objectives[0]
-        total_weight = sum(c.weight for c in unit.contexts) or 1.0
-        return JointObjective([
-            (objective, ctx.weight / total_weight)
-            for objective, ctx in zip(objectives, unit.contexts)
-        ])
+            objective = objectives[0]
+        elif previous is not None:
+            objective = previous.refit(objectives)
+        else:
+            total_weight = sum(c.weight for c in unit.contexts) or 1.0
+            objective = JointObjective([
+                (objective, ctx.weight / total_weight)
+                for objective, ctx in zip(objectives, unit.contexts)
+            ])
+        unit.objectives[surface_id] = objective
+        return objective
 
     def _optimize_units(
         self,

@@ -1,7 +1,8 @@
 """No objective or loss pack outlives the daemon reaction that built it.
 
-Each reaction builds fresh objectives, and each objective builds its
-loss pack (and the pack its buffer plans) on first evaluation.  A
+Each reaction builds one objective per (solve unit, panel) and refits
+it in later rounds; each objective builds its loss pack (and the pack
+its buffer plans) on first evaluation.  A
 recording optimizer keeps weak references to both; after every daemon
 step they must all be dead by reference counting alone — the cyclic
 collector is switched off for the run, so a reference cycle or a
