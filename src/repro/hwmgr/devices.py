@@ -9,7 +9,7 @@ reconfiguration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class AccessPoint:
     axis: Sequence[float] = (0.0, 0.0, 1.0)
     budget: LinkBudget = field(default_factory=LinkBudget)
     pattern: AntennaPattern = PATCH
+    _node: Optional[Tuple[tuple, RadioNode]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.position = as_vec3(self.position)
@@ -49,16 +52,31 @@ class AccessPoint:
             raise ValueError("AP carrier must be positive")
 
     def node(self) -> RadioNode:
-        """The channel simulator's view of this AP."""
-        return ula_node(
+        """The channel simulator's view of this AP.
+
+        Every channel build asks for it, several times a cycle, so the
+        node is kept and rebuilt only when a field it is made of changes.
+        """
+        key = (
             self.ap_id,
-            self.position,
+            np.asarray(self.position, dtype=float).tobytes(),
             self.num_antennas,
             self.frequency_hz,
-            axis=self.axis,
-            boresight=self.boresight,
-            pattern=self.pattern,
+            tuple(self.axis),
+            tuple(self.boresight),
+            self.pattern,
         )
+        if self._node is None or self._node[0] != key:
+            self._node = (key, ula_node(
+                self.ap_id,
+                self.position,
+                self.num_antennas,
+                self.frequency_hz,
+                axis=self.axis,
+                boresight=self.boresight,
+                pattern=self.pattern,
+            ))
+        return self._node[1]
 
 
 @dataclass

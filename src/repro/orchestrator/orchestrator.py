@@ -86,14 +86,17 @@ class _SolveUnit:
     :func:`group_key`, or a slotted task's id); ``phases`` is the
     unit's own flat phase state per optimizable surface, ``budgets``
     its round-0 drift budget per surface, and ``objectives`` its loss
-    per surface, kept for the reaction's later rounds.
+    per surface with the linear form it was fitted to, kept for the
+    reaction's later rounds.
     """
 
     key: str
     contexts: List[_TaskContext]
     phases: Dict[str, np.ndarray]
     budgets: Dict[str, Optional[int]] = field(default_factory=dict)
-    objectives: Dict[str, Objective] = field(default_factory=dict)
+    objectives: Dict[str, Tuple[LinearChannelForm, Objective]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -632,9 +635,13 @@ class SurfaceOrchestrator:
 
         Built on the unit's first round on the surface and refitted to
         ``form`` on later rounds of the reaction, so each (unit,
-        surface) builds at most one loss pack.
+        surface) builds at most one loss pack.  A round that finds the
+        other surfaces' phases unchanged gets the same form back from
+        the form cache and reuses the objective as it is.
         """
-        previous = unit.objectives.get(surface_id)
+        fitted, previous = unit.objectives.get(surface_id, (None, None))
+        if form is fitted:
+            return previous
         if previous is None:
             parts = [None] * len(unit.contexts)
         elif len(unit.contexts) == 1:
@@ -655,7 +662,7 @@ class SurfaceOrchestrator:
                 (objective, ctx.weight / total_weight)
                 for objective, ctx in zip(objectives, unit.contexts)
             ])
-        unit.objectives[surface_id] = objective
+        unit.objectives[surface_id] = (form, objective)
         return objective
 
     def _optimize_units(

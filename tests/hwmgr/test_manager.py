@@ -170,6 +170,21 @@ class TestDevices:
         assert node.num_antennas == 8
         assert np.allclose(node.centroid, [0, 0, 2], atol=1e-9)
 
+    def test_ap_node_is_kept_until_a_field_it_reads_changes(self):
+        ap = AccessPoint("ap1", vec3(0, 0, 2), 4, ghz(28))
+        node = ap.node()
+        assert ap.node() is node
+        ap.position[2] = 2.5  # moved in place
+        moved = ap.node()
+        assert moved is not node
+        assert np.allclose(moved.centroid, [0, 0, 2.5], atol=1e-9)
+        ap.boresight = (0.0, 1.0, 0.0)
+        turned = ap.node()
+        assert turned is not moved and np.allclose(turned.boresight, [0, 1, 0])
+        ap.num_antennas = 8
+        assert ap.node().num_antennas == 8
+        assert "_node" not in repr(ap)
+
     def test_ap_validation(self):
         with pytest.raises(ValueError):
             AccessPoint("ap1", vec3(0, 0, 2), 0, ghz(28))

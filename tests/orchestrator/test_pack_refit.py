@@ -168,3 +168,33 @@ def test_a_reaction_builds_one_pack_per_unit_and_panel(monkeypatch):
     assert len(objectives_seen) % panels == 0
     assert len(built) == len(objectives_seen)
     assert {id(pack) for _, pack in search.calls} == {id(pack) for pack in built}
+
+
+def test_a_repeated_form_reuses_the_objective_as_it_is(monkeypatch):
+    refits = []
+    refit = JointObjective.refit
+
+    def counting(self, parts):
+        refits.append(self)
+        return refit(self, parts)
+
+    monkeypatch.setattr(JointObjective, "refit", counting)
+    search = RecordingSearch(max_iterations=4, seed=0)
+    system = SurfOS.from_scene("two-room", panel_size=4, optimizer=search)
+    try:
+        loop = system.scene.client_loops[0]
+        system.add_client(ClientDevice("c0", tuple(map(float, loop[0]))))
+        orch = system.orchestrator
+        orch.optimize_coverage(system.scene.observe_room)
+        orch.enhance_link("c0", snr=20.0)
+        search.calls.clear()
+        orch.reoptimize(rounds=2)
+    finally:
+        system.pipeline.close()
+    # One panel: its form depends on no other panel's phases, so the
+    # second round finds the same form and the same objective.
+    assert len(orch._optimizable_panels()) == 1
+    assert len(search.calls) == 2
+    assert search.calls[0][0] is search.calls[1][0]
+    assert isinstance(search.calls[0][0], JointObjective)
+    assert refits == []
