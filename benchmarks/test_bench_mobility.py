@@ -22,6 +22,10 @@ Gates:
 * prefetch-on median reaction wall latency is strictly below
   prefetch-off (and below cold) on trial medians.
 
+Each arm also records ``median_step_wall_s``: the median wall time of
+a reacting step with its prefetch included, the cost prefetch-on pays
+that the reaction latency alone does not show.
+
 A walker + churn variant is recorded as data (obstacle motion purges
 some speculatively warmed legs, so its hit rate is the interesting
 number), not latency-gated.  It runs :data:`CHURN_STEPS` steps in
@@ -90,6 +94,7 @@ _MODES = {
 def run_prefetch_comparison():
     """Interleaved trials of on/off/cold over the identical motion."""
     wall = {mode: [] for mode in _MODES}
+    step_wall = {mode: [] for mode in _MODES}
     results = {}
     for _ in range(TRIALS):
         for mode, kw in _MODES.items():
@@ -98,12 +103,14 @@ def run_prefetch_comparison():
             wall[mode].append(
                 statistics.median(result.wall_reaction_s)
             )
+            step_wall[mode].append(statistics.median(result.wall_step_s))
             results[mode] = result
     out = {}
     for mode, medians in wall.items():
         result = results[mode]
         out[mode] = {
             "median_reaction_wall_s": round(statistics.median(medians), 6),
+            "median_step_wall_s": round(statistics.median(step_wall[mode]), 6),
             "reactions": result.reactions,
             "legs_prefetched": result.legs_prefetched,
             "prefetch_hits": result.prefetch_hits,
@@ -153,6 +160,7 @@ def test_bench_mobility_prefetch(benchmark):
         (
             mode,
             f"{stats['median_reaction_wall_s'] * 1e3:.1f}",
+            f"{stats['median_step_wall_s'] * 1e3:.1f}",
             f"{stats['prefetch_hit_rate']:.2f}",
             str(stats["legs_retraced"]),
             f"{stats['max_abs_diff_vs_on']:g}",
@@ -161,7 +169,7 @@ def test_bench_mobility_prefetch(benchmark):
     ]
     print(
         render_table(
-            ("mode", "reaction (ms)", "hit rate", "retraced", "Δ vs on"),
+            ("mode", "reaction (ms)", "step (ms)", "hit rate", "retraced", "Δ vs on"),
             rows,
             title=(
                 f"Mobility prefetch: {STEPS} steps, {CLIENTS} clients, "

@@ -299,8 +299,6 @@ class ChannelSimulator:
         self.parallel_workers = parallel_workers
         self.telemetry = telemetry or Telemetry()
         self._cache: "OrderedDict[str, Tuple[int, ChannelModel]]" = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._last_version = env.version
         self._legs: "OrderedDict[_Key, _LegEntry]" = OrderedDict()
         self._panel_boxes: Dict[str, np.ndarray] = {}
@@ -313,11 +311,6 @@ class ChannelSimulator:
         self._plan: Optional[Tuple[Tuple[str, ...], List[_LegTask]]] = None
 
     # ------------------------------------------------------------------
-
-    @property
-    def cache_stats(self) -> Tuple[int, int]:
-        """(hits, misses) of the assembled-model cache."""
-        return (self._cache_hits, self._cache_misses)
 
     @property
     def leg_cache_stats(self) -> Tuple[int, int]:
@@ -384,10 +377,8 @@ class ChannelSimulator:
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
-            self._cache_hits += 1
             self.telemetry.counter("channel.cache_hits")
             return cached[1]
-        self._cache_misses += 1
         self.telemetry.counter("channel.cache_misses")
 
         model = self._assemble(ap, points, panels, key)
@@ -900,15 +891,13 @@ class ChannelSimulator:
     def invalidate(self) -> None:
         """Drop all cached models and legs, and reset hit/miss stats.
 
-        The monotonic ``channel.cache_invalidations`` counter keeps
-        counting across invalidations; ``cache_stats``,
-        ``leg_cache_stats``, and the cache-size gauges restart from a
-        clean slate so the numbers after an invalidation describe only
-        the new epoch.
+        The monotonic telemetry counters (``channel.cache_hits``,
+        ``channel.cache_invalidations`` and the rest) keep counting
+        across invalidations; ``leg_cache_stats``, ``prefetch_stats``
+        and the cache-size gauges restart from a clean slate so the
+        numbers after an invalidation describe only the new epoch.
         """
         self._cache.clear()
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._last_version = self.env.version
         self._legs.clear()
         self._leg_version = self.env.version

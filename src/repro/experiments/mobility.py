@@ -167,6 +167,9 @@ class MobilityResult(ExperimentResultBase):
     #: Wall-clock seconds of each daemon step that fired a reaction
     #: (only with ``measure_wall``); nondeterministic, bench-only.
     wall_reaction_s: List[float] = field(default_factory=list, repr=False)
+    #: The same steps' wall-clock seconds with the step's prefetch
+    #: included (only with ``measure_wall``); nondeterministic, bench-only.
+    wall_step_s: List[float] = field(default_factory=list, repr=False)
     #: Wall-clock seconds of each fired reaction's *optimize* phase
     #: (only with ``measure_wall``); nondeterministic, bench-only.
     wall_solve_s: List[float] = field(default_factory=list, repr=False)
@@ -467,6 +470,7 @@ def run(
     result = MobilityResult(config=config)
     try:
         for _ in range(config.steps):
+            step_start = time.perf_counter() if config.measure_wall else 0.0
             if config.prefetch and simulator.leg_cache_size > 0:
                 predicted = _predicted_points(system, config.dt_s)
                 if predicted is not None:
@@ -476,7 +480,9 @@ def run(
             start = time.perf_counter() if config.measure_wall else 0.0
             record = daemon.step(config.dt_s)
             if config.measure_wall and record is not None:
-                result.wall_reaction_s.append(time.perf_counter() - start)
+                end = time.perf_counter()
+                result.wall_reaction_s.append(end - start)
+                result.wall_step_s.append(end - step_start)
                 result.wall_solve_s.append(record.wall_solve_s)
             # Deterministic functional output: the observed-grid median
             # SNR under the live configurations.  This re-uses the

@@ -216,18 +216,6 @@ class PoweringObjective(_KernelObjective):
         )
         self.budget = budget or LinkBudget()
 
-    def harvested_dbm(self, phases: np.ndarray) -> np.ndarray:
-        """Per-point harvested power (dBm) — evaluation helper."""
-        from ..core.units import watts_to_dbm
-
-        phases = self._check(phases)
-        x = self.amplitudes * np.exp(1j * phases)
-        h = self.form.evaluate(x)
-        gains = np.sum(np.abs(h) ** 2, axis=1)
-        return np.array(
-            [watts_to_dbm(self.budget.tx_power_watts * g) for g in gains]
-        )
-
     def _forward(self, phases: np.ndarray):
         """Loss plus the intermediates its gradient reuses."""
         phases = self._check(phases)
@@ -477,7 +465,8 @@ class _LossPack:
 
         Each kernel part's coefficients and offsets are read from its
         form again and each loose part is swapped into its row.  Weights,
-        amplitudes, budgets and point weights stay as built.
+        amplitudes, budgets and point weights stay as built.  A refit
+        runs between solves, never during another thread's pass.
         """
         kernel = [parts[i][0] for i in self.part_of_row[: self.kernel_rows]]
         self.loose = [

@@ -325,4 +325,5 @@ class TestModelCacheEviction:
         ap = make_ap()
         sim.build(ap, points, [single_prog])
         sim.build(ap, points, [single_prog])
-        assert sim.cache_stats == (1, 1)
+        assert sim.telemetry.get_counter("channel.cache_hits") == 1
+        assert sim.telemetry.get_counter("channel.cache_misses") == 1

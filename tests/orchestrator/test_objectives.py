@@ -98,11 +98,6 @@ class TestPowering:
         obj = PoweringObjective(form)
         check_gradient(obj, rng.uniform(0, 2 * np.pi, obj.dim))
 
-    def test_harvested_dbm_shape(self, rng):
-        form = random_form(rng)
-        obj = PoweringObjective(form)
-        assert obj.harvested_dbm(np.zeros(obj.dim)).shape == (4,)
-
 
 class TestJoint:
     def test_weighted_sum_value_and_gradient(self, rng):

@@ -42,7 +42,6 @@ ALLOWED = {
     "repro.channel.geomkernels.CompiledGeometry.wall_crossing_matrix": ORACLE,
     "repro.channel.model.LinearChannelForm.evaluate_many": ORACLE,
     "repro.channel.nodes.RadioNode.centroid": UNREVIEWED,
-    "repro.channel.simulator.ChannelSimulator.cache_stats": UNREVIEWED,
     "repro.channel.tracer.PanelObstacle.crossing_mask": ORACLE,
     "repro.channel.tracer.reflection_paths": ORACLE,
     "repro.core.configuration.Granularity.degrees_of_freedom": UNREVIEWED,
@@ -109,7 +108,6 @@ ALLOWED = {
     "repro.load.models.read_trace": UNREVIEWED,
     "repro.mobility.models.write_mobility_trace": UNREVIEWED,
     "repro.orchestrator.objectives.FiniteDifferenceObjective": ORACLE,
-    "repro.orchestrator.objectives.PoweringObjective.harvested_dbm": UNREVIEWED,
     "repro.orchestrator.orchestrator.SurfaceOrchestrator.activate_task_slot": (
         "the data-plane slot switch of time-division multiplexing (DESIGN.md)"
     ),
