@@ -389,8 +389,7 @@ def _row_layouts(pack, p):
 
     entries = [(g.e0, g.e1, g.size) for g in pack.groups]
     points = [(g.p0, g.p1, g.size) for g in pack.groups]
-    offsets, *coverage = pack.factors
-    return (per_row(offsets, entries), *(per_row(f, points) for f in coverage))
+    return (per_row(pack.offsets, entries), *(per_row(f, points) for f in pack.factors))
 
 
 def _allocating_pass(pack, batch, layouts):
