@@ -15,14 +15,6 @@ reflections, every panel an obstacle) at 2 receive points and at the
 full grid, and asserts each point traced alone equals its row of the
 full-grid trace bit for bit.
 
-A ``leg_pool`` arm builds each multi-panel scene's observation grid
-cold (``SurfOS.from_scene``, every panel it places) at 0 and 2 channel
-workers, alternating the two, and records the median and interquartile
-range of the build times.  It runs in a child process with every BLAS
-pool pinned to one thread, asserts the models are bit-identical across
-worker counts, and gates no timing: it is the evidence for keeping or
-deleting ``ChannelSimulator(parallel_workers=)``.
-
 Other timings use best-of-N (minimum): on a small shared host, mean
 timings are far too noisy to compare against.
 
@@ -34,8 +26,6 @@ scene size, so the gate is robust.
 
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -43,7 +33,6 @@ import numpy as np
 
 from _meta import bench_meta
 from conftest import run_once
-from repro import SurfOS
 from repro.analysis.tables import render_table
 from repro.channel import ChannelSimulator, ula_node
 from repro.channel.links import node_to_points
@@ -62,18 +51,6 @@ GRID_SPACING = 1.4 if SMALL else 1.0
 COLD_REPS = 3 if SMALL else 6
 WARM_REPS = 4 if SMALL else 10
 DIRECT_REPS = 20 if SMALL else 60
-LEG_POOL_REPS = 5 if SMALL else 9
-LEG_POOL_SCENES = ("apartment", "office")
-LEG_POOL_WORKERS = (0, 2)
-#: Thread-count variables pinned to 1 in the leg_pool child process
-#: (they only take effect before NumPy is imported).
-BLAS_THREAD_ENV = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = ROOT / "BENCH_channel.json"
@@ -231,64 +208,6 @@ def bench_direct_trace():
     return two_s, grid_s
 
 
-def bench_leg_pool():
-    """Cold observation-grid builds at each channel worker count.
-
-    One booted system per worker count; every repetition empties the
-    simulator's caches and rebuilds the daemon's observation grid with
-    every panel, alternating worker counts so drift hits both alike.
-    """
-    rows = []
-    for name in LEG_POOL_SCENES:
-        systems = {
-            w: SurfOS.from_scene(name, channel_workers=w)
-            for w in LEG_POOL_WORKERS
-        }
-        times = {w: [] for w in LEG_POOL_WORKERS}
-        models = {}
-        for _ in range(LEG_POOL_REPS):
-            for w, system in systems.items():
-                orch = system.orchestrator
-                points = orch._room_points(system.scene.observe_room)
-                panels = orch.hardware.panels()
-                orch.simulator.invalidate()
-                t0 = time.perf_counter()
-                models[w] = orch.simulator.build(orch.ap.node(), points, panels)
-                times[w].append(time.perf_counter() - t0)
-        serial = models[LEG_POOL_WORKERS[0]]
-        for w in LEG_POOL_WORKERS:
-            q1, median, q3 = np.percentile(times[w], [25, 50, 75])
-            rows.append(
-                {
-                    "scene": name,
-                    "channel_workers": w,
-                    "panels": len(panels),
-                    "points": int(points.shape[0]),
-                    "reps": LEG_POOL_REPS,
-                    "median_ms": float(median) * 1e3,
-                    "iqr_ms": float(q3 - q1) * 1e3,
-                    "bit_identical": model_max_diff(models[w], serial) == 0.0,
-                }
-            )
-    return rows
-
-
-def measure_leg_pool():
-    """:func:`bench_leg_pool` in a child process with BLAS on one thread."""
-    env = dict(os.environ, **{name: "1" for name in BLAS_THREAD_ENV})
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
-    )
-    child = subprocess.run(
-        [sys.executable, __file__, "--leg-pool"],
-        env=env,
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    return json.loads(child.stdout)
-
-
 def model_max_diff(a, b):
     """Max abs difference across every leg tensor of two models."""
     diffs = [float(np.abs(a.direct - b.direct).max())]
@@ -330,7 +249,6 @@ def run_channel_suite():
     new_s, new_legs, new_rows, new_diff = bench_new_point()
     mono_s = bench_monolithic()
     direct_two_s, direct_grid_s = bench_direct_trace()
-    leg_pool = measure_leg_pool()
     _, _, _, points = make_scene()
     return {
         "small_scene": SMALL,
@@ -350,7 +268,6 @@ def run_channel_suite():
         "speedup_warm_vs_monolithic": mono_s / warm_s,
         "speedup_new_point_vs_monolithic": mono_s / new_s,
         "max_abs_diff_vs_monolithic": max(max_abs_diff, new_diff),
-        "leg_pool": leg_pool,
     }
 
 
@@ -400,17 +317,6 @@ def test_bench_channel(benchmark):
                     "1",
                     "",
                 ),
-                *(
-                    (
-                        f"cold observe build, {row['scene']} ({row['points']} "
-                        f"pts, {row['panels']} panels), "
-                        f"{row['channel_workers']} workers",
-                        f"{row['median_ms']:.2f} (IQR {row['iqr_ms']:.2f})",
-                        "",
-                        "",
-                    )
-                    for row in results["leg_pool"]
-                ),
             ],
             title="Channel: incremental leg cache vs monolithic rebuilds",
         )
@@ -428,11 +334,3 @@ def test_bench_channel(benchmark):
     # scene typically lands much higher (recorded in the JSON).
     assert results["speedup_warm_vs_cold"] >= 2.0
     assert results["speedup_warm_vs_monolithic"] >= 2.0
-    # The leg pool is measured, not gated: it must only never change a
-    # bit of the model.
-    assert all(row["bit_identical"] for row in results["leg_pool"])
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--leg-pool"]:
-        print(json.dumps(bench_leg_pool()))

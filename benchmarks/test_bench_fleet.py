@@ -111,10 +111,7 @@ def _direct_dispatch_s():
         clock.advance(0.1)
         shard.pipeline.tick()
 
-    try:
-        return _drive(shard.pipeline.submit, tick)
-    finally:
-        shard.close()
+    return _drive(shard.pipeline.submit, tick)
 
 
 def _fleet_dispatch_s():
@@ -124,10 +121,7 @@ def _fleet_dispatch_s():
     fleet = FleetBroker([_spec()], strategy=StaticZoneMap({"z1": "z1"}))
     for demand in _demands():
         fleet.shards["z1"].ensure_client(demand.client_id)
-    try:
-        return _drive(fleet.submit, lambda: fleet.tick(0.1))
-    finally:
-        fleet.close()
+    return _drive(fleet.submit, lambda: fleet.tick(0.1))
 
 
 def run_fleet_suite():

@@ -36,7 +36,6 @@ from repro.hwmgr import AccessPoint, ClientDevice
 from repro.orchestrator import CoverageObjective, JointObjective, RandomSearch
 from repro.orchestrator.multiplex import MultiplexStrategy
 from repro.orchestrator.tasks import reset_task_counter
-from repro.pipeline.workers import BatchEvaluator
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
 from repro.telemetry import Telemetry
 
@@ -78,8 +77,8 @@ JOINT_LOSS_PARTS = (1, 3, 6, 12, 24)
 JOINT_LOSS_CALLS = 20 if SMALL else 100
 # Solver-iteration arm: RandomSearch.optimize at its default 16-row
 # population and 60-iteration budget on one 12-point part plus 3, 6 and
-# 12 links, with a serial evaluator and telemetry bound as the request
-# pipeline binds them.  Phase-only panels have all-ones amplitudes.
+# 12 links, with telemetry bound as the orchestrator binds it.
+# Phase-only panels have all-ones amplitudes.
 SOLVER_LINKS = (3, 6, 12)
 SOLVER_ITERATIONS = 60
 SOLVER_REPS = 3 if SMALL else 12
@@ -330,9 +329,8 @@ def bench_joint_iteration():
     """One solver iteration on a 13-part joint: two 8-row calls vs one pass.
 
     Two ``JOINT_CHUNK``-row ``value_many`` calls per 16-row population
-    were the evaluator's grid at its old 8-row default chunk; the
-    default chunk now equals the population, so an iteration is one
-    call.  Both arms must give the same bits.
+    were the old 8-row evaluation grid; an iteration is now one call.
+    Both arms must give the same bits.
     """
     rng = np.random.default_rng(17)
     amplitudes = rng.uniform(0.3, 1.0, JOINT_ELEMENTS)
@@ -431,11 +429,11 @@ def _allocating_pass(pack, batch, layouts):
 def _allocating_optimize(optimizer, joint, initial, layouts):
     """``RandomSearch.optimize`` before its buffers were reused.
 
-    A fresh candidate array each iteration, the evaluator's split and
-    concatenate for every batch, one telemetry count per iteration and
-    the allocating loss pass.  Returns the phases, loss and history.
+    A fresh candidate array each iteration, one telemetry count per
+    iteration and the allocating loss pass.  Returns the phases, loss
+    and history.
     """
-    evaluator, pack = optimizer.evaluator, joint._pack
+    pack = joint._pack
     phases = np.asarray(initial, dtype=float).reshape(-1).copy()
     best_loss = float(joint.value(phases))
     optimizer._count_evals(1)
@@ -445,12 +443,7 @@ def _allocating_optimize(optimizer, joint, initial, layouts):
     for i in range(optimizer.max_iterations):
         candidates = scale * draws[i]
         candidates += phases
-        chunks = evaluator._chunks(np.atleast_2d(np.asarray(candidates, dtype=float)))
-        evaluator._note(len(chunks))
-        losses = np.concatenate([
-            _allocating_pass(pack, np.atleast_2d(np.asarray(c, dtype=float)), layouts)
-            for c in chunks
-        ])
+        losses = _allocating_pass(pack, candidates, layouts)
         optimizer._count_evals(optimizer.population)
         j = int(np.argmin(losses))
         if losses[j] < best_loss:
@@ -463,31 +456,20 @@ def _allocating_optimize(optimizer, joint, initial, layouts):
 
 
 def _bound_search():
-    telemetry = Telemetry()
-    evaluator = BatchEvaluator(parallelism=1)
-    evaluator.bind_telemetry(telemetry)
     optimizer = RandomSearch(max_iterations=SOLVER_ITERATIONS, seed=0)
-    optimizer.bind_telemetry(telemetry)
-    optimizer.bind_evaluator(evaluator)
+    optimizer.bind_telemetry(Telemetry())
     return optimizer
 
 
-def _search_counts(optimizer):
-    telemetry, evaluator = optimizer.telemetry, optimizer.evaluator
-    return (
-        telemetry.get_counter("optimizer.objective_evaluations"),
-        telemetry.get_counter("evaluator.batches"),
-        telemetry.get_counter("evaluator.chunks"),
-        evaluator.batches,
-        evaluator.chunks_evaluated,
-    )
+def _evaluations(optimizer):
+    return optimizer.telemetry.get_counter("optimizer.objective_evaluations")
 
 
 def bench_solver_iteration():
     """µs per RandomSearch iteration: the allocating loop vs reused buffers.
 
     Both arms must return the same phases, loss and history bits and
-    count the same evaluations, batches and chunks.
+    count the same evaluations.
     """
     rng = np.random.default_rng(23)
     amplitudes = np.ones(JOINT_ELEMENTS)
@@ -507,7 +489,7 @@ def bench_solver_iteration():
             result.phases.tobytes() == phases.tobytes()
             and np.float64(result.loss).tobytes() == np.float64(loss).tobytes()
             and np.array(result.history).tobytes() == np.array(history).tobytes()
-            and _search_counts(reusing) == _search_counts(allocating)
+            and _evaluations(reusing) == _evaluations(allocating)
         )
         allocating_s = best_of(
             lambda: _allocating_optimize(allocating, joint, initial, layouts),

@@ -31,7 +31,6 @@ assert 1e-9 agreement on randomized environments).
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -169,11 +168,9 @@ class CompiledGeometry:
     """An environment's walls and boxes as contiguous kernel arrays.
 
     Compiled once per :attr:`Environment.version` via
-    :func:`compiled_geometry`.  The compiled arrays are pure reads, and
-    the tile scratch pools live in thread-local storage, so one
-    instance serves every concurrent query against that version (the
-    channel simulator's parallel leg tracing runs several kernels at
-    once against the same compiled environment).
+    :func:`compiled_geometry`.  The compiled arrays are pure reads; the
+    wall and box tile scratch pools are allocated on first use and
+    refilled by every kernel call.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -187,10 +184,8 @@ class CompiledGeometry:
         self._box_materials = tuple(b.material for b in boxes)
         self._wall_losses: Dict[float, np.ndarray] = {}
         self._box_losses: Dict[float, np.ndarray] = {}
-        # Scratch pools are mutated by every kernel call, so each
-        # thread gets its own — concurrent traces sharing one pool
-        # would corrupt each other's tiles.
-        self._scratch = threading.local()
+        self._wall_scratch: Optional[_TileScratch] = None
+        self._box_scratch: Optional[_TileScratch] = None
         # Present even without walls: the image method then runs W = 0.
         self.wall_p = np.array([w.start[:2] for w in self.walls]).reshape(-1, 2)
         self.wall_s = (
@@ -276,13 +271,11 @@ class CompiledGeometry:
         return out
 
     def _wall_tile_scratch(self) -> _TileScratch:
-        sc = getattr(self._scratch, "wall", None)
-        if sc is None:
-            sc = _TileScratch(
+        if self._wall_scratch is None:
+            self._wall_scratch = _TileScratch(
                 _chunk_rows(1 << 30, self.num_walls), self.num_walls
             )
-            self._scratch.wall = sc
-        return sc
+        return self._wall_scratch
 
     def _wall_tile(
         self, a: np.ndarray, b: np.ndarray, ok: np.ndarray
@@ -354,13 +347,11 @@ class CompiledGeometry:
         return out
 
     def _box_tile_scratch(self) -> _TileScratch:
-        sc = getattr(self._scratch, "box", None)
-        if sc is None:
-            sc = _TileScratch(
+        if self._box_scratch is None:
+            self._box_scratch = _TileScratch(
                 _chunk_rows(1 << 30, self.num_boxes), self.num_boxes
             )
-            self._scratch.box = sc
-        return sc
+        return self._box_scratch
 
     def _box_tile(
         self, a: np.ndarray, b: np.ndarray, inside: np.ndarray

@@ -31,10 +31,8 @@ trace wall reflections are treated as unbounded).  Mutations the
 environment cannot attribute fall back to a full leg-cache purge —
 never a stale answer.
 
-Cold builds can fan the independent per-leg traces across a thread
-pool (``parallel_workers``; numpy releases the GIL inside the
-vectorized geometry kernels).  Assembly is order-preserving, so the
-result is bit-identical to a serial build at any worker count.
+Every build digests the AP and each panel once; the model-cache key
+and the leg plan's row keys are both made from those digests.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -50,6 +47,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -199,6 +197,14 @@ class _LegTask:
     keys: List[_Key] = field(default_factory=list)
 
 
+class _Digests(NamedTuple):
+    """One build's model-cache key, AP digest and panel digests by id."""
+
+    key: str
+    ap: str
+    panels: Dict[str, str]
+
+
 def _first_rows(keys: Sequence[_Key]) -> Dict[_Key, int]:
     """Each distinct key with the index of its first row, in row order."""
     first: Dict[_Key, int] = {}
@@ -266,9 +272,6 @@ class ChannelSimulator:
             ``a2s``/``s2s`` leg); ``0`` disables leg caching entirely
             (the monolithic behavior — every model-cache miss re-traces
             all legs).
-        parallel_workers: trace missing legs through a thread pool of
-            this size (``<=1`` = serial).  Results are bit-identical
-            to serial at any worker count.
         telemetry: where cache counters and per-leg trace spans go;
             defaults to a private instance.
     """
@@ -281,7 +284,6 @@ class ChannelSimulator:
         include_panel_blockage: bool = True,
         cache_size: int = 32,
         leg_cache_size: int = 512,
-        parallel_workers: int = 0,
         telemetry: Optional[Telemetry] = None,
     ):
         if frequency_hz <= 0:
@@ -296,7 +298,6 @@ class ChannelSimulator:
         self.include_panel_blockage = include_panel_blockage
         self.cache_size = cache_size
         self.leg_cache_size = leg_cache_size
-        self.parallel_workers = parallel_workers
         self.telemetry = telemetry or Telemetry()
         self._cache: "OrderedDict[str, Tuple[int, ChannelModel]]" = OrderedDict()
         self._last_version = env.version
@@ -326,19 +327,19 @@ class ChannelSimulator:
         """(legs prefetched, prefetch hits, prefetch wasted)."""
         return (self._prefetched_legs, self._prefetch_hits, self._prefetch_wasted)
 
-    def _cache_key(
+    def _digests(
         self,
         ap: RadioNode,
         points: np.ndarray,
         panels: Sequence[SurfacePanel],
-    ) -> str:
-        parts = [
-            str(self.env.version),
-            _node_digest(ap),
-            _points_digest(points),
-        ]
-        parts.extend(sorted(_panel_digest(p) for p in panels))
-        return hashlib.sha1("||".join(parts).encode()).hexdigest()
+    ) -> _Digests:
+        """The build's model-cache key and the digests it is made of."""
+        ap_digest = _node_digest(ap)
+        digests = {p.panel_id: _panel_digest(p) for p in panels}
+        parts = [str(self.env.version), ap_digest, _points_digest(points)]
+        parts.extend(sorted(digests.values()))
+        key = hashlib.sha1("||".join(parts).encode()).hexdigest()
+        return _Digests(key, ap_digest, digests)
 
     def _obstacles_excluding(
         self,
@@ -373,7 +374,8 @@ class ChannelSimulator:
             raise SimulationError(f"duplicate panel ids: {ids}")
         self._purge_stale()
         self._sync_leg_cache()
-        key = self._cache_key(ap, points, panels)
+        digests = self._digests(ap, points, panels)
+        key = digests.key
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
@@ -381,7 +383,7 @@ class ChannelSimulator:
             return cached[1]
         self.telemetry.counter("channel.cache_misses")
 
-        model = self._assemble(ap, points, panels, key)
+        model = self._assemble(ap, points, panels, digests)
 
         # Evict before inserting so the cache never transiently exceeds
         # its bound and the new entry can't push out a live one's slot.
@@ -401,17 +403,18 @@ class ChannelSimulator:
         ap: RadioNode,
         points: np.ndarray,
         panels: Sequence[SurfacePanel],
+        digests: _Digests,
     ) -> List[_LegTask]:
         """Every leg this build needs, with row cache keys and corridors."""
         env, freq = self.env, self.frequency_hz
         pad = _CORRIDOR_PAD
         ids = [p.panel_id for p in panels]
-        digests = {p.panel_id: _panel_digest(p) for p in panels}
+        panel_digests = digests.panels
         panel_boxes = np.array(
-            [self._panel_box(p, digests[p.panel_id]) for p in panels]
+            [self._panel_box(p, panel_digests[p.panel_id]) for p in panels]
         ).reshape(-1, 2, 3)
         bounds = dict(zip(ids, panel_boxes))
-        ap_digest = _node_digest(ap)
+        ap_digest = digests.ap
         ant_box = np.array([ap.positions.min(axis=0), ap.positions.max(axis=0)])
         point_boxes = np.stack([points, points], axis=1)
 
@@ -461,7 +464,7 @@ class ChannelSimulator:
                     ),
                 )
             )
-            key_parts.append(((pid,), ("a2s", ap_digest, digests[pid])))
+            key_parts.append(((pid,), ("a2s", ap_digest, panel_digests[pid])))
             plan.append(
                 _LegTask(
                     slot=("s2p", pid),
@@ -474,7 +477,7 @@ class ChannelSimulator:
                     ),
                 )
             )
-            key_parts.append(((pid,), ("s2p", digests[pid])))
+            key_parts.append(((pid,), ("s2p", panel_digests[pid])))
 
         for source in panels:
             for target in panels:
@@ -500,7 +503,9 @@ class ChannelSimulator:
                         ),
                     )
                 )
-                key_parts.append(((sid, tid), ("s2s", digests[sid], digests[tid])))
+                key_parts.append(
+                    ((sid, tid), ("s2s", panel_digests[sid], panel_digests[tid]))
+                )
 
         # Keys.  Only obstacles whose footprint intersects a row's own
         # ray corridor can perturb that row; panels outside stay out of
@@ -524,7 +529,7 @@ class ChannelSimulator:
                 mask &= kept
                 if mask not in memo:
                     inside = sorted(
-                        digests[q] for j, q in enumerate(ids) if mask >> j & 1
+                        panel_digests[q] for j, q in enumerate(ids) if mask >> j & 1
                     )
                     memo[mask] = hashlib.sha1("|".join(inside).encode()).hexdigest()
                 obstacles.append(memo[mask])
@@ -540,19 +545,21 @@ class ChannelSimulator:
         ap: RadioNode,
         points: np.ndarray,
         panels: Sequence[SurfacePanel],
-        key: str,
+        digests: _Digests,
     ) -> List[_LegTask]:
         """The plan for this build's inputs, reusing the last one on a match.
 
-        ``key`` is the build's :meth:`_cache_key`; the panel order joins
-        it, because the plan lists legs in that order.  One entry is
+        The plan is keyed by the build's model-cache key and the panel
+        order, because the plan lists legs in that order.  One entry is
         kept: a cycle's ``prefetch`` plans exactly the point set its
         reaction build then plans again.  The plan's trace closures read
         its own copy of ``points``, never the caller's array.
         """
-        plan_key = (key, *(p.panel_id for p in panels))
+        plan_key = (digests.key, *(p.panel_id for p in panels))
         if self._plan is None or self._plan[0] != plan_key:
-            self._plan = (plan_key, self._plan_legs(ap, points.copy(), panels))
+            self._plan = (
+                plan_key, self._plan_legs(ap, points.copy(), panels, digests)
+            )
         return self._plan[1]
 
     def _panel_box(self, panel: SurfacePanel, digest: str) -> np.ndarray:
@@ -569,7 +576,7 @@ class ChannelSimulator:
         ap: RadioNode,
         points: np.ndarray,
         panels: Sequence[SurfacePanel],
-        key: str,
+        digests: _Digests,
     ) -> ChannelModel:
         """Serve rows from the leg cache, trace the rest, assemble.
 
@@ -577,7 +584,7 @@ class ChannelSimulator:
         a cache hit when every row was cached; each leg's missing rows
         are traced in one kernel call.
         """
-        plan = self._leg_plan(ap, points, panels, key)
+        plan = self._leg_plan(ap, points, panels, digests)
         use_legs = self.leg_cache_size > 0
         rows: Dict[_Key, np.ndarray] = {}
         jobs: List[Tuple[_LegTask, Optional[List[int]]]] = []
@@ -670,41 +677,23 @@ class ChannelSimulator:
         jobs: List[Tuple[_LegTask, Optional[List[int]]]],
         prefetched: bool = False,
     ) -> List[np.ndarray]:
-        """Trace each job's rows, in plan order, serially or pooled.
+        """Trace each job's rows, in plan order.
 
         A job is one leg and the row indices to trace (``None``: the
-        whole leg).  The map is order-preserving and every row of a
-        leg kernel is independent of the others, so assembly (and the
-        leg cache) sees exactly the serial, one-call results at any
-        worker count.  Per-leg telemetry is emitted post-trace from
-        this thread, identically for the serial and pooled paths, so
-        sim-only exports are byte-identical regardless of
-        ``parallel_workers``.
+        whole leg).  Each leg's ``leg-trace`` event follows its trace.
         """
-        if not jobs:
-            return []
-
-        def timed(
-            job: Tuple[_LegTask, Optional[List[int]]]
-        ) -> Tuple[np.ndarray, float]:
+        traced = []
+        for task, rows in jobs:
             t0 = time.perf_counter()
-            return job[0].trace(job[1]), time.perf_counter() - t0
-
-        workers = min(self.parallel_workers, len(jobs))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                traced = list(pool.map(timed, jobs))
-        else:
-            traced = [timed(job) for job in jobs]
-        for (task, _), (_, wall_s) in zip(jobs, traced):
+            traced.append(task.trace(rows))
             self.telemetry.event(
                 "leg-trace",
                 kind=task.name,
                 speculative=prefetched,
-                wall_trace_s=wall_s,
+                wall_trace_s=time.perf_counter() - t0,
                 **task.attrs,
             )
-        return [value for value, _ in traced]
+        return traced
 
     def prefetch(
         self,
@@ -746,8 +735,8 @@ class ChannelSimulator:
         self._sync_leg_cache()
         wanted = set(legs)
         jobs = []
-        key = self._cache_key(ap, points, panels)
-        for task in self._leg_plan(ap, points, panels, key):
+        digests = self._digests(ap, points, panels)
+        for task in self._leg_plan(ap, points, panels, digests):
             if task.slot[0] not in wanted:
                 continue
             missing = [

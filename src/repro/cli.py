@@ -209,8 +209,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     frequency = ghz(28)
     sites = apartment_sites()
     # Adaptive budgets need a budget-capable population optimizer with
-    # early stop; its candidate batches also fill the evaluator.*
-    # counters that Adam, which scores one point per step, leaves idle.
+    # early stop; Adam scores one point per step.
     if args.adaptive_budget:
         optimizer = RandomSearch(
             max_iterations=args.iterations, seed=0, early_stop_eps=1e-3

@@ -52,10 +52,6 @@ class SurfOS:
     exercise hardware failures; the daemon then reacts to surface
     degradation exactly like it reacts to motion.  Without one, no
     fault code runs at all.
-
-    Pass ``channel_workers`` to fan cold channel-leg traces across a
-    thread pool; results are bit-identical to serial at any worker
-    count, so this is purely a latency knob.
     """
 
     def __init__(
@@ -67,13 +63,10 @@ class SurfOS:
         grid_spacing_m: float = 0.7,
         telemetry: Optional[Telemetry] = None,
         fault_injector=None,
-        channel_workers: int = 0,
         solve_budget=None,
     ):
         self.env = env
         self.frequency_hz = frequency_hz
-        #: Thread-pool size for parallel channel-leg tracing (<=1 = serial).
-        self.channel_workers = channel_workers
         #: Optional :class:`~repro.orchestrator.SolveBudgetConfig` for
         #: drift-aware adaptive solve budgets (None = fixed budgets).
         self.solve_budget = solve_budget
@@ -118,7 +111,11 @@ class SurfOS:
         ``device_prefix`` prefixes every device id (fleet shards pass
         ``"{shard_id}-"``), and ``boot=False`` leaves the system
         un-booted for callers that register extra hardware first.
+        ``channel_workers`` accepts only 0, as channel legs are traced
+        serially; it is kept for callers that still pass it.
         """
+        if channel_workers != 0:
+            raise SurfOSError("channel_workers must be 0: legs are traced serially")
         from ..geometry.scenes import Scene, build_scene
         from ..surfaces.catalog import GENERIC_PROGRAMMABLE_28
 
@@ -131,7 +128,6 @@ class SurfOS:
             grid_spacing_m=grid_spacing_m,
             telemetry=telemetry,
             fault_injector=fault_injector,
-            channel_workers=channel_workers,
             solve_budget=solve_budget,
         )
         system.scene = scene
@@ -192,7 +188,6 @@ class SurfOS:
             optimizer=self._optimizer,
             grid_spacing_m=self._grid_spacing,
             telemetry=self.telemetry,
-            channel_workers=self.channel_workers,
             solve_budget=self.solve_budget,
         )
         self.broker = ServiceBroker(self.orchestrator)
@@ -214,9 +209,7 @@ class SurfOS:
     def attach_pipeline(self, config=None):
         """Replace the daemon's request pipeline with a configured one.
 
-        The pipeline :meth:`boot` built is closed (its evaluator
-        unbound and released) and a new
-        :class:`~repro.pipeline.RequestPipeline` is built over the
+        A new :class:`~repro.pipeline.RequestPipeline` is built over the
         broker on the same clock, shared with the daemon so environment
         triggers (motion, degradation) coalesce with admission
         triggers.  Pass a :class:`~repro.pipeline.PipelineConfig` to
@@ -224,7 +217,6 @@ class SurfOS:
         Returns the new pipeline.
         """
         self._require_boot()
-        self.pipeline.close()
         self.pipeline = RequestPipeline(
             self.broker, clock=self.daemon.clock, config=config
         )

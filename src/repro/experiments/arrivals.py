@@ -374,7 +374,6 @@ def run(
         span_s=span,
         wall_s=stats.reoptimize_wall_s,
     )
-    pipeline.close()
     return ArrivalSweepResult(
         serial=serial,
         pipelined=pipelined,

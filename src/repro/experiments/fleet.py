@@ -237,7 +237,6 @@ def run(
     scene: str = "two-room",
 ) -> FleetResult:
     """The fleet scenario: seeded arrivals, mid-run quarantine, handoff."""
-    owns_fleet = fleet is None
     if fleet is None:
         fleet = build_fleet(
             shards=shards,
@@ -336,6 +335,4 @@ def run(
     result.rebalanced = int(telemetry.get_counter("fleet.rebalanced"))
     if jsonl:
         fleet.export_jsonl(jsonl, sim_only=True)
-    if owns_fleet:
-        fleet.close()
     return result

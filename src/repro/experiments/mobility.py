@@ -468,34 +468,31 @@ def run(
     observe_points = daemon._points()
     panels = orchestrator.hardware.panels()
     result = MobilityResult(config=config)
-    try:
-        for _ in range(config.steps):
-            step_start = time.perf_counter() if config.measure_wall else 0.0
-            if config.prefetch and simulator.leg_cache_size > 0:
-                predicted = _predicted_points(system, config.dt_s)
-                if predicted is not None:
-                    simulator.prefetch(
-                        orchestrator.ap.node(), predicted, panels
-                    )
-            start = time.perf_counter() if config.measure_wall else 0.0
-            record = daemon.step(config.dt_s)
-            if config.measure_wall and record is not None:
-                end = time.perf_counter()
-                result.wall_reaction_s.append(end - start)
-                result.wall_step_s.append(end - step_start)
-                result.wall_solve_s.append(record.wall_solve_s)
-            # Deterministic functional output: the observed-grid median
-            # SNR under the live configurations.  This re-uses the
-            # model the daemon's own observe() just built (cache hit)
-            # rather than calling observe() again, which would feed the
-            # monitor duplicate samples and skew anomaly detection.
-            model = simulator.build(
-                orchestrator.ap.node(), observe_points, panels
-            )
-            snrs = snr_map_db(model, live_configs(panels), orchestrator.budget)
-            result.snr_trace.append(float(np.median(snrs)))
-    finally:
-        system.pipeline.close()
+    for _ in range(config.steps):
+        step_start = time.perf_counter() if config.measure_wall else 0.0
+        if config.prefetch and simulator.leg_cache_size > 0:
+            predicted = _predicted_points(system, config.dt_s)
+            if predicted is not None:
+                simulator.prefetch(
+                    orchestrator.ap.node(), predicted, panels
+                )
+        start = time.perf_counter() if config.measure_wall else 0.0
+        record = daemon.step(config.dt_s)
+        if config.measure_wall and record is not None:
+            end = time.perf_counter()
+            result.wall_reaction_s.append(end - start)
+            result.wall_step_s.append(end - step_start)
+            result.wall_solve_s.append(record.wall_solve_s)
+        # Deterministic functional output: the observed-grid median
+        # SNR under the live configurations.  This re-uses the
+        # model the daemon's own observe() just built (cache hit)
+        # rather than calling observe() again, which would feed the
+        # monitor duplicate samples and skew anomaly detection.
+        model = simulator.build(
+            orchestrator.ap.node(), observe_points, panels
+        )
+        snrs = snr_map_db(model, live_configs(panels), orchestrator.budget)
+        result.snr_trace.append(float(np.median(snrs)))
     latencies = [r.reaction_latency_s for r in daemon.reactions]
     result.reactions = len(latencies)
     if latencies:

@@ -426,11 +426,6 @@ class FleetBroker:
         """Export the aggregated fleet telemetry stream."""
         return self.telemetry.export_jsonl(path, sim_only=sim_only)
 
-    def close(self) -> None:
-        """Close every shard's pipeline."""
-        for shard in self.shards.values():
-            shard.close()
-
     def summary(self) -> str:
         """One-line fleet state."""
         parts = []

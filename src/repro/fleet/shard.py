@@ -139,8 +139,7 @@ class EnvironmentShard:
         #: (reoptimization load-balancing on the shared clock).
         self.coalesce_window_s = spec.coalesce_window_s + stagger_s
         # Shards tick their own pipeline on the shared fleet clock and
-        # never step their daemon, so the boot pipeline is released.
-        self.system.pipeline.close()
+        # never step their daemon.
         self.pipeline = RequestPipeline(
             self.system.broker,
             clock=clock,
@@ -222,10 +221,6 @@ class EnvironmentShard:
             scene = build_scene(self.spec.scene)
         position = tuple(map(float, scene.spawn_position(rng)))
         self.system.add_client(ClientDevice(client_id, position))
-
-    def close(self) -> None:
-        """Close the shard pipeline and its evaluator."""
-        self.pipeline.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,7 +18,6 @@ and true AoA") is :class:`~repro.services.sensing.SurfaceAoAObjective`.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
@@ -316,11 +315,10 @@ class JointObjective(Objective):
 # its groups, buffers and plans, re-points each group's coefficient
 # views, refills its offset row in place and swaps in the loose parts.
 #
-# Each thread keeps one plan per row count in the pack's
-# ``threading.local``: every buffer and view a pass touches (phase,
-# amplitude and channel buffers, ``|h|²``, point sums, each group's GEMM
-# ``out=`` and ``Σ_M``/``Σ_K`` views, loss rows, per-point factors laid
-# out for that row count).  Plans hold nothing a refit changes.  A pass
+# The pack keeps one plan per row count: every buffer and view a pass
+# touches (phase, amplitude and channel buffers, ``|h|²``, point sums,
+# each group's GEMM ``out=`` and ``Σ_M``/``Σ_K`` views, loss rows,
+# per-point factors laid out for that row count).  Plans hold nothing a refit changes.  A pass
 # fills its plan in place; plans never point back at the pack, so they
 # die with it.
 #
@@ -347,7 +345,7 @@ _SCALAR_LOG10 = np.vectorize(math.log10, otypes=[float])
 
 
 def _loss_pack(objective: Objective, parts) -> "_LossPack":
-    """``objective``'s pack, built on first use (racing builds are equal)."""
+    """``objective``'s pack, built on first use."""
     pack = objective._pack
     if pack is None:
         pack = objective._pack = _LossPack(parts)
@@ -355,7 +353,7 @@ def _loss_pack(objective: Objective, parts) -> "_LossPack":
 
 
 class _Plan:
-    """One thread's buffers and views for ``p``-row batches of one pack."""
+    """The buffers and views for ``p``-row batches of one pack."""
 
     def __init__(self, pack: "_LossPack", p: int):
         self.losses = np.empty((pack.rows, p))
@@ -396,7 +394,7 @@ class _LossPack:
     Rows hold the kernel parts group by group, then the loose parts.
     Entry/point bounds are for one row; ``P`` rows scale them by ``P``.
     A :meth:`refit` swaps in a later round's coefficients, offsets and
-    loose parts; the structure and the per-thread plans stay.
+    loose parts; the structure and the plans stay.
     """
 
     def __init__(self, parts: Sequence[Tuple[Objective, float]]):
@@ -458,15 +456,15 @@ class _LossPack:
             np.concatenate([o._weights for o in coverage] or [np.empty(0)]),
         )
         self.refit(parts)
-        self._plans = threading.local()
+        #: One plan per batch row count.
+        self._plans: dict = {}
 
     def refit(self, parts: Sequence[Tuple[Objective, float]]) -> None:
         """Load ``parts``: the built parts, or parts of the same structure.
 
         Each kernel part's coefficients and offsets are read from its
         form again and each loose part is swapped into its row.  Weights,
-        amplitudes, budgets and point weights stay as built.  A refit
-        runs between solves, never during another thread's pass.
+        amplitudes, budgets and point weights stay as built.
         """
         kernel = [parts[i][0] for i in self.part_of_row[: self.kernel_rows]]
         self.loose = [
@@ -498,8 +496,9 @@ class _LossPack:
         """The one loss pass: a ``(P, E)`` batch or one ``(E,)`` vector → a plan row."""
         scalar = phases.ndim == 1
         rows = 1 if scalar else len(phases)
-        plans = self._plans.__dict__  # this thread's plans by row count
-        plan = plans.get(rows) or plans.setdefault(rows, _Plan(self, rows))
+        plan = self._plans.get(rows)
+        if plan is None:
+            plan = self._plans[rows] = _Plan(self, rows)
         if self.groups:
             np.multiply(phases, 1j, out=plan.phase)
             np.exp(plan.phase, out=plan.phase)

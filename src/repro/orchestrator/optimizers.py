@@ -67,7 +67,7 @@ class _EarlyStop:
     ``eps * max(|previous best|, tiny)`` for ``patience`` consecutive
     checks.  ``eps=None`` disables tracking entirely (never stops).
     The decision depends only on the loss stream, never on wall clock,
-    so it is deterministic across repeats and evaluation worker counts.
+    so it is deterministic across repeats.
     """
 
     __slots__ = ("eps", "patience", "stall", "stopped")
@@ -100,8 +100,6 @@ class Optimizer:
 
     #: Optional telemetry sink; set via :meth:`bind_telemetry`.
     telemetry = None
-    #: Optional batch evaluator; set via :meth:`bind_evaluator`.
-    evaluator = None
 
     def optimize(
         self,
@@ -140,27 +138,6 @@ class Optimizer:
         """Attach a telemetry instance for objective-evaluation counters."""
         self.telemetry = telemetry
 
-    def bind_evaluator(self, evaluator) -> None:
-        """Attach a batch evaluator (e.g. the pipeline's worker pool).
-
-        When bound, value-only optimizers route their candidate batches
-        through ``evaluator.value_many(objective, batch)`` instead of
-        calling :meth:`Objective.value_many` directly.  The evaluator
-        must be bit-identical to the direct call (see
-        :class:`repro.pipeline.workers.BatchEvaluator`), so binding one
-        never changes results — only where the NumPy work runs.
-        """
-        self.evaluator = evaluator
-
-    def unbind_evaluator(self) -> None:
-        """Detach the bound evaluator (candidate batches go direct again).
-
-        Owners of an evaluator's lifecycle (the request pipeline) call
-        this *before* closing it, so the optimizer never holds a closed
-        — or worse, silently resurrectable — worker pool.
-        """
-        self.evaluator = None
-
     def optimize_many(
         self,
         objectives: List[Objective],
@@ -192,12 +169,6 @@ class Optimizer:
                 objectives, initial_phases, budgets
             )
         ]
-
-    def _value_many(self, objective: Objective, batch: np.ndarray) -> np.ndarray:
-        """Evaluate a candidate batch, via the bound evaluator if any."""
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator.value_many(objective, batch))
-        return np.asarray(objective.value_many(batch))
 
     def _count_evals(self, count: int) -> None:
         if self.telemetry is not None and count:
@@ -366,7 +337,7 @@ class RandomSearch(Optimizer):
         for i in range(limit):
             np.multiply(draws[i], scale, out=candidates)
             candidates += phases
-            losses = self._value_many(objective, candidates)
+            losses = objective.value_many(candidates)
             evaluations += self.population
             previous = best_loss
             j = losses.argmin()
@@ -442,7 +413,7 @@ class SimulatedAnnealing(Optimizer):
                     scale=self.proposal_scale, size=subset
                 )
             uniforms = rng.random(block)
-            losses = self._value_many(objective, candidates)
+            losses = objective.value_many(candidates)
             self._count_evals(block)
             evaluations += block
             previous = best_loss

@@ -194,7 +194,6 @@ class SurfaceOrchestrator:
         optimizer: Optional[Optimizer] = None,
         grid_spacing_m: float = 0.7,
         telemetry: Optional[Telemetry] = None,
-        channel_workers: int = 0,
         solve_budget: Optional[SolveBudgetConfig] = None,
     ):
         self.env = env
@@ -208,10 +207,7 @@ class SurfaceOrchestrator:
         )
         self.telemetry.bind_sim_clock(lambda: self.clock_now)
         self.simulator = ChannelSimulator(
-            env,
-            frequency_hz,
-            parallel_workers=channel_workers,
-            telemetry=self.telemetry,
+            env, frequency_hz, telemetry=self.telemetry
         )
         self.scheduler = Scheduler(telemetry=self.telemetry)
         self.optimizer = optimizer or Adam(max_iterations=120)

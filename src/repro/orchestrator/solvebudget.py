@@ -17,7 +17,7 @@ iteration budget.  The leg cache made *channel builds* incremental
   a short polish suffices), large drift earns the full budget, and the
   band in between interpolates linearly.  The map is a pure function of
   sim-visible state — no wall clock, no host load — so same-seed runs
-  stay byte-identical at any channel or evaluation worker count.
+  stay byte-identical.
 
 The warm-started phases double as the solve's initial incumbent, which
 is what makes the floor budget safe: the search starts at last

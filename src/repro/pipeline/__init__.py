@@ -1,4 +1,4 @@
-"""Concurrent request pipeline: queued admission, coalesced solves.
+"""Request pipeline: queued admission, coalesced solves.
 
 See :class:`RequestPipeline` for the architecture.  A booted kernel
 always has one (zero window); replace it with a configured one via
@@ -14,12 +14,10 @@ from .coalesce import (
 from .config import PipelineConfig
 from .pipeline import PipelineStats, RequestPipeline, TickResult
 from .queue import PriorityClass, QueuedRequest, RequestQueue
-from .workers import BatchEvaluator
 
 __all__ = [
     "AdaptiveCoalesceConfig",
     "AdaptiveCoalescer",
-    "BatchEvaluator",
     "CoalescingCore",
     "PipelineConfig",
     "PipelineStats",

@@ -1,4 +1,4 @@
-"""Configuration knobs for the concurrent request pipeline."""
+"""Configuration knobs for the request pipeline."""
 
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ class PipelineConfig:
             cost.  Off by default: wall time is nondeterministic, and
             determinism tests diff sim-clocked telemetry.
         reoptimize_rounds: block-coordinate rounds per coalesced solve.
-        parallelism: evaluation worker threads for the pipeline's
-            :class:`~repro.pipeline.workers.BatchEvaluator`; 1 keeps
-            evaluation on the calling thread.  Results are
-            bit-identical at any count.
+        parallelism: accepts only 1, as candidate batches are
+            evaluated on the calling thread.  Kept for callers that
+            still pass it.
     """
 
     queue_capacity: int = 64
@@ -57,5 +56,5 @@ class PipelineConfig:
             raise ServiceError("coalesce_window_s must be non-negative")
         if self.reoptimize_rounds < 1:
             raise ServiceError("reoptimize_rounds must be at least 1")
-        if self.parallelism < 1:
-            raise ServiceError("parallelism must be at least 1")
+        if self.parallelism != 1:
+            raise ServiceError("parallelism must be 1: evaluation is serial")

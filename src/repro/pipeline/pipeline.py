@@ -11,8 +11,8 @@ and window counters.  The pipeline supplies the two steps around it:
   :meth:`~repro.orchestrator.scheduler.Scheduler.admit_batch` pass.
 * **Solve** — once the core says a solve is due, one joint
   :meth:`reoptimize` covers the whole dirty set and serves every
-  admitted request; its :class:`BatchEvaluator` splits candidate
-  batches over ``parallelism`` threads, bit-identical to serial.
+  admitted request.  The optimizer scores each candidate batch with
+  one ``value_many`` call on the calling thread.
 
 The load harness (:mod:`repro.load.harness`) drives the same core with
 its own modeled solve.  Everything runs on the simulated clock; wall
@@ -36,7 +36,6 @@ from ..runtime.clock import SimClock
 from .coalesce import AdaptiveCoalesceConfig, CoalescingCore
 from .config import PipelineConfig
 from .queue import RequestQueue
-from .workers import BatchEvaluator
 
 
 @dataclass
@@ -142,12 +141,6 @@ class RequestPipeline:
         self.config = config or PipelineConfig()
         self.telemetry = broker.telemetry
         self.queue = RequestQueue(self.config.queue_capacity)
-        self.evaluator = BatchEvaluator(parallelism=self.config.parallelism)
-        self.evaluator.bind_telemetry(self.telemetry)
-        # Candidate-batch evaluation routes through the worker pool for
-        # every parallelism setting — the chunk grid, not the worker
-        # count, is what the results depend on.
-        self.orchestrator.optimizer.bind_evaluator(self.evaluator)
         # A fixed window W is the controller clamped to [W, W].
         window = self.config.coalesce_window_s
         self.core = CoalescingCore(
@@ -371,14 +364,8 @@ class RequestPipeline:
         return results
 
     def close(self) -> None:
-        """Release the evaluation worker pool.
+        """Do nothing: a pipeline holds no resource to release.
 
-        Unbinds the optimizer first: a closed evaluator is terminal,
-        and leaving it bound would make the next ``optimize()`` raise
-        instead of quietly re-spawning a pool nobody owns (the pre-fix
-        behavior leaked a thread pool per solve after close).
+        Kept for callers that still close their pipeline; a pipeline
+        keeps serving requests after it.
         """
-        optimizer = self.orchestrator.optimizer
-        if optimizer.evaluator is self.evaluator:
-            optimizer.unbind_evaluator()
-        self.evaluator.close()

@@ -30,13 +30,6 @@ from typing import Callable, Deque, Dict, List, Optional
 from .histogram import StreamingHistogram
 
 
-#: Metric namespaces that describe the *host's* execution strategy
-#: (evaluation worker counts) rather than the simulation.
-#: Sim-only exports drop them: two runs of one seeded scenario must be
-#: byte-identical regardless of how the machine evaluated the solves.
-HOST_METRIC_PREFIXES = ("evaluator.",)
-
-
 def _strip_wall_fields(value: object) -> object:
     """Recursively drop ``wall_*`` keys (used by sim-only exports)."""
     if isinstance(value, dict):
@@ -48,15 +41,6 @@ def _strip_wall_fields(value: object) -> object:
     if isinstance(value, list):
         return [_strip_wall_fields(v) for v in value]
     return value
-
-
-def _strip_host_metrics(metrics: Dict[str, object]) -> Dict[str, object]:
-    """Drop host-execution metrics from a counters/gauges mapping."""
-    return {
-        name: value
-        for name, value in metrics.items()
-        if not str(name).startswith(HOST_METRIC_PREFIXES)
-    }
 
 
 def _format_metric(value: object) -> str:
@@ -349,26 +333,6 @@ class Telemetry:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def enable(self) -> None:
-        """Resume collection."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Stop collecting; instrumented code pays (almost) nothing."""
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop every event, aggregate, counter, gauge, and histogram."""
-        self._events.clear()
-        self._span_stats.clear()
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._stack.clear()
-        self._seq = 0
-        self._dropped = 0
-        self._epoch = time.perf_counter()
-
     def bind_sim_clock(
         self, sim_clock: Callable[[], float], force: bool = False
     ) -> None:
@@ -548,11 +512,6 @@ class Telemetry:
         records.append(summary)
         if sim_only:
             records = [_strip_wall_fields(r) for r in records]
-            stripped = records[-1]
-            for section in ("counters", "gauges"):
-                values = stripped.get(section)
-                if isinstance(values, dict):
-                    stripped[section] = _strip_host_metrics(values)
         lines = [json.dumps(r, sort_keys=True) for r in records]
         text = "\n".join(lines) + "\n"
         if path is not None:

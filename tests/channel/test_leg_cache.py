@@ -196,46 +196,6 @@ class TestGoldenEquivalence:
         assert sim.telemetry.get_counter("channel.leg_cache_full_purges") == 1
 
 
-class TestParallelTracing:
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_bit_identical_to_serial(self, workers, points):
-        serial = monolithic_model(points)
-        sim = ChannelSimulator(
-            two_room_apartment(), FREQ, parallel_workers=workers
-        )
-        parallel = sim.build(make_ap(), points, make_panels())
-        assert model_max_diff(parallel, serial) == 0.0
-
-    def test_incremental_rebuild_parallel_matches(self, points):
-        sim = ChannelSimulator(two_room_apartment(), FREQ, parallel_workers=4)
-        ap = make_ap()
-        panels = make_panels()
-        sim.build(ap, points, panels)
-        moved = points + np.array([0.4, 0.25, 0.0])
-        model = sim.build(ap, moved, panels)
-        golden = monolithic_model(moved)
-        assert model_max_diff(model, golden) == 0.0
-
-    def test_sim_only_export_deterministic(self, points):
-        """Parallel tracing must not leak nondeterminism into telemetry."""
-
-        def run():
-            sim = ChannelSimulator(
-                two_room_apartment(), FREQ, parallel_workers=4
-            )
-            ap = make_ap()
-            panels = make_panels()
-            sim.build(ap, points, panels)
-            sim.build(ap, points + np.array([0.4, 0.25, 0.0]), panels)
-            sim.env.add_dynamic_box(
-                "person", Box(vec3(6, 2, 0), vec3(6.5, 2.5, 1.8), HUMAN)
-            )
-            sim.build(ap, points, panels)
-            return sim.telemetry.export_jsonl(sim_only=True)
-
-        assert run() == run()
-
-
 class TestLegCacheTelemetry:
     def test_counters_across_move_rebuild_invalidate(self, env, points):
         sim = ChannelSimulator(env, FREQ)
@@ -299,6 +259,21 @@ class TestLegCacheTelemetry:
         sim.build(ap, points + np.array([0.4, 0.0, 0.0]), panels)
         assert sim.leg_cache_stats == (0, 2 * total)
         assert sim.telemetry.get_counter("channel.leg_cache_hits") == 0
+
+    def test_sim_only_export_deterministic(self, points):
+        def run():
+            sim = ChannelSimulator(two_room_apartment(), FREQ)
+            ap = make_ap()
+            panels = make_panels()
+            sim.build(ap, points, panels)
+            sim.build(ap, points + np.array([0.4, 0.25, 0.0]), panels)
+            sim.env.add_dynamic_box(
+                "person", Box(vec3(6, 2, 0), vec3(6.5, 2.5, 1.8), HUMAN)
+            )
+            sim.build(ap, points, panels)
+            return sim.telemetry.export_jsonl(sim_only=True)
+
+        assert run() == run()
 
 
 class TestModelCacheEviction:

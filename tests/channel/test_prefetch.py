@@ -5,12 +5,13 @@ lands on warmed keys serves them as ordinary leg-cache hits (counted
 once as ``channel.prefetch_hits``); warmed legs invalidated or evicted
 before any build consumes them count as ``channel.prefetch_wasted``;
 and assembled models are bit-identical whether legs were traced
-speculatively, inline, serially, or through a thread pool.
+speculatively or inline.
 """
 
 import numpy as np
 import pytest
 
+import repro.channel.simulator as simulator_module
 from repro.channel import ChannelSimulator
 from repro.core.errors import SimulationError
 from repro.core.units import ghz
@@ -152,27 +153,6 @@ def test_invalidate_resets_prefetch_stats(simulator, ap, bedroom_points, single_
     assert simulator.prefetch_stats == (0, 0, 0)
 
 
-def test_parallel_prefetch_identical_results_and_telemetry(env, ap, bedroom_points, single_prog):
-    serial = ChannelSimulator(env, FREQ, parallel_workers=0)
-    pooled = ChannelSimulator(
-        two_room_apartment(), FREQ, parallel_workers=4
-    )
-    serial.prefetch(ap, bedroom_points, [single_prog])
-    pooled.prefetch(ap, bedroom_points, [single_prog])
-    a = serial.build(ap, bedroom_points, [single_prog])
-    b = pooled.build(ap, bedroom_points, [single_prog])
-    assert float(np.abs(a.direct - b.direct).max()) == 0.0
-    # Sim-only telemetry (event kinds and order) matches exactly.
-    kinds_a = [
-        e.attrs["kind"] for e in serial.telemetry.events("leg-trace")
-    ]
-    kinds_b = [
-        e.attrs["kind"] for e in pooled.telemetry.events("leg-trace")
-    ]
-    assert kinds_a == kinds_b
-    assert serial.prefetch_stats == pooled.prefetch_stats
-
-
 def _count_plans(sim, monkeypatch):
     calls = []
     plan_legs = sim._plan_legs
@@ -230,3 +210,27 @@ def test_changed_environment_version_replans(
     moved.add_dynamic_box("person", Box(vec3(6, 2, 0), vec3(6.5, 2.5, 1.8), HUMAN))
     fresh = ChannelSimulator(moved, FREQ)
     _assert_same_model(model, fresh.build(ap, bedroom_points, [single_prog]))
+
+
+def test_a_build_digests_the_ap_and_each_panel_once(
+    simulator, ap, bedroom_points, small_passive, small_prog, monkeypatch
+):
+    counts = {"_panel_digest": 0, "_node_digest": 0}
+    for name in counts:
+        digest = getattr(simulator_module, name)
+
+        def counting(node, name=name, digest=digest):
+            counts[name] += 1
+            return digest(node)
+
+        monkeypatch.setattr(simulator_module, name, counting)
+    panels = [small_passive, small_prog]
+    calls = _count_plans(simulator, monkeypatch)
+    model = simulator.build(ap, bedroom_points, panels)
+    # A model-cache miss that plans: the key and the plan share digests.
+    assert simulator.telemetry.get_counter("channel.cache_misses") == 1
+    assert len(calls) == 1
+    assert counts == {"_panel_digest": 2, "_node_digest": 1}
+    monkeypatch.undo()
+    fresh = ChannelSimulator(two_room_apartment(), FREQ)
+    _assert_same_model(model, fresh.build(ap, bedroom_points, panels))

@@ -1,6 +1,5 @@
 """SurfOS kernel façade: construction, boot, delegation."""
 
-import numpy as np
 import pytest
 
 from repro import SurfOS, SurfOSError, ghz
@@ -88,23 +87,19 @@ class TestBoot:
         assert system.daemon.pipeline is pipeline
         assert system.daemon.clock is pipeline.clock
         assert pipeline.core.window_s(0.0) == 0.0
-        assert system.orchestrator.optimizer.evaluator is pipeline.evaluator
 
     def test_attach_pipeline_replaces_boot_pipeline(self, unbooted):
         system = unbooted.boot()
         boot_pipeline = system.pipeline
-        boot_evaluator = boot_pipeline.evaluator
-        pipeline = system.attach_pipeline(PipelineConfig(parallelism=2))
+        pipeline = system.attach_pipeline(PipelineConfig())
         assert pipeline is not boot_pipeline
         assert system.pipeline is pipeline
         assert system.daemon.pipeline is pipeline
         assert pipeline.clock is system.daemon.clock is boot_pipeline.clock
-        # The boot evaluator is closed and the new one is bound.
-        with pytest.raises(RuntimeError, match="closed"):
-            boot_evaluator.value_many(None, np.zeros((1, 1)))
-        assert system.orchestrator.optimizer.evaluator is pipeline.evaluator
-        assert pipeline.evaluator.parallelism == 2
-        pipeline.close()
+
+    def test_from_scene_accepts_only_serial_channel_workers(self):
+        with pytest.raises(SurfOSError, match="serially"):
+            SurfOS.from_scene("apartment", channel_workers=2)
 
 
 class TestDelegation:

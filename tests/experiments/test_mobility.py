@@ -64,14 +64,11 @@ def test_departure_after_guest_task_already_completed():
     is unregistered and counted."""
     config = mobility.MobilityConfig(**FAST, churn_rate_hz=0.4)
     system = mobility.build_system(config)
-    try:
-        driver = mobility._ChurnDriver(system, config)
-        driver._arrive("guest-early")
-        (task_id,) = driver._tasks["guest-early"]
-        system.orchestrator.complete_task(task_id)
-        driver._depart("guest-early")
-    finally:
-        system.pipeline.close()
+    driver = mobility._ChurnDriver(system, config)
+    driver._arrive("guest-early")
+    (task_id,) = driver._tasks["guest-early"]
+    system.orchestrator.complete_task(task_id)
+    driver._depart("guest-early")
     assert driver.arrivals == driver.departures == 1
     assert "guest-early" not in {c.client_id for c in system.hardware.clients()}
 

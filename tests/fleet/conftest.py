@@ -32,6 +32,4 @@ def make_fleet(n=3, strategy=None, **spec_kw):
 
 @pytest.fixture()
 def fleet():
-    broker = make_fleet()
-    yield broker
-    broker.close()
+    return make_fleet()

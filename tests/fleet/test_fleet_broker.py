@@ -43,16 +43,13 @@ class TestRouting:
         placements = []
         for _ in range(2):
             fleet = make_fleet(strategy=LeastLoaded())
-            try:
-                handles = [
-                    fleet.submit(demand(i, zone=f"z{1 + i % 3}"))
-                    for i in range(6)
-                ]
-                placements.append(
-                    [h.routing.shard_id for h in handles]
-                )
-            finally:
-                fleet.close()
+            handles = [
+                fleet.submit(demand(i, zone=f"z{1 + i % 3}"))
+                for i in range(6)
+            ]
+            placements.append(
+                [h.routing.shard_id for h in handles]
+            )
         assert placements[0] == placements[1]
 
     def test_fleet_duplicate_rejected_across_shards(self, fleet):
@@ -115,31 +112,25 @@ class TestSpillOnQuarantine:
 class TestSaturationBackpressure:
     def test_saturated_queue_rejects_with_reason_not_raise(self):
         fleet = make_fleet(queue_capacity=1)
-        try:
-            first = fleet.submit(demand(0))
-            assert first.status is HandleStatus.QUEUED
-            second = fleet.submit(demand(1))
-            assert second.status is HandleStatus.REJECTED
-            assert "queue full" in second.reason
-            assert second.routing.shard_id == "z1"
-        finally:
-            fleet.close()
+        first = fleet.submit(demand(0))
+        assert first.status is HandleStatus.QUEUED
+        second = fleet.submit(demand(1))
+        assert second.status is HandleStatus.REJECTED
+        assert "queue full" in second.reason
+        assert second.routing.shard_id == "z1"
 
     def test_submit_request_returns_rejected_response(self):
         from repro.broker.calls import ServiceRequest
 
         fleet = make_fleet(queue_capacity=1)
-        try:
-            fleet.submit(demand(0))
-            response = fleet.submit_request(
-                ServiceRequest(demand=demand(1))
-            )
-            assert isinstance(response, ServiceResponse)
-            assert response.status is RequestStatus.REJECTED
-            assert "queue full" in response.reason
-            assert response.routing is not None
-        finally:
-            fleet.close()
+        fleet.submit(demand(0))
+        response = fleet.submit_request(
+            ServiceRequest(demand=demand(1))
+        )
+        assert isinstance(response, ServiceResponse)
+        assert response.status is RequestStatus.REJECTED
+        assert "queue full" in response.reason
+        assert response.routing is not None
 
 
 class TestHandoff:

@@ -165,37 +165,3 @@ class TestByteIdentity:
             exports.append(sim_only_export(system, tmp_path, f"on{i}.jsonl"))
         assert exports[0] == exports[1]
         assert '"solver.warm_hits"' in exports[0]
-
-    def test_enabled_matches_unbound_under_eval_binding(self, tmp_path):
-        # The drift probe and the budgeted solves must not care where
-        # candidate batches are evaluated.
-        from repro.pipeline import BatchEvaluator
-
-        results = []
-        for bind in (False, True):
-            system = build_system(
-                SolveBudgetConfig(enabled=True),
-                optimizer=RandomSearch(
-                    max_iterations=10, population=5, seed=0,
-                    early_stop_eps=1e-3, early_stop_patience=2,
-                ),
-            )
-            system.orchestrator.optimize_coverage("bedroom")
-            evaluator = None
-            if bind:
-                evaluator = BatchEvaluator(parallelism=2)
-                system.orchestrator.optimizer.bind_evaluator(evaluator)
-            try:
-                first = system.reoptimize(rounds=1)
-                second = system.reoptimize(rounds=1)
-            finally:
-                if evaluator is not None:
-                    system.orchestrator.optimizer.unbind_evaluator()
-                    evaluator.close()
-            results.append((first.solver, second.solver, {
-                sid: cfg.flat_phases().tobytes()
-                for sid, cfg in (
-                    ("s1", system.hardware.panel("s1").configuration),
-                )
-            }))
-        assert results[0] == results[1]

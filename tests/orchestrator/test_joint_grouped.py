@@ -8,7 +8,6 @@ channel evaluation and one pass of loss math per part, accumulated as
 that formulation in the test, independently of the shared kernels.
 """
 
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.orchestrator.objectives import (
     PoweringObjective,
 )
 from repro.orchestrator.optimizers import RandomSearch
-from repro.pipeline import BatchEvaluator, RequestPipeline
+from repro.pipeline import RequestPipeline
 from repro.services.security import security_objective
 from repro.services.sensing import SurfaceAoAObjective
 
@@ -104,16 +103,6 @@ def reference_value_many(objective, batch):
         power = np.sum(np.abs(h) ** 2, axis=2)
         return -10.0 * np.log10(np.mean(power, axis=1) + 1e-30)
     return np.asarray(objective.value_many(batch))
-
-
-def chunked_reference(objective, batch, chunk):
-    """The reference on the evaluator's fixed chunk grid."""
-    return np.concatenate(
-        [
-            reference_value_many(objective, batch[i : i + chunk])
-            for i in range(0, batch.shape[0], chunk)
-        ]
-    )
 
 
 def weights_for(rng, n):
@@ -247,9 +236,9 @@ class TestGroupedBitIdentity:
 class TestRowStability:
     """One 16-row pass equals its multi-row splits, row for row.
 
-    The loss math never mixes rows, so this pins the BLAS property the
-    16-row default chunk relies on: a GEMM row's bits do not depend on
-    how many rows share the call.  A one-row batch is not a GEMM — BLAS
+    The loss math never mixes rows, so this pins the BLAS property that
+    makes a row's loss independent of its batch: a GEMM row's bits do
+    not depend on how many rows share the call.  A one-row batch is not a GEMM — BLAS
     takes its matrix-vector path, which rounds differently — so it is
     checked against the per-part reference (same path) instead.
     """
@@ -336,25 +325,7 @@ class TestAmplitudePacking:
         assert [part._pack.amplitudes.shape for part in parts] == [(1, E)] * 3
 
 
-class TestEvaluatorRouting:
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    @pytest.mark.parametrize("rows", [1, 8, 16])
-    def test_batch_evaluator_matches_chunked_reference(
-        self, rng, parallelism, rows
-    ):
-        parts = [
-            coverage(rng, 12),
-            *[coverage(rng, 1) for _ in range(6)],
-            security(rng),
-            localization(rng),
-            powering(rng, 1),
-        ]
-        joint = JointObjective(list(zip(parts, weights_for(rng, len(parts)))))
-        batch = rng.uniform(0, 2 * np.pi, (rows, E))
-        with BatchEvaluator(parallelism=parallelism, chunk=8) as evaluator:
-            got = evaluator.value_many(joint, batch)
-        assert np.array_equal(got, chunked_reference(joint, batch, 8))
-
+class TestOneCallPerIteration:
     def test_default_pipeline_makes_one_call_per_iteration(self, rng):
         calls = []
 
@@ -369,51 +340,25 @@ class TestEvaluatorRouting:
         broker = SimpleNamespace(
             orchestrator=SimpleNamespace(optimizer=optimizer), telemetry=None
         )
-        pipeline = RequestPipeline(broker)
-        try:
-            assert optimizer.evaluator is pipeline.evaluator
-            result = optimizer.optimize(spy, rng.uniform(0, 2 * np.pi, E))
-        finally:
-            pipeline.close()
+        RequestPipeline(broker)
+        result = optimizer.optimize(spy, rng.uniform(0, 2 * np.pi, E))
         assert result.iterations == 5
         assert calls == [optimizer.population] * 5
 
-    def test_fresh_objectives_pack_safely_under_threads(self, rng):
-        # Workers race to build a fresh objective's packed operands on
-        # their first chunks; whichever pack is kept must give the same
-        # bits.  More workers than cores and a short switch interval
-        # make the race likely.
-        batch = rng.uniform(0, 2 * np.pi, (64, E))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with BatchEvaluator(parallelism=8, chunk=8) as evaluator:
-                for _ in range(10):
-                    joint = churn_joint(rng, 12)
-                    got = evaluator.value_many(joint, batch)
-                    assert np.array_equal(got, chunked_reference(joint, batch, 8))
-        finally:
-            sys.setswitchinterval(interval)
-
 
 class TestReusedBuffers:
-    """RandomSearch refills one candidate buffer per solve, and a batch of
-    at most one chunk goes to the objective without a split."""
+    """RandomSearch refills one candidate buffer per solve."""
 
     @staticmethod
-    def bound_search(parallelism=1, population=16, chunk=16):
+    def search(population=16):
         from repro.telemetry import Telemetry
 
-        telemetry = Telemetry()
-        evaluator = BatchEvaluator(parallelism=parallelism, chunk=chunk)
-        evaluator.bind_telemetry(telemetry)
         optimizer = RandomSearch(max_iterations=8, population=population, seed=3)
-        optimizer.bind_telemetry(telemetry)
-        optimizer.bind_evaluator(evaluator)
+        optimizer.bind_telemetry(Telemetry())
         return optimizer
 
     def test_later_solve_leaves_earlier_phases(self, rng):
-        optimizer = self.bound_search()
+        optimizer = self.search()
         first_joint, second_joint = churn_joint(rng, 3), churn_joint(rng, 6)
         first = optimizer.optimize(first_joint, rng.uniform(0, 2 * np.pi, E))
         assert first.history[-1] < first.history[0]  # the incumbent moved
@@ -423,28 +368,15 @@ class TestReusedBuffers:
         assert first.phases.tobytes() == kept
         assert first.loss == first_joint.value(first.phases)
 
-    @pytest.mark.parametrize("population, chunk, chunks", [(16, 16, 1), (20, 16, 2), (16, 8, 2)])
-    def test_counts_keep_their_totals(self, rng, population, chunk, chunks):
-        optimizer = self.bound_search(population=population, chunk=chunk)
+    @pytest.mark.parametrize("population", [16, 20])
+    def test_counts_keep_their_totals(self, rng, population):
+        optimizer = self.search(population=population)
         result = optimizer.optimize(churn_joint(rng, 3), rng.uniform(0, 2 * np.pi, E))
-        evaluator, telemetry = optimizer.evaluator, optimizer.telemetry
         assert result.iterations == 8
         assert result.evaluations == 1 + 8 * population + 1
-        assert telemetry.get_counter("optimizer.objective_evaluations") == result.evaluations
-        assert evaluator.batches == telemetry.get_counter("evaluator.batches") == 8
-        assert evaluator.chunks_evaluated == telemetry.get_counter("evaluator.chunks") == 8 * chunks
-
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_one_chunk_path_equals_chunked_path(self, rng, parallelism):
-        joint = churn_joint(rng, 6)
-        batch = rng.uniform(0, 2 * np.pi, (16, E))
-        with BatchEvaluator(parallelism=parallelism, chunk=16) as evaluator:
-            straight = evaluator.value_many(joint, batch)  # one chunk
-            chunked = evaluator.value_many(joint, np.concatenate([batch, batch[::-1]]))
-            assert evaluator.chunks_evaluated == 1 + 2
-        assert straight.tobytes() == chunked[:16].tobytes()
-        assert straight[::-1].tobytes() == chunked[16:].tobytes()
-        assert straight.tobytes() == joint.value_many(batch).tobytes()
+        assert optimizer.telemetry.get_counter("optimizer.objective_evaluations") == (
+            result.evaluations
+        )
 
 
 class TestGradientFreeValue:

@@ -54,4 +54,3 @@ def test_objectives_and_packs_die_with_their_reaction():
             assert [ref() for ref in search.refs] == [None] * len(search.refs)
     finally:
         gc.enable()
-        system.pipeline.close()

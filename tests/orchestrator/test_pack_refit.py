@@ -29,8 +29,7 @@ def system():
     )
     client = ClientDevice("c0", tuple(map(float, system.scene.client_loops[0][0])))
     system.add_client(client)
-    yield system
-    system.pipeline.close()
+    return system
 
 
 def _forms(system, seed):
@@ -93,7 +92,7 @@ def test_refitted_losses_equal_fresh_objectives_bit_for_bit(system, kind):
     _assert_same_losses(objective, build(first), rng)  # builds the pack and plans
     pack = objective._pack
     assert pack is not None and pack_before is None
-    plans = dict(pack._plans.__dict__)
+    plans = dict(pack._plans)
     assert set(plans) == {1, 16}
 
     if isinstance(objective, JointObjective):
@@ -110,7 +109,7 @@ def test_refitted_losses_equal_fresh_objectives_bit_for_bit(system, kind):
     else:
         assert objective.refit(second) is objective
 
-    assert objective._pack is pack and pack._plans.__dict__ == plans
+    assert objective._pack is pack and pack._plans == plans
     _assert_same_losses(objective, build(second), rng)
 
 
@@ -148,18 +147,15 @@ def test_a_reaction_builds_one_pack_per_unit_and_panel(monkeypatch):
     monkeypatch.setattr(objectives, "_LossPack", CountingPack)
     search = RecordingSearch(max_iterations=4, seed=0)
     system = SurfOS.from_scene("apartment", panel_size=4, optimizer=search)
-    try:
-        loop = system.scene.client_loops[0]
-        system.add_client(ClientDevice("c0", tuple(map(float, loop[0]))))
-        orch = system.orchestrator
-        orch.optimize_coverage(system.scene.observe_room)
-        orch.enhance_link("c0", snr=20.0)
-        orch.reoptimize(rounds=1)  # admission; the next reaction is warm
-        built.clear()
-        search.calls.clear()
-        orch.reoptimize(rounds=3)
-    finally:
-        system.pipeline.close()
+    loop = system.scene.client_loops[0]
+    system.add_client(ClientDevice("c0", tuple(map(float, loop[0]))))
+    orch = system.orchestrator
+    orch.optimize_coverage(system.scene.observe_room)
+    orch.enhance_link("c0", snr=20.0)
+    orch.reoptimize(rounds=1)  # admission; the next reaction is warm
+    built.clear()
+    search.calls.clear()
+    orch.reoptimize(rounds=3)
     panels = len(orch._optimizable_panels())
     assert panels == 2
     objectives_seen = {id(objective) for objective, _ in search.calls}
@@ -181,16 +177,13 @@ def test_a_repeated_form_reuses_the_objective_as_it_is(monkeypatch):
     monkeypatch.setattr(JointObjective, "refit", counting)
     search = RecordingSearch(max_iterations=4, seed=0)
     system = SurfOS.from_scene("two-room", panel_size=4, optimizer=search)
-    try:
-        loop = system.scene.client_loops[0]
-        system.add_client(ClientDevice("c0", tuple(map(float, loop[0]))))
-        orch = system.orchestrator
-        orch.optimize_coverage(system.scene.observe_room)
-        orch.enhance_link("c0", snr=20.0)
-        search.calls.clear()
-        orch.reoptimize(rounds=2)
-    finally:
-        system.pipeline.close()
+    loop = system.scene.client_loops[0]
+    system.add_client(ClientDevice("c0", tuple(map(float, loop[0]))))
+    orch = system.orchestrator
+    orch.optimize_coverage(system.scene.observe_room)
+    orch.enhance_link("c0", snr=20.0)
+    search.calls.clear()
+    orch.reoptimize(rounds=2)
     # One panel: its form depends on no other panel's phases, so the
     # second round finds the same form and the same objective.
     assert len(orch._optimizable_panels()) == 1

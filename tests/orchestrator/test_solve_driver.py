@@ -26,7 +26,6 @@ from repro.orchestrator import (
 )
 from repro.orchestrator.objectives import CoverageObjective
 from repro.orchestrator.tasks import reset_task_counter
-from repro.pipeline import BatchEvaluator
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
 
 FREQ = ghz(28)
@@ -138,39 +137,6 @@ def test_adaptive_case_exercises_warm_starts():
     second = system.reoptimize(rounds=2)
     assert first.solver["cold_starts"] == 2
     assert second.solver["warm_hits"] == 2
-
-
-def _slot_phases(result):
-    return {
-        task_id: {sid: cfg.flat_phases().tobytes() for sid, cfg in entry.items()}
-        for task_id, entry in result.slots.items()
-    }
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: RandomSearch(max_iterations=8, population=6, seed=1),
-        lambda: SimulatedAnnealing(steps=40, speculation=4, seed=2),
-    ],
-    ids=["random", "anneal"],
-)
-def test_slotted_phases_equal_with_evaluator_pool(make):
-    # A 2-row chunk splits every candidate batch across both workers.
-    serial = build(make(), slotted=True).reoptimize(rounds=2)
-    pooled_system = build(make(), slotted=True)
-    with BatchEvaluator(parallelism=2, chunk=2) as evaluator:
-        pooled_system.orchestrator.optimizer.bind_evaluator(evaluator)
-        pooled = pooled_system.reoptimize(rounds=2)
-        pooled_system.orchestrator.optimizer.unbind_evaluator()
-    assert len(serial.slots) == 3
-    assert _slot_phases(pooled) == _slot_phases(serial)
-    assert pooled.joint.keys() == serial.joint.keys() == {"s1", "s2"}
-    for sid in ("s1", "s2"):
-        assert (
-            pooled.joint[sid].flat_phases().tobytes()
-            == serial.joint[sid].flat_phases().tobytes()
-        )
 
 
 class CountingRandomSearch(RandomSearch):

@@ -13,7 +13,6 @@ from repro.pipeline import (
     PipelineConfig,
     WINDOW_CLOSE_EPS_S,
 )
-from repro.pipeline.workers import DEFAULT_EVAL_CHUNK
 
 
 def demand(i, priority=5):
@@ -300,14 +299,13 @@ class TestConfigConflict:
         assert pipeline.core.window_s(0.0) == 0.0
 
 
-class TestEvaluatorConfig:
-    def test_pipeline_evaluator_follows_parallelism(self, system):
-        # parallelism is the one evaluation setting; the chunk grid
-        # stays at the default so results never depend on it.
-        pipeline = system.attach_pipeline(PipelineConfig(parallelism=3))
-        try:
-            assert pipeline.evaluator.parallelism == 3
-            assert pipeline.evaluator.chunk == DEFAULT_EVAL_CHUNK
-            assert system.orchestrator.optimizer.evaluator is pipeline.evaluator
-        finally:
-            pipeline.close()
+class TestClose:
+    def test_request_after_close_is_served_by_tick(self, system):
+        # close() releases nothing: the pipeline keeps serving.
+        pipeline = system.attach_pipeline(PipelineConfig(coalesce_window_s=0.0))
+        pipeline.close()
+        handle = pipeline.submit(demand(0))
+        outcome = pipeline.tick()
+        assert outcome.reoptimized
+        assert handle.status is HandleStatus.RUNNING
+        assert len(pipeline.stats.latencies) == 1

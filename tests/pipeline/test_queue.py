@@ -106,3 +106,12 @@ class TestConfigValidation:
         ):
             with pytest.raises(ServiceError):
                 PipelineConfig(**kw)
+
+    def test_parallelism_accepts_only_one(self):
+        import pytest
+
+        from repro.core.errors import ServiceError
+
+        assert PipelineConfig(parallelism=1).parallelism == 1
+        with pytest.raises(ServiceError, match="serial"):
+            PipelineConfig(parallelism=2)

@@ -1,11 +1,10 @@
 """Property: a seeded daemon run exports byte-identical sim-only telemetry.
 
 The determinism contract: one seed gives the same sim-only JSONL across
-repeats and across channel-worker counts.  Each example drives a short
-apartment run (a mobile client, an obstacle walker, optionally a panel
-death, fixed or adaptive solve budgets) through the daemon's one
-reaction path, three times — serial twice and with two channel workers
-once — and compares the exports.
+repeats.  Each example drives a short apartment run (a mobile client,
+an obstacle walker, optionally a panel death, fixed or adaptive solve
+budgets) through the daemon's one reaction path twice and compares the
+exports.
 """
 
 from hypothesis import given, settings
@@ -36,7 +35,7 @@ RUN = st.fixed_dictionaries(
 )
 
 
-def export(run, channel_workers):
+def export(run):
     reset_task_counter()
     reset_request_counter()
     injector = FaultInjector(seed=run["seed"])
@@ -50,7 +49,6 @@ def export(run, channel_workers):
         ),
         grid_spacing_m=1.0,
         fault_injector=injector,
-        channel_workers=channel_workers,
         solve_budget=(
             SolveBudgetConfig(enabled=True) if run["adaptive"] else None
         ),
@@ -76,15 +74,13 @@ def export(run, channel_workers):
     system.orchestrator.enhance_link("c0", snr=20.0)
     system.orchestrator.reoptimize(now=0.0)
     system.daemon.run(steps=run["steps"], dt=0.5)
-    system.pipeline.close()
     return system.telemetry.export_jsonl(sim_only=True)
 
 
 @settings(max_examples=4, deadline=None)
 @given(run=RUN)
 def test_daemon_run_is_deterministic(run):
-    first = export(run, channel_workers=0)
+    first = export(run)
     # The mobile client moves every cycle, so every cycle reacts.
     assert first.count('"name": "daemon.reaction"') == run["steps"]
-    assert export(run, channel_workers=0) == first
-    assert export(run, channel_workers=2) == first
+    assert export(run) == first

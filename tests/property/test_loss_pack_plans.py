@@ -1,15 +1,11 @@
-"""Properties of the loss pack's per-thread, per-row-count plans.
+"""Properties of the loss pack's per-row-count plans.
 
-A pack keeps one plan of buffers per thread and batch row count and
-fills it in place on every call.  On random joints and lone objectives,
-with amplitude rows of ones and of other values, calls at interleaved
-row counts must each equal the per-part reference bit for bit, a
-returned array must not change under later calls, and one objective
-evaluated from many threads at once must give the serial bits.
+A pack keeps one plan of buffers per batch row count and fills it in
+place on every call.  On random joints and lone objectives, with
+amplitude rows of ones and of other values, calls at interleaved row
+counts must each equal the per-part reference bit for bit, and a
+returned array must not change under later calls.
 """
-
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import given, settings
@@ -75,19 +71,3 @@ def test_interleaved_row_counts_equal_reference(objective, rows, seed):
         assert bits(value) == bits(reference_value(objective, batch[0]))
     for got, snapshot in kept:
         assert bits(got) == snapshot
-
-
-@settings(max_examples=25, deadline=None)
-@given(objective=objectives(), seed=st.integers(0, 2**16))
-def test_threads_equal_serial(objective, seed):
-    rows = ROWS * 4
-    batches = _batches(objective, rows, seed)
-    serial = [bits(objective.value_many(batch)) for batch in batches]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(objective.value_many, batches))
-    finally:
-        sys.setswitchinterval(interval)
-    assert [bits(got) for got in threaded] == serial

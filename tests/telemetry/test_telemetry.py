@@ -106,16 +106,6 @@ class TestCountersAndEvents:
         (event,) = t.events("reaction")
         assert event.path == "daemon/reaction"
 
-    def test_reset_clears_everything(self):
-        t = Telemetry()
-        with t.span("a"):
-            t.counter("c")
-            t.gauge("g", 1.0)
-        t.reset()
-        snap = t.snapshot()
-        assert not snap.spans and not snap.counters and not snap.gauges
-        assert snap.events_logged == 0
-
 
 class TestDisabled:
     def test_disabled_span_is_shared_noop(self):
@@ -135,14 +125,6 @@ class TestDisabled:
         snap = t.snapshot()
         assert not snap.counters and not snap.gauges
         assert snap.events_logged == 0
-
-    def test_enable_resumes_collection(self):
-        t = Telemetry(enabled=False)
-        t.counter("hits")
-        t.enable()
-        assert t.counter("hits") == 1
-        t.disable()
-        assert t.counter("hits") == 1
 
 
 class TestExportAndReport:

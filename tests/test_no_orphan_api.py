@@ -78,7 +78,9 @@ ALLOWED = {
     "repro.experiments.result.ExperimentResultBase.to_json": UNREVIEWED,
     "repro.fleet.broker.FleetBroker.applications": FRONTEND,
     "repro.fleet.broker.FleetBroker.handle_for": FRONTEND,
-    "repro.fleet.broker.FleetBroker.reinstate_shard": UNREVIEWED,
+    "repro.fleet.broker.FleetBroker.reinstate_shard": (
+        "the way back from quarantine_shard, which the fleet scenario calls"
+    ),
     "repro.geometry.environment.Environment.move_dynamic_box": (
         "dynamic-obstacle lifecycle; walkers use add_dynamic_box"
     ),
@@ -134,9 +136,6 @@ ALLOWED = {
     "repro.surfaces.catalog.get_design": UNREVIEWED,
     "repro.surfaces.panel.SurfacePanel.sees": UNREVIEWED,
     "repro.surfaces.specs.OperationMode.reflects": UNREVIEWED,
-    "repro.telemetry.core.Telemetry.disable": UNREVIEWED,
-    "repro.telemetry.core.Telemetry.enable": UNREVIEWED,
-    "repro.telemetry.core.Telemetry.reset": UNREVIEWED,
 }
 
 
