@@ -23,7 +23,6 @@ from repro.orchestrator.objectives import (
     PoweringObjective,
 )
 from repro.orchestrator.optimizers import RandomSearch
-from repro.pipeline import RequestPipeline
 from repro.services.security import security_objective
 from repro.services.sensing import SurfaceAoAObjective
 
@@ -326,7 +325,7 @@ class TestAmplitudePacking:
 
 
 class TestOneCallPerIteration:
-    def test_default_pipeline_makes_one_call_per_iteration(self, rng):
+    def test_random_search_makes_one_call_per_iteration(self, rng):
         calls = []
 
         class SpyJoint(JointObjective):
@@ -337,10 +336,6 @@ class TestOneCallPerIteration:
         joint = churn_joint(rng, 3)
         spy = SpyJoint(joint.parts)
         optimizer = RandomSearch(max_iterations=5, seed=0)
-        broker = SimpleNamespace(
-            orchestrator=SimpleNamespace(optimizer=optimizer), telemetry=None
-        )
-        RequestPipeline(broker)
         result = optimizer.optimize(spy, rng.uniform(0, 2 * np.pi, E))
         assert result.iterations == 5
         assert calls == [optimizer.population] * 5

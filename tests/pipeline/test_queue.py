@@ -102,16 +102,8 @@ class TestConfigValidation:
             {"max_batch": 0},
             {"coalesce_window_s": -1.0},
             {"parallelism": 0},
+            {"parallelism": 2},  # evaluation is serial
             {"reoptimize_rounds": 0},
         ):
             with pytest.raises(ServiceError):
                 PipelineConfig(**kw)
-
-    def test_parallelism_accepts_only_one(self):
-        import pytest
-
-        from repro.core.errors import ServiceError
-
-        assert PipelineConfig(parallelism=1).parallelism == 1
-        with pytest.raises(ServiceError, match="serial"):
-            PipelineConfig(parallelism=2)
