@@ -9,7 +9,7 @@ including the degenerate geometry the epsilon guards exist for.
 import numpy as np
 import pytest
 
-from repro.channel.geomkernels import PanelStack, compiled_geometry
+from repro.channel.geomkernels import CompiledGeometry, PanelStack, compiled_geometry
 from repro.channel.tracer import (
     PanelObstacle,
     reflection_paths,
@@ -346,3 +346,37 @@ def test_compiled_geometry_recompiles_on_version_bump():
     second = compiled_geometry(env)
     assert second is not first
     assert second.num_boxes == first.num_boxes + 1
+
+
+@pytest.mark.parametrize("seed", [5, 13, 29])
+def test_reused_scratch_matches_fresh_geometry(seed):
+    """The tile scratch carries nothing from one call into the next."""
+    env, rng = random_environment(seed)
+    shared = CompiledGeometry(env)
+    # 3000 rows span two tiles; the smaller batches reuse their heads.
+    for n in (3000, 7, 300, 1, 3000):
+        a, b = random_segments(rng, n=n)
+        fresh = CompiledGeometry(env)
+        np.testing.assert_array_equal(
+            shared.segment_loss_db(a, b, FREQ), fresh.segment_loss_db(a, b, FREQ)
+        )
+        np.testing.assert_array_equal(
+            shared.wall_crossing_matrix(a, b),
+            CompiledGeometry(env).wall_crossing_matrix(a, b),
+        )
+        np.testing.assert_array_equal(
+            shared.box_crossing_matrix(a, b),
+            CompiledGeometry(env).box_crossing_matrix(a, b),
+        )
+
+
+def test_scratch_is_allocated_once():
+    env, rng = random_environment(41, num_walls=6, num_boxes=4)
+    compiled = CompiledGeometry(env)
+    compiled.segment_loss_db(*random_segments(rng, n=50), FREQ)
+    walls, boxes = compiled._wall_scratch, compiled._box_scratch
+    assert walls is not None and boxes is not None
+    compiled.segment_loss_db(*random_segments(rng, n=20), FREQ)
+    compiled.box_crossing_matrix(*random_segments(rng, n=90))
+    assert compiled._wall_scratch is walls
+    assert compiled._box_scratch is boxes

@@ -196,6 +196,20 @@ class TestGoldenEquivalence:
         assert sim.telemetry.get_counter("channel.leg_cache_full_purges") == 1
 
 
+class TestIncrementalRebuild:
+    @pytest.mark.parametrize(
+        "shift", [(-0.3, 0.1, 0.0), (0.2, -0.35, 0.0), (0.0, 0.0, 0.5)]
+    )
+    def test_rebuild_after_move_equals_monolithic(self, env, points, shift):
+        sim = ChannelSimulator(env, FREQ)
+        ap = make_ap()
+        panels = make_panels()
+        sim.build(ap, points, panels)
+        moved = points + np.array(shift)
+        model = sim.build(ap, moved, panels)
+        assert model_max_diff(model, monolithic_model(moved)) == 0.0
+
+
 class TestLegCacheTelemetry:
     def test_counters_across_move_rebuild_invalidate(self, env, points):
         sim = ChannelSimulator(env, FREQ)

@@ -234,3 +234,22 @@ def test_a_build_digests_the_ap_and_each_panel_once(
     monkeypatch.undo()
     fresh = ChannelSimulator(two_room_apartment(), FREQ)
     _assert_same_model(model, fresh.build(ap, bedroom_points, panels))
+
+
+@pytest.mark.parametrize(
+    "legs", [("direct",), ("a2s", "s2p"), ("direct", "a2s", "s2p", "s2s")]
+)
+def test_prefetch_then_build_repeats_identically(ap, bedroom_points, single_prog, legs):
+    def run():
+        sim = ChannelSimulator(two_room_apartment(), FREQ)
+        traced = sim.prefetch(ap, bedroom_points, [single_prog], legs=legs)
+        model = sim.build(ap, bedroom_points, [single_prog])
+        kinds = [e.attrs["kind"] for e in sim.telemetry.events("leg-trace")]
+        return traced, model, kinds, sim.prefetch_stats
+
+    traced_a, a, kinds_a, stats_a = run()
+    traced_b, b, kinds_b, stats_b = run()
+    assert traced_a == traced_b > 0
+    _assert_same_model(a, b)
+    assert kinds_a == kinds_b
+    assert stats_a == stats_b

@@ -101,6 +101,11 @@ class TestBoot:
         with pytest.raises(SurfOSError, match="serially"):
             SurfOS.from_scene("apartment", channel_workers=2)
 
+    @pytest.mark.parametrize("workers", [-1, 1, 4])
+    def test_from_scene_rejects_other_channel_worker_counts(self, workers):
+        with pytest.raises(SurfOSError, match="serially"):
+            SurfOS.from_scene("office", channel_workers=workers)
+
 
 class TestDelegation:
     def test_translate_only_does_not_execute(self, unbooted):

@@ -22,7 +22,7 @@ from repro.orchestrator.objectives import (
     JointObjective,
     PoweringObjective,
 )
-from repro.orchestrator.optimizers import RandomSearch
+from repro.orchestrator.optimizers import RandomSearch, SimulatedAnnealing
 from repro.services.security import security_objective
 from repro.services.sensing import SurfaceAoAObjective
 
@@ -340,6 +340,70 @@ class TestOneCallPerIteration:
         assert result.iterations == 5
         assert calls == [optimizer.population] * 5
 
+    @pytest.mark.parametrize("population", [1, 5, 16, 17, 32, 64])
+    def test_random_search_sends_its_whole_population(self, rng, population):
+        # No batch is split, however wide the population.
+        calls = []
+
+        class SpyJoint(JointObjective):
+            def value_many(self, phases_batch):
+                calls.append(np.shape(phases_batch)[0])
+                return super().value_many(phases_batch)
+
+        spy = SpyJoint(churn_joint(rng, 2).parts)
+        optimizer = RandomSearch(max_iterations=3, population=population, seed=4)
+        result = optimizer.optimize(spy, rng.uniform(0, 2 * np.pi, E))
+        assert calls == [population] * 3
+        assert result.evaluations == 1 + 3 * population + 1
+
+    @pytest.mark.parametrize("speculation", [1, 3, 8, 16])
+    def test_annealing_sends_whole_blocks(self, rng, speculation):
+        calls = []
+
+        class SpyJoint(JointObjective):
+            def value_many(self, phases_batch):
+                calls.append(np.shape(phases_batch)[0])
+                return super().value_many(phases_batch)
+
+        spy = SpyJoint(churn_joint(rng, 2).parts)
+        optimizer = SimulatedAnnealing(steps=20, speculation=speculation, seed=6)
+        result = optimizer.optimize(spy, rng.uniform(0, 2 * np.pi, E))
+        assert result.iterations == 20
+        assert calls[0] == min(speculation, 20)
+        assert max(calls) <= speculation
+        assert result.evaluations == 1 + sum(calls) + 1
+
+
+class TestLossPackPlans:
+    """A pack keeps one plan per batch row count and refills it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda rng: coverage(rng, 12), lambda rng: churn_joint(rng, 4)],
+        ids=["coverage", "joint"],
+    )
+    @pytest.mark.parametrize("rows", [1, 2, 7, 16, 33])
+    def test_one_plan_per_row_count(self, rng, build, rows):
+        objective = build(rng)
+        batch = rng.uniform(0, 2 * np.pi, (rows, E))
+        first = objective.value_many(batch)
+        plans = dict(objective._pack._plans)
+        second = objective.value_many(batch)
+        assert list(plans) == [rows]
+        assert objective._pack._plans == plans
+        assert objective._pack._plans[rows] is plans[rows]
+        assert first.tobytes() == second.tobytes()
+
+    def test_scalar_value_shares_the_one_row_plan(self, rng):
+        joint = churn_joint(rng, 4)
+        phases = rng.uniform(0, 2 * np.pi, E)
+        joint.value(phases)
+        plan = joint._pack._plans[1]
+        joint.value_many(phases[None])
+        joint.value(phases)
+        assert list(joint._pack._plans) == [1]
+        assert joint._pack._plans[1] is plan
+
 
 class TestReusedBuffers:
     """RandomSearch refills one candidate buffer per solve."""
@@ -363,7 +427,7 @@ class TestReusedBuffers:
         assert first.phases.tobytes() == kept
         assert first.loss == first_joint.value(first.phases)
 
-    @pytest.mark.parametrize("population", [16, 20])
+    @pytest.mark.parametrize("population", [1, 8, 16, 20, 33])
     def test_counts_keep_their_totals(self, rng, population):
         optimizer = self.search(population=population)
         result = optimizer.optimize(churn_joint(rng, 3), rng.uniform(0, 2 * np.pi, E))

@@ -131,6 +131,27 @@ def test_sim_only_jsonl_matches_golden(case):
     assert hashlib.sha1(text.encode()).hexdigest() == GOLDEN[case]
 
 
+def _slot_phases(result):
+    return {
+        task_id: {sid: cfg.flat_phases().tobytes() for sid, cfg in entry.items()}
+        for task_id, entry in result.slots.items()
+    }
+
+
+@pytest.mark.parametrize("case", ["mixed-random", "mixed-anneal"])
+def test_slotted_phases_repeat_across_fresh_systems(case):
+    first = CASES[case]().reoptimize(rounds=2)
+    second = CASES[case]().reoptimize(rounds=2)
+    assert len(first.slots) == 3
+    assert _slot_phases(second) == _slot_phases(first)
+    assert second.joint.keys() == first.joint.keys() == {"s1", "s2"}
+    for sid in ("s1", "s2"):
+        assert (
+            second.joint[sid].flat_phases().tobytes()
+            == first.joint[sid].flat_phases().tobytes()
+        )
+
+
 def test_adaptive_case_exercises_warm_starts():
     system = CASES["joint-adaptive"]()
     first = system.reoptimize(rounds=2)

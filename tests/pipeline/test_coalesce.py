@@ -309,3 +309,28 @@ class TestClose:
         assert outcome.reoptimized
         assert handle.status is HandleStatus.RUNNING
         assert len(pipeline.stats.latencies) == 1
+
+    def test_close_twice_is_harmless(self, system):
+        pipeline = system.attach_pipeline(PipelineConfig(coalesce_window_s=0.0))
+        pipeline.close()
+        pipeline.close()
+        handle = pipeline.submit(demand(1))
+        assert pipeline.tick().reoptimized
+        assert handle.status is HandleStatus.RUNNING
+
+    def test_closed_pipeline_matches_an_open_one(self):
+        from .conftest import build_kernel
+
+        def run(close):
+            system = build_kernel(clients=2)
+            pipeline = system.attach_pipeline(PipelineConfig(coalesce_window_s=0.0))
+            if close:
+                pipeline.close()
+            for i in range(2):
+                pipeline.submit(demand(i))
+            pipeline.run(steps=3, dt=0.1)
+            return system.telemetry.export_jsonl(sim_only=True)
+
+        open_run = run(close=False)
+        assert open_run
+        assert run(close=True) == open_run

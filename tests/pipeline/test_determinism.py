@@ -13,9 +13,11 @@ from repro.pipeline import PipelineConfig
 from .conftest import build_kernel
 
 
-def _workload(path):
+def _workload(path, population=None):
     """Run the seeded workload and export its sim-only telemetry."""
     system = build_kernel(clients=4, seed=7)
+    if population is not None:
+        system.orchestrator.optimizer.population = population
     pipeline = system.attach_pipeline(PipelineConfig(coalesce_window_s=0.2))
     apps = ["video_streaming", "online_meeting", "file_transfer", "iot_hub"]
     for i, app in enumerate(apps):
@@ -57,3 +59,14 @@ def test_exported_records_are_valid_jsonl(tmp_path):
     for line in lines:
         record = json.loads(line)
         assert "kind" in record
+
+
+def test_population_wider_than_sixteen_repeats(tmp_path):
+    # A 32-row population is scored in one value_many call per iteration.
+    _workload(tmp_path / "a.jsonl", population=32)
+    _workload(tmp_path / "b.jsonl", population=32)
+    first = (tmp_path / "a.jsonl").read_bytes()
+    assert len(first) > 0
+    assert (tmp_path / "b.jsonl").read_bytes() == first
+    _workload(tmp_path / "narrow.jsonl")
+    assert (tmp_path / "narrow.jsonl").read_bytes() != first

@@ -1,5 +1,7 @@
 """RequestQueue: bounds, backpressure, priority classes, drain order."""
 
+import pytest
+
 from repro.broker import ApplicationDemand, RequestStatus, ServiceRequest
 from repro.pipeline import PipelineConfig, PriorityClass, RequestQueue
 
@@ -93,8 +95,6 @@ class TestPriorityClasses:
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):
-        import pytest
-
         from repro.core.errors import ServiceError
 
         for kw in (
@@ -107,3 +107,11 @@ class TestConfigValidation:
         ):
             with pytest.raises(ServiceError):
                 PipelineConfig(**kw)
+
+    @pytest.mark.parametrize("parallelism", [-1, 4, 16])
+    def test_parallelism_other_than_one_rejected(self, parallelism):
+        from repro.core.errors import ServiceError
+
+        assert PipelineConfig(parallelism=1).parallelism == 1
+        with pytest.raises(ServiceError, match="serial"):
+            PipelineConfig(parallelism=parallelism)
