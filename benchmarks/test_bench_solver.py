@@ -28,7 +28,12 @@ Gates:
 * quality parity: the mean linear observed-grid SNR over the run,
   averaged across the seed set, stays within **1%** of the
   fixed-budget baseline — the saved iterations were redundant;
-* determinism: two adaptive runs produce the same SNR digest.
+* determinism: two adaptive runs produce the same SNR digest;
+* kept solve state: an adaptive run builds exactly one loss pack per
+  (solve unit, panel) for the whole run.  The task set never changes,
+  so every reaction after the first refits the objectives the
+  orchestrator kept instead of building new ones.  Both arms' pack
+  builds are recorded.
 
 Results land in ``BENCH_solver.json`` at the repo root (override with
 ``PERF_BENCH_OUTPUT``).  Evaluation is serial: each 16-row
@@ -39,14 +44,17 @@ Set ``PERF_BENCH_SMALL=1`` for the CI smoke variant.
 import json
 import os
 import statistics
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 from _meta import bench_meta
 from conftest import run_once
 
+from repro import SurfOS
 from repro.analysis.tables import render_table
 from repro.experiments import mobility
+from repro.orchestrator import objectives
 
 SMALL = bool(os.environ.get("PERF_BENCH_SMALL"))
 SEEDS = (0, 1) if SMALL else (0, 1, 2)
@@ -69,6 +77,8 @@ SEARCH_DECAY = 0.7
 
 SPEEDUP_GATE = 1.5
 QUALITY_TOLERANCE = 0.01
+#: The coverage task and the client's link task share one joint group.
+SOLVE_UNITS = 1
 
 OUTPUT = Path(
     os.environ.get("PERF_BENCH_OUTPUT")
@@ -98,6 +108,24 @@ def _config(adaptive: bool, seed: int) -> mobility.MobilityConfig:
     )
 
 
+@contextmanager
+def _pack_builds():
+    """Count the loss packs built inside the block."""
+    builds = []
+    built = objectives._LossPack
+
+    class Counted(built):
+        def __init__(self, parts):
+            builds.append(1)
+            super().__init__(parts)
+
+    objectives._LossPack = Counted
+    try:
+        yield builds
+    finally:
+        objectives._LossPack = built
+
+
 def _mean_linear_snr(result) -> float:
     return float(np.mean(10.0 ** (np.asarray(result.snr_trace) / 10.0)))
 
@@ -106,11 +134,14 @@ def run_solver_comparison():
     """Interleaved fixed/adaptive runs over an identical seed set."""
     wall = {"fixed": [], "adaptive": []}
     snr = {"fixed": [], "adaptive": []}
+    builds = {"fixed": [], "adaptive": []}
     last = {}
     for _ in range(TRIALS):
         for seed in SEEDS:
             for mode, adaptive in (("fixed", False), ("adaptive", True)):
-                result = mobility.run(_config(adaptive, seed))
+                with _pack_builds() as counted:
+                    result = mobility.run(_config(adaptive, seed))
+                builds[mode].append(len(counted))
                 assert result.gate_failures() == [], result.gate_failures()
                 wall[mode].extend(result.wall_solve_s)
                 snr[mode].append(_mean_linear_snr(result))
@@ -129,8 +160,12 @@ def run_solver_comparison():
             "solver_used_iterations": result.solver_used_iterations,
             "solver_warm_hits": result.solver_warm_hits,
             "solver_early_stops": result.solver_early_stops,
+            "pack_builds_per_run": sorted(set(builds[mode])),
         }
     out["seeds"] = list(SEEDS)
+    out["solve_units_x_panels"] = SOLVE_UNITS * len(
+        SurfOS.from_scene(SCENE, panel_size=PANEL_SIZE).hardware.panels()
+    )
     out["speedup"] = round(
         out["fixed"]["median_solve_wall_s"]
         / out["adaptive"]["median_solve_wall_s"],
@@ -181,7 +216,9 @@ def test_bench_solver_adaptive_budgets(benchmark):
     )
     print(
         f"speedup {comparison['speedup']:.2f}x, "
-        f"quality ratio {comparison['quality_ratio']:.4f}"
+        f"quality ratio {comparison['quality_ratio']:.4f}, "
+        f"loss packs per run: fixed {comparison['fixed']['pack_builds_per_run']}, "
+        f"adaptive {comparison['adaptive']['pack_builds_per_run']}"
     )
 
     adaptive = comparison["adaptive"]
@@ -193,6 +230,12 @@ def test_bench_solver_adaptive_budgets(benchmark):
     assert (
         adaptive["solver_used_iterations"]
         <= adaptive["solver_budgeted_iterations"]
+    )
+    # Every reaction after the first refitted the kept objectives: one
+    # pack per (unit, panel) for the whole run, in every adaptive run.
+    assert adaptive["pack_builds_per_run"] == [comparison["solve_units_x_panels"]], (
+        f"adaptive runs built {adaptive['pack_builds_per_run']} loss packs, "
+        f"expected {comparison['solve_units_x_panels']} per run"
     )
     # The headline gate: reaction solves at least 1.5x faster at
     # quality parity.

@@ -3,9 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def median(values, axis: Optional[int] = None):
+    """``np.median`` of finite, non-empty input, bit for bit, at less cost.
+
+    The middle element of the sorted values, or ``(a + b) / 2`` of the
+    two middle ones, which is the two-element mean ``np.median`` takes.
+    ``axis=0`` gives the median of each column of a 2-D array.  Unlike
+    ``np.median`` it does not check for NaN.
+    """
+    a = np.asarray(values, dtype=float)
+    if axis is None:
+        a = a.reshape(-1)
+    elif axis != 0:
+        raise ValueError(f"median supports axis None or 0, got {axis}")
+    n = len(a)
+    if n == 0:
+        raise ValueError("median of an empty array")
+    half = n // 2
+    if n % 2:
+        return np.partition(a, half, axis=0)[half]
+    part = np.partition(a, (half - 1, half), axis=0)
+    return (part[half - 1] + part[half]) / 2.0
 
 
 @dataclass(frozen=True)

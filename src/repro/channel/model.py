@@ -88,7 +88,23 @@ class LinearChannelForm:
         )
 
     def restricted(self, point_indices: Sequence[int]) -> "LinearChannelForm":
-        """The same form over a subset of evaluation points."""
+        """The same form over a subset of evaluation points.
+
+        The form owns its arrays.  An in-bounds unit-step ``range`` is
+        copied as a slice, cheaper than the gather it equals.
+        """
+        if (
+            isinstance(point_indices, range)
+            and point_indices.step == 1
+            and 0 <= point_indices.start
+            and point_indices.stop <= self.num_points
+        ):
+            rows = slice(point_indices.start, point_indices.stop)
+            return LinearChannelForm(
+                surface_id=self.surface_id,
+                coeffs=self.coeffs[rows].copy(),
+                offset=self.offset[rows].copy(),
+            )
         idx = np.asarray(point_indices, dtype=int)
         return LinearChannelForm(
             surface_id=self.surface_id,

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..core.units import dbm_to_watts, thermal_noise_dbm, watts_to_dbm
+
+
+#: Linear SNR floor of :meth:`LinkBudget.snr_db` (-40 dB).
+_SNR_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -24,17 +29,21 @@ class LinkBudget:
     bandwidth_hz: float = 400e6
     noise_figure_db: float = 7.0
 
-    @property
+    # The derived powers are computed once per budget: ``cached_property``
+    # stores them in the instance ``__dict__``, past the frozen
+    # ``__setattr__``, and leaves equality and hashing to the fields.
+
+    @cached_property
     def noise_floor_dbm(self) -> float:
         """Receiver noise floor in dBm."""
         return thermal_noise_dbm(self.bandwidth_hz, self.noise_figure_db)
 
-    @property
+    @cached_property
     def tx_power_watts(self) -> float:
         """Transmit power in watts."""
         return dbm_to_watts(self.tx_power_dbm)
 
-    @property
+    @cached_property
     def noise_watts(self) -> float:
         """Noise power in watts."""
         return dbm_to_watts(self.noise_floor_dbm)
@@ -46,7 +55,19 @@ class LinkBudget:
     def snr_db(self, channel_power_gain: float) -> float:
         """SNR in dB for a linear channel power gain (floored at -40 dB)."""
         snr_linear = self.tx_power_watts * max(channel_power_gain, 0.0) / self.noise_watts
-        return 10.0 * math.log10(max(snr_linear, 1e-4))
+        return 10.0 * math.log10(max(snr_linear, _SNR_FLOOR))
+
+    def snr_db_many(self, gains: np.ndarray) -> np.ndarray:
+        """:meth:`snr_db` of each gain in a 1-D array, bit for bit.
+
+        The products and floors run as array ops; each point still takes
+        ``math.log10``, which ``np.log10`` differs from in the last bit
+        on some inputs.
+        """
+        snr = self.tx_power_watts * np.maximum(gains, 0.0) / self.noise_watts
+        return np.array(
+            [10.0 * math.log10(v) for v in np.maximum(snr, _SNR_FLOOR).tolist()]
+        )
 
     def snr_linear(self, channel_power_gain: float) -> float:
         """Linear SNR for a channel power gain."""

@@ -161,7 +161,7 @@ class CoverageObjective(_KernelObjective):
         x = self.amplitudes * np.exp(1j * phases)
         h = self.form.evaluate(x)
         gains = np.sum(np.abs(h) ** 2, axis=1)
-        return np.array([self.goal.budget.snr_db(g) for g in gains])
+        return self.goal.budget.snr_db_many(gains)
 
     def _forward(self, phases: np.ndarray):
         """Loss plus the intermediates its gradient reuses."""
@@ -311,16 +311,25 @@ class JointObjective(Objective):
 #
 # A reaction's later block-coordinate rounds change a panel's linear
 # form: its offset, and through the cascade legs its coefficients too.
-# They refit the objective instead of building a new one: the pack keeps
-# its groups, buffers and plans, re-points each group's coefficient
-# views, refills its offset row in place and swaps in the loose parts.
+# So does every later reaction of the same task set.  Both refit the
+# objective instead of building a new one: the pack keeps its groups,
+# buffers and plans, re-points each group's coefficient views, refills
+# its offset row in place and swaps in the loose parts.  The
+# orchestrator keeps each (solve unit, panel) objective across
+# reactions while the unit's task set, point counts, weights and the
+# panels' amplitudes hold, and drops it with the first reaction that
+# does not solve that unit and panel, so a pack lives as long as its
+# unit's task set.
 #
 # The pack keeps one plan per row count: every buffer and view a pass
 # touches (phase, amplitude and channel buffers, ``|h|²``, point sums,
 # each group's GEMM ``out=`` and ``Σ_M``/``Σ_K`` views, loss rows,
-# per-point factors laid out for that row count).  Plans hold nothing a refit changes.  A pass
-# fills its plan in place; plans never point back at the pack, so they
-# die with it.
+# per-point factors laid out for that row count).  Plans hold nothing a
+# refit changes.  A pass fills its plan in place; plans never point
+# back at the pack, so they are freed with it.  The pack also remembers
+# its last scalar score with the phase bytes it scored, until a refit:
+# a warm start's drift probe and the first incumbent of the solve it
+# seeds score the same phases once.
 #
 # Determinism: a GEMM slice runs the *same* BLAS kernel on the *same*
 # operand shapes and layout as one objective's own GEMM, and ``Σ_M`` and
@@ -464,8 +473,11 @@ class _LossPack:
 
         Each kernel part's coefficients and offsets are read from its
         form again and each loose part is swapped into its row.  Weights,
-        amplitudes, budgets and point weights stay as built.
+        amplitudes, budgets and point weights stay as built.  The
+        remembered scalar score is forgotten.
         """
+        #: ``(phase bytes, loss)`` of the last scalar score.
+        self._scored = (None, 0.0)
         kernel = [parts[i][0] for i in self.part_of_row[: self.kernel_rows]]
         self.loose = [
             (row, parts[self.part_of_row[row]][0]) for row in range(self.kernel_rows, self.rows)
@@ -489,8 +501,15 @@ class _LossPack:
         return self._pass(batch).copy()
 
     def value(self, phases: np.ndarray) -> float:
-        """The weighted loss of a checked ``(E,)`` phase vector."""
-        return float(self._pass(phases)[0])
+        """The weighted loss of a checked ``(E,)`` phase vector.
+
+        The last score is remembered until a refit: a warm start's drift
+        probe and the solve it seeds score the same phases.
+        """
+        key = phases.tobytes()
+        if key != self._scored[0]:
+            self._scored = (key, float(self._pass(phases)[0]))
+        return self._scored[1]
 
     def _pass(self, phases: np.ndarray) -> np.ndarray:
         """The one loss pass: a ``(P, E)`` batch or one ``(E,)`` vector → a plan row."""

@@ -443,14 +443,11 @@ def panel_projection(panel) -> Projection:
     """The projection implied by a panel's spec (granularity + bits).
 
     Returns a callable mapping raw flat phases onto what the hardware
-    will actually actuate, via :meth:`SurfacePanel.feasible`.
+    will actually actuate, via :meth:`SurfacePanel.feasible_phases`.
     """
-    from ..core.configuration import SurfaceConfiguration
+    shape = panel.shape
 
     def project(phases: np.ndarray) -> np.ndarray:
-        config = SurfaceConfiguration(
-            phases=np.asarray(phases, dtype=float).reshape(panel.shape)
-        )
-        return panel.feasible(config).flat_phases()
+        return panel.feasible_phases(np.reshape(phases, shape)).reshape(-1)
 
     return project

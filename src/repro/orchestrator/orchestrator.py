@@ -28,6 +28,7 @@ from typing import (
 
 import numpy as np
 
+from ..analysis.cdf import median
 from ..channel.model import ChannelModel, LinearChannelForm, LinearFormCache
 from ..channel.simulator import ChannelSimulator, live_configs
 from ..core.configuration import SurfaceConfiguration
@@ -86,15 +87,19 @@ class _SolveUnit:
     :func:`group_key`, or a slotted task's id); ``phases`` is the
     unit's own flat phase state per optimizable surface, ``budgets``
     its round-0 drift budget per surface, and ``objectives`` its loss
-    per surface with the linear form it was fitted to, kept for the
-    reaction's later rounds.
+    per surface with the linear form it was fitted to (``None`` for an
+    objective kept from an earlier reaction), kept for later rounds and
+    reactions.  ``signature`` is what a kept objective must match: the
+    members' task ids, services, point counts and weights in order, the
+    link budget, and each optimizable panel's id and amplitudes.
     """
 
     key: str
     contexts: List[_TaskContext]
     phases: Dict[str, np.ndarray]
+    signature: tuple = ()
     budgets: Dict[str, Optional[int]] = field(default_factory=dict)
-    objectives: Dict[str, Tuple[LinearChannelForm, Objective]] = field(
+    objectives: Dict[str, Tuple[Optional[LinearChannelForm], Objective]] = field(
         default_factory=dict
     )
 
@@ -218,6 +223,9 @@ class SurfaceOrchestrator:
         self._admission_batch: Optional[_AdmissionBatch] = None
         self.solve_budget = solve_budget or SolveBudgetConfig()
         self._solutions = SolutionStore(self.solve_budget.store_size)
+        #: ``(unit key, panel id) → (unit signature, objective)`` of the
+        #: latest reaction's units, refitted by the next reaction.
+        self._kept: Dict[Tuple[str, str], Tuple[tuple, Objective]] = {}
         self._budget_controller = BudgetController(self.solve_budget)
         aps = hardware.access_points()
         if ap_id is None and len(aps) != 1:
@@ -630,10 +638,11 @@ class SurfaceOrchestrator:
         the priority-weighted :class:`JointObjective` of a group.
 
         Built on the unit's first round on the surface and refitted to
-        ``form`` on later rounds of the reaction, so each (unit,
-        surface) builds at most one loss pack.  A round that finds the
-        other surfaces' phases unchanged gets the same form back from
-        the form cache and reuses the objective as it is.
+        ``form`` on later rounds, and on later reactions while the
+        unit's signature holds, so each (unit, surface) builds one loss
+        pack per task set.  A round that finds the other surfaces'
+        phases unchanged gets the same form back from the form cache
+        and reuses the objective as it is.
         """
         fitted, previous = unit.objectives.get(surface_id, (None, None))
         if form is fitted:
@@ -801,6 +810,8 @@ class SurfaceOrchestrator:
         """
         if now is not None:
             self.clock_now = now
+        # A reaction that fails keeps nothing.
+        kept, self._kept = self._kept, {}
         contexts = self.active_contexts()
         if not contexts:
             raise ServiceError("no active tasks to optimize for")
@@ -833,11 +844,25 @@ class SurfaceOrchestrator:
             joint_contexts = [c for c in contexts if self._is_joint(c)]
             slotted_contexts = [c for c in contexts if not self._is_joint(c)]
 
+            common = (self.budget,) + tuple(
+                (p.panel_id, p.configuration.amplitudes.tobytes())
+                for p in optimizable
+            )
+
             def unit(key: str, members: List[_TaskContext]) -> _SolveUnit:
-                return _SolveUnit(key, members, {
+                signature = common + tuple(
+                    (c.task.task_id, c.task.service, c.points.shape[0], c.weight)
+                    for c in members
+                )
+                solve = _SolveUnit(key, members, {
                     p.panel_id: p.configuration.flat_phases()
                     for p in optimizable
-                })
+                }, signature)
+                for p in optimizable:
+                    entry = kept.get((key, p.panel_id))
+                    if entry is not None and entry[0] == signature:
+                        solve.objectives[p.panel_id] = (None, entry[1])
+                return solve
 
             joint = [
                 unit(
@@ -860,6 +885,12 @@ class SurfaceOrchestrator:
                             model, units, optimizable, rounds,
                             eval_counts, solver_stats,
                         )
+                # Only this reaction's units are kept for the next one.
+                solved = {
+                    (u.key, sid): (u.signature, objective)
+                    for u in joint + slots
+                    for sid, (_, objective) in u.objectives.items()
+                }
                 new_configs: Dict[str, SurfaceConfiguration] = {
                     panel.panel_id: self._phases_to_config(
                         panel,
@@ -901,6 +932,7 @@ class SurfaceOrchestrator:
         timing["total_s"] = root.wall_duration_s
         if not self.telemetry.enabled:
             timing = {}
+        self._kept = solved
         self.telemetry.counter("orchestrator.reoptimizations")
         # Every active task was just (re)optimized: the dirty set is
         # clean until the next admission/motion/degradation trigger.
@@ -1035,7 +1067,7 @@ class SurfaceOrchestrator:
                 snrs = live_snrs
             task_snrs = snrs[sl]
             ctx.task.record_metrics(
-                median_snr_db=float(np.median(task_snrs)),
+                median_snr_db=float(median(task_snrs)),
                 min_snr_db=float(np.min(task_snrs)),
             )
             if ctx.task.service is ServiceType.SECURITY:
@@ -1055,7 +1087,7 @@ class SurfaceOrchestrator:
         model = self.simulator.build(self.ap.node(), ctx.points, panels)
         snrs = connectivity.snr_map_db(model, live_configs(panels), self.budget)
         return {
-            "median_snr_db": float(np.median(snrs)),
+            "median_snr_db": float(median(snrs)),
             "min_snr_db": float(np.min(snrs)),
             "max_snr_db": float(np.max(snrs)),
         }

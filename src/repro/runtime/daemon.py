@@ -17,6 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..analysis.cdf import median
 from ..channel import live_configs
 from ..core.errors import ServiceError
 from ..services.connectivity import snr_map_db
@@ -228,8 +229,8 @@ class SurfOSDaemon:
             detected_at=tick.first_trigger_at,
             completed_at=self.orchestrator.clock_now,
             trigger=tick.primary_trigger,
-            median_snr_before_db=float(np.median(snrs_before)),
-            median_snr_after_db=float(np.median(snrs_after)),
+            median_snr_before_db=float(median(snrs_before)),
+            median_snr_after_db=float(median(snrs_after)),
             legs_retraced=self._legs_retraced_total() - legs_before,
             wall_solve_s=float(result.timing.get("optimize_s", 0.0)),
         )

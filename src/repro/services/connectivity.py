@@ -52,8 +52,7 @@ def snr_map_db(
 ) -> np.ndarray:
     """Per-point SNR (dB) with transmit MRT, for live configurations."""
     h = model.evaluate(configs)
-    gains = np.sum(np.abs(h) ** 2, axis=1)
-    return np.array([budget.snr_db(g) for g in gains])
+    return budget.snr_db_many(np.sum(np.abs(h) ** 2, axis=1))
 
 
 def rss_map_dbm(

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.cdf import median
 from ..core.errors import ServiceError
 
 
@@ -73,7 +74,7 @@ class ChannelMonitor:
         new: List[Anomaly] = []
         if len(self._history) >= 1:
             window = self._history[-self.baseline_window :]
-            baseline = np.median(
+            baseline = median(
                 np.stack([s.snrs_db for s in window]), axis=0
             )
             drops = baseline - snrs
@@ -94,7 +95,7 @@ class ChannelMonitor:
         if not self._history:
             return None
         window = self._history[-self.baseline_window :]
-        return np.median(np.stack([s.snrs_db for s in window]), axis=0)
+        return median(np.stack([s.snrs_db for s in window]), axis=0)
 
     def health_report(self, floor_snr_db: float = 10.0) -> Dict[str, float]:
         """Summary statistics for diagnosis dashboards."""

@@ -81,7 +81,7 @@ def secrecy_report(
     """Evaluate the secrecy margin for live configurations."""
     h = model.evaluate(configs)
     gains = np.sum(np.abs(h) ** 2, axis=1)
-    snrs = np.array([budget.snr_db(g) for g in gains])
+    snrs = budget.snr_db_many(gains)
     return SecrecyReport(
         legit_snr_db=float(np.mean(snrs[np.asarray(legit_indices, dtype=int)])),
         eavesdropper_snr_db=float(

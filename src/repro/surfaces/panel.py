@@ -13,7 +13,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.configuration import Granularity, SurfaceConfiguration
+from ..core.configuration import (
+    Granularity,
+    SurfaceConfiguration,
+    quantize_phase,
+    tie_to_granularity,
+    wrap_phase,
+)
 from ..core.errors import ConfigurationError
 from ..em.antenna import AntennaPattern
 from ..geometry.vec import as_vec3, normalize
@@ -153,23 +159,46 @@ class SurfacePanel:
         """The configuration currently actuating the panel."""
         return self._configuration
 
+    def feasible_phases(self, phases: np.ndarray) -> np.ndarray:
+        """Project a ``(rows, cols)`` phase array onto the feasible set.
+
+        Wraps into ``[0, 2π)``, ties to the spec's control granularity
+        and quantizes to its phase bits: the ufuncs a configuration's
+        construction, :meth:`SurfaceConfiguration.tied` and
+        :meth:`SurfaceConfiguration.quantized` run, without building
+        the configurations (their re-wraps of wrapped phases change no
+        bit).  Returns a new array.
+        """
+        out = wrap_phase(np.asarray(phases, dtype=float))
+        if out.shape != self.shape:
+            raise ConfigurationError(
+                f"phase shape {out.shape} != panel shape {self.shape}"
+            )
+        if self.spec.granularity is not Granularity.ELEMENT:
+            out = tie_to_granularity(out, self.spec.granularity)
+        if self.spec.phase_bits is not None:
+            out = quantize_phase(out, self.spec.phase_bits)
+        return out
+
     def feasible(self, config: SurfaceConfiguration) -> SurfaceConfiguration:
         """Project a configuration onto this hardware's feasible set.
 
         Applies the spec's control granularity tie and phase
-        quantization so that upper layers can optimize element-wise and
-        still get an honest prediction of what the hardware will do.
+        quantization (:meth:`feasible_phases`) so that upper layers can
+        optimize element-wise and still get an honest prediction of
+        what the hardware will do.  Hardware with neither constraint
+        returns ``config`` itself.
         """
         if config.shape != self.shape:
             raise ConfigurationError(
                 f"configuration shape {config.shape} != panel shape {self.shape}"
             )
-        out = config
-        if self.spec.granularity is not Granularity.ELEMENT:
-            out = out.tied(self.spec.granularity)
-        if self.spec.phase_bits is not None:
-            out = out.quantized(self.spec.phase_bits)
-        return out
+        if (
+            self.spec.granularity is Granularity.ELEMENT
+            and self.spec.phase_bits is None
+        ):
+            return config
+        return config.with_phases(self.feasible_phases(config.phases))
 
     def actuate(self, config: SurfaceConfiguration) -> SurfaceConfiguration:
         """Set the live configuration (after feasibility projection).

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import EmpiricalCDF, Heatmap, cdf_table, render_table, summarize
+from repro.analysis.cdf import median
 
 
 class TestCDF:
@@ -95,3 +96,30 @@ class TestTables:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             render_table(("a", "b"), [("only-one",)])
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 31])
+    def test_matches_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            assert median(values).tobytes() == np.median(values).tobytes()
+            assert median(list(values)) == np.median(values)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6])
+    def test_columns_of_a_stack_match_numpy(self, rows):
+        stack = np.random.default_rng(rows).normal(size=(rows, 5))
+        out = median(stack, axis=0)
+        assert out.shape == (5,)
+        assert out.tobytes() == np.median(stack, axis=0).tobytes()
+
+    def test_even_count_is_the_mean_of_the_middle_pair(self):
+        assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
+        assert median([5.0]) == 5.0
+
+    def test_rejects_empty_input_and_other_axes(self):
+        with pytest.raises(ValueError):
+            median([])
+        with pytest.raises(ValueError):
+            median(np.zeros((2, 2)), axis=1)

@@ -149,3 +149,17 @@ def test_linear_form_validation():
         LinearChannelForm("x", np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(SimulationError):
         LinearChannelForm("x", np.zeros((2, 2, 3)), np.zeros((2, 3)))
+
+
+def test_restricted_range_equals_the_gather_and_owns_its_arrays(rng):
+    model = random_model(rng)
+    form = model.linear_form("s1", random_configs(rng, model))
+    k = form.num_points
+    for points in (range(1, k - 1), range(0, k), range(2, 2), range(1, k, 2)):
+        sub = form.restricted(points)
+        gathered = form.restricted(list(points))
+        assert sub.coeffs.tobytes() == gathered.coeffs.tobytes()
+        assert sub.offset.tobytes() == gathered.offset.tobytes()
+        assert sub.coeffs.base is None and sub.offset.base is None
+    with pytest.raises(IndexError):
+        form.restricted(range(0, k + 1))

@@ -64,3 +64,19 @@ def test_shannon_inverse_validation():
         shannon_required_snr_db(0.0, 1e6)
     with pytest.raises(ValueError):
         shannon_required_snr_db(1e6, 0.0)
+
+
+def test_derived_powers_are_computed_once(budget):
+    first = budget.noise_watts
+    assert budget.__dict__["noise_watts"] == first
+    assert budget.tx_power_watts is budget.tx_power_watts
+    # Cached values stay out of equality and hashing.
+    assert budget == LinkBudget() and hash(budget) == hash(LinkBudget())
+
+
+def test_snr_many_equals_the_scalar_snr_bit_for_bit(budget):
+    rng = np.random.default_rng(0)
+    gains = np.concatenate([10.0 ** rng.uniform(-20, -4, 200), [0.0, 1e-30]])
+    many = budget.snr_db_many(gains)
+    assert many.tolist() == [budget.snr_db(g) for g in gains]
+    assert budget.snr_db_many(np.empty(0)).shape == (0,)

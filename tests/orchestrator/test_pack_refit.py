@@ -1,4 +1,4 @@
-"""A reaction builds one loss pack per (unit, panel) and refits it per round.
+"""A task set builds one loss pack per (unit, panel) and refits it per round.
 
 On the two-panel apartment, the panels' cascade legs put the other
 panel's phases into a linear form's coefficients as well as its offset,
@@ -19,6 +19,7 @@ from repro.orchestrator.objectives import (
     JointObjective,
     PoweringObjective,
 )
+from repro.orchestrator.solvebudget import SolveBudgetConfig
 from repro.services import connectivity, security
 
 
@@ -136,7 +137,7 @@ class RecordingSearch(RandomSearch):
         return result
 
 
-def test_a_reaction_builds_one_pack_per_unit_and_panel(monkeypatch):
+def test_reactions_of_one_task_set_build_one_pack_per_unit_and_panel(monkeypatch):
     built = []
 
     class CountingPack(objectives._LossPack):
@@ -152,18 +153,47 @@ def test_a_reaction_builds_one_pack_per_unit_and_panel(monkeypatch):
     orch = system.orchestrator
     orch.optimize_coverage(system.scene.observe_room)
     orch.enhance_link("c0", snr=20.0)
-    orch.reoptimize(rounds=1)  # admission; the next reaction is warm
-    built.clear()
-    search.calls.clear()
-    orch.reoptimize(rounds=3)
+    for _ in range(3):
+        orch.reoptimize(rounds=3)
     panels = len(orch._optimizable_panels())
     assert panels == 2
     objectives_seen = {id(objective) for objective, _ in search.calls}
-    # Three rounds over each (unit, panel), one objective and pack each.
-    assert len(search.calls) == 3 * len(objectives_seen)
-    assert len(objectives_seen) % panels == 0
-    assert len(built) == len(objectives_seen)
+    # Three reactions of three rounds over each (unit, panel), one
+    # objective and pack each, refitted in every later round.
+    assert len(objectives_seen) == panels
+    assert len(search.calls) == 3 * 3 * panels
+    assert len(built) == panels
     assert {id(pack) for _, pack in search.calls} == {id(pack) for pack in built}
+
+
+@pytest.mark.parametrize("kind", ["coverage", "joint"])
+def test_a_refit_forgets_the_remembered_score(system, kind):
+    first, second = _forms(system, seed=4)
+    rng = np.random.default_rng(5)
+    phases = rng.uniform(0, 2 * np.pi, first.num_elements)
+
+    def build(form):
+        if kind == "coverage":
+            return CoverageObjective(form)
+        return JointObjective(_kernel_parts(form, None))
+
+    objective = build(first)
+    objective.value_many(phases[None])  # builds the pack
+    pack = objective._pack
+    before = pack.value(phases)
+    assert pack._scored[0] == phases.tobytes() and pack._scored[1] == before
+    assert pack.value(phases.copy()) == before
+    if kind == "coverage":
+        objective.refit(second)
+    else:
+        forms = [second, second, second.restricted(range(4))]
+        objective.refit([
+            part.refit(form) for (part, _), form in zip(objective.parts, forms)
+        ])
+    assert pack._scored[0] is None
+    fresh = build(second)
+    fresh.value_many(phases[None])
+    assert pack.value(phases) == fresh._pack.value(phases) != before
 
 
 def test_a_repeated_form_reuses_the_objective_as_it_is(monkeypatch):
@@ -191,3 +221,38 @@ def test_a_repeated_form_reuses_the_objective_as_it_is(monkeypatch):
     assert search.calls[0][0] is search.calls[1][0]
     assert isinstance(search.calls[0][0], JointObjective)
     assert refits == []
+
+
+def test_a_warm_solve_scores_its_start_once(monkeypatch):
+    scalar_passes = []
+    run_pass = objectives._LossPack._pass
+
+    def counting(self, phases):
+        if phases.ndim == 1:
+            scalar_passes.append(phases.tobytes())
+        return run_pass(self, phases)
+
+    monkeypatch.setattr(objectives._LossPack, "_pass", counting)
+    search = RecordingSearch(max_iterations=4, seed=0)
+    system = SurfOS.from_scene(
+        "apartment", panel_size=4, optimizer=search,
+        solve_budget=SolveBudgetConfig(enabled=True, floor=2),
+    )
+    loop = system.scene.client_loops[0]
+    system.add_client(ClientDevice("c0", tuple(map(float, loop[0]))))
+    orch = system.orchestrator
+    orch.optimize_coverage(system.scene.observe_room)
+    orch.enhance_link("c0", snr=20.0)
+    orch.reoptimize(rounds=1)  # cold: stores the solutions
+    scalar_passes.clear()
+    evaluations = system.telemetry.get_counter("optimizer.objective_evaluations")
+    result = orch.reoptimize(rounds=1)
+    solves = len(orch._optimizable_panels())
+    assert result.solver["warm_hits"] == solves
+    # The drift probe and the solve's first incumbent share one pass;
+    # the projected final answer takes the other.
+    assert len(scalar_passes) == 2 * solves
+    # Counters still count the incumbent and the final answer.
+    spent = system.telemetry.get_counter("optimizer.objective_evaluations")
+    used = result.solver["used_iterations"]
+    assert spent - evaluations == used * search.population + 2 * solves

@@ -45,7 +45,6 @@ ALLOWED = {
     "repro.channel.tracer.PanelObstacle.crossing_mask": ORACLE,
     "repro.channel.tracer.reflection_paths": ORACLE,
     "repro.core.configuration.Granularity.degrees_of_freedom": UNREVIEWED,
-    "repro.core.configuration.SurfaceConfiguration.with_phases": UNREVIEWED,
     "repro.core.kernel.SurfOS.add_sensor": DEVICE_LIFECYCLE,
     "repro.core.kernel.SurfOS.handle_user_demand": (
         "README quickstart's natural-language demand call"
