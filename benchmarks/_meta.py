@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import THREAD_ENV
 
 
 def _blas_vendor() -> str:
@@ -50,8 +51,9 @@ def _git_sha() -> str:
 def bench_meta(**extra) -> dict:
     """Provenance block for a benchmark artifact.
 
-    Records the CPU budget, the NumPy/BLAS stack doing the FLOPs, the
-    interpreter, and the measured commit.  Keyword arguments (e.g.
+    Records the CPU budget, the NumPy/BLAS stack doing the FLOPs and its
+    thread settings (pinned by ``conftest.py``), the interpreter, and
+    the measured commit.  Keyword arguments (e.g.
     ``workers=2``, ``small=True``) are merged in verbatim so
     each suite can add its own knobs.
     """
@@ -61,6 +63,7 @@ def bench_meta(**extra) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "blas": _blas_vendor(),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
         "git_sha": _git_sha(),
     }
     meta.update(extra)

@@ -3,9 +3,10 @@
 Times the batched ``segment_loss_db`` kernel against the per-obstacle
 loop formulation it replaced (reimplemented privately below), plus the
 end-to-end ``reoptimize()`` path with each kernel spliced in.  Other
-arms time the joint loss pack and one ``RandomSearch`` iteration
-against the allocating loop its reused buffers replaced (also
-reimplemented below).  Results land in ``BENCH_kernels.json`` at the
+arms time the joint loss pack, forward and backward, against the
+per-part loops it replaced, and one ``RandomSearch`` iteration against
+the allocating loop its reused buffers replaced (all reimplemented
+below).  Results land in ``BENCH_kernels.json`` at the
 repo root.
 
 Timings use best-of-N (minimum) — this container's single shared core
@@ -16,6 +17,7 @@ fewer repetitions, no speedup floor asserted).
 """
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -72,7 +74,8 @@ JOINT_CALLS = 50 if SMALL else 400
 # against that joint; every part on a panel shares its amplitudes.
 JOINT_POPULATION = 16
 # Joint-loss arm: the same shapes at 1 to 24 parts (the 12-point part
-# plus links), timed per 16-row value_many and per value() call.
+# plus links), timed per 16-row value_many, per value() call and per
+# value_and_gradient() call.
 JOINT_LOSS_PARTS = (1, 3, 6, 12, 24)
 JOINT_LOSS_CALLS = 20 if SMALL else 100
 # Solver-iteration arm: RandomSearch.optimize at its default 16-row
@@ -243,12 +246,48 @@ def _per_part_value_many(joint, batch):
     return total
 
 
+def _part_forward(objective, phases):
+    """A coverage part's own loss pass, as each part ran it before the pack."""
+    budget = objective.goal.budget
+    x = objective.amplitudes * np.exp(1j * phases)
+    h = objective.form.evaluate(x)
+    power = np.sum(np.abs(h) ** 2, axis=1)
+    snr = budget.tx_power_watts * power / budget.noise_watts
+    return -float(np.sum(objective._weights * np.log2(1.0 + snr))), x, h, snr
+
+
 def _per_part_value(joint, phases):
     """The per-part scalar loop the loss pack replaced."""
     total = 0.0
     for objective, weight in joint.parts:
-        total += weight * objective.value(phases)
+        total += weight * _part_forward(objective, phases)[0]
     return total
+
+
+def _per_part_value_and_gradient(joint, phases):
+    """The per-part gradient loop the pack's backward pass replaced."""
+    total, grad = 0.0, np.zeros(joint.dim)
+    for objective, weight in joint.parts:
+        loss, x, h, snr = _part_forward(objective, phases)
+        budget = objective.goal.budget
+        dloss_dpower = -(
+            objective._weights
+            * (budget.tx_power_watts / budget.noise_watts)
+            / ((1.0 + snr) * math.log(2.0))
+        )
+        w_h = dloss_dpower[:, None] * np.conj(h)
+        acc = np.einsum("km,kme->e", w_h, objective.form.coeffs)
+        total += weight * loss
+        grad += weight * (-2.0 * np.imag(x * acc))
+    return total, grad
+
+
+def _same_bits(got, want):
+    (value, grad), (want_value, want_grad) = got, want
+    return (
+        np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        and grad.tobytes() == want_grad.tobytes()
+    )
 
 
 def bench_joint_loss():
@@ -272,12 +311,27 @@ def bench_joint_loss():
             == np.float64(_per_part_value(joint, b[0])).tobytes()
             for b in batches
         )
-        row = {"parts": count, "bit_identical": identical}
+        gradient_identical = all(
+            _same_bits(
+                joint.value_and_gradient(b[0]), _per_part_value_and_gradient(joint, b[0])
+            )
+            for b in batches
+        )
+        row = {
+            "parts": count,
+            "bit_identical": identical,
+            "gradient_bit_identical": gradient_identical,
+        }
         for name, fn in (
             ("per_part_value_many_us", lambda b: _per_part_value_many(joint, b)),
             ("pack_value_many_us", joint.value_many),
             ("per_part_value_us", lambda b: _per_part_value(joint, b[0])),
             ("pack_value_us", lambda b: joint.value(b[0])),
+            (
+                "per_part_value_and_gradient_us",
+                lambda b: _per_part_value_and_gradient(joint, b[0]),
+            ),
+            ("pack_value_and_gradient_us", lambda b: joint.value_and_gradient(b[0])),
         ):
             seconds = best_of(lambda: [fn(b) for b in batches], KERNEL_REPS)
             row[name] = seconds / JOINT_LOSS_CALLS * 1e6
@@ -728,6 +782,16 @@ def test_bench_perf_kernels(benchmark):
                 ),
                 *(
                     (
+                        f"{row['parts']}-part joint value_and_gradient, "
+                        "per-part loop / loss pack (us/call)",
+                        f"{row['per_part_value_and_gradient_us']:.1f} / "
+                        f"{row['pack_value_and_gradient_us']:.1f}",
+                        f"{row['per_part_value_and_gradient_us'] / row['pack_value_and_gradient_us']:.2f}x",
+                    )
+                    for row in loss["by_parts"]
+                ),
+                *(
+                    (
                         f"RandomSearch, 12-point part + {row['links']} links, "
                         "allocating / reused buffers (us/iter)",
                         f"{row['allocating_us_per_iteration']:.1f} / "
@@ -756,8 +820,10 @@ def test_bench_perf_kernels(benchmark):
     assert joint["max_abs_diff"] == 0.0
     # So must evaluating a population in one pass instead of two chunks.
     assert iteration["max_abs_diff"] == 0.0
-    # And the loss pack, batched and scalar, at every part count.
+    # And the loss pack, batched and scalar, at every part count, and
+    # its gradient (no timing floor on either).
     assert all(row["bit_identical"] for row in loss["by_parts"])
+    assert all(row["gradient_bit_identical"] for row in loss["by_parts"])
     # Reusing the solver's buffers must not change a bit or a count.
     assert all(row["identical"] for row in solver["by_links"])
     # Both kernels must land bit-identical slot phases — the

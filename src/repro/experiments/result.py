@@ -8,8 +8,8 @@ to hand-roll their own JSON writing and pass/fail plumbing in
   JSON-able dict), ``render()`` (human-readable report),
   ``gate_failures()`` (list of human-readable regression-gate
   violations; empty = pass).
-* :class:`ExperimentResultBase` — mixin supplying ``to_json()`` and
-  ``gate()`` (exit code) on top of the three protocol methods.
+* :class:`ExperimentResultBase` — mixin supplying ``to_json()`` and a
+  passing ``gate_failures()`` on top of the protocol methods.
 * :func:`finish` — the one CLI epilogue: print the rendering, write the
   ``--json`` artifact when asked, print ``FAIL:`` lines to stderr, and
   return the process exit code.
@@ -40,12 +40,11 @@ class ExperimentResult(Protocol):
 
 
 class ExperimentResultBase:
-    """Mixin: ``to_json()``/``gate()`` derived from the protocol methods.
+    """Mixin: ``to_json()`` derived from the protocol methods.
 
-    Subclasses implement ``summary()``, ``render()``, and
-    ``gate_failures()``; the mixin standardises serialization and the
-    exit-code convention (0 = every gate held, 1 = at least one
-    violation).
+    Subclasses implement ``summary()`` and ``render()``, and
+    ``gate_failures()`` when they have gates; the mixin standardises
+    serialization.  :func:`finish` maps the failures to the exit code.
     """
 
     def gate_failures(self) -> List[str]:
@@ -54,10 +53,6 @@ class ExperimentResultBase:
     def to_json(self) -> str:
         """The summary as deterministic (sorted-key) JSON."""
         return json.dumps(self.summary(), indent=2, sort_keys=True)
-
-    def gate(self) -> int:
-        """Process exit code: 0 when every regression gate holds."""
-        return 1 if self.gate_failures() else 0
 
 
 def finish(

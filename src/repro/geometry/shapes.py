@@ -54,11 +54,6 @@ class Wall:
         """Footprint length (m)."""
         return float(np.linalg.norm(self.end[:2] - self.start[:2]))
 
-    @property
-    def height(self) -> float:
-        """Vertical extent (m)."""
-        return self.z_max - self.z_min
-
     def normal2d(self) -> np.ndarray:
         """A unit normal of the footprint line, in the xy-plane."""
         d = self.end[:2] - self.start[:2]

@@ -103,7 +103,8 @@ class ClientDevice:
 class Sensor:
     """An external sensor reporting scalar measurements to SurfOS.
 
-    ``read`` is injected so tests and experiments can model power
+    ``read`` takes one measurement.  It is injected so tests and
+    experiments can model power
     detectors (LAVA), lidar occupancy (AutoMS), or radar-derived
     presence without new classes.
     """
@@ -115,7 +116,3 @@ class Sensor:
 
     def __post_init__(self) -> None:
         self.position = as_vec3(self.position)
-
-    def measure(self) -> float:
-        """Take one measurement."""
-        return float(self.read())

@@ -4,7 +4,9 @@ Every objective is a real-valued loss of the phase vector ``φ`` of one
 surface, evaluated through a :class:`LinearChannelForm`
 (``h = C·x + d`` with ``x = a·e^{jφ}``).  Gradients are *analytic*
 (Wirtinger calculus), so optimizing a 4096-element surface costs one
-matrix pass per step instead of 4096 finite differences.
+matrix pass per step instead of 4096 finite differences.  Coverage and
+powering losses, lone or in a joint, take value and gradient from one
+loss pack (the comment block above :class:`_LossPack`).
 
 Conventions: for a real loss ``L`` of complex tensors, ``∂L/∂z`` is the
 Wirtinger partial treating ``z̄`` as independent; the chain to phases is
@@ -30,6 +32,7 @@ from ..core.errors import OptimizationError
 from ..em.noise import LinkBudget
 
 _LN2 = math.log(2.0)
+_LN10 = math.log(10.0)
 
 
 class Objective:
@@ -78,15 +81,25 @@ class Objective:
         return batch
 
 
-def _phase_gradient(x: np.ndarray, accumulated: np.ndarray) -> np.ndarray:
-    """``∂L/∂φ`` from the Wirtinger cogradient accumulated against x."""
-    return -2.0 * np.imag(x * accumulated)
-
-
 class _KernelObjective(Objective):
-    """A loss the pack evaluates with one GEMM of its linear form."""
+    """A loss the pack evaluates, forward and backward, through its linear form."""
 
-    form: LinearChannelForm
+    def __init__(self, form: LinearChannelForm, amplitudes: Optional[np.ndarray]):
+        self.form = form
+        self.dim = form.num_elements
+        self.amplitudes = (
+            np.ones(self.dim)
+            if amplitudes is None
+            else np.asarray(amplitudes, dtype=float).reshape(-1)
+        )
+        if self.amplitudes.shape != (self.dim,):
+            raise OptimizationError("amplitudes shape mismatch")
+
+    def value(self, phases: np.ndarray) -> float:
+        return _loss_pack(self, [(self, 1.0)]).value(self._check(phases))
+
+    def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
+        return _loss_pack(self, [(self, 1.0)]).value_and_gradient(self._check(phases))
 
     def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
         return _loss_pack(self, [(self, 1.0)]).value_many(self._check_batch(phases_batch))
@@ -133,15 +146,7 @@ class CoverageObjective(_KernelObjective):
         amplitudes: Optional[np.ndarray] = None,
         goal: Optional[CoverageGoal] = None,
     ):
-        self.form = form
-        self.dim = form.num_elements
-        self.amplitudes = (
-            np.ones(self.dim)
-            if amplitudes is None
-            else np.asarray(amplitudes, dtype=float).reshape(-1)
-        )
-        if self.amplitudes.shape != (self.dim,):
-            raise OptimizationError("amplitudes shape mismatch")
+        super().__init__(form, amplitudes)
         self.goal = goal or CoverageGoal(budget=LinkBudget())
         k = form.num_points
         if self.goal.weights is None:
@@ -163,34 +168,6 @@ class CoverageObjective(_KernelObjective):
         gains = np.sum(np.abs(h) ** 2, axis=1)
         return self.goal.budget.snr_db_many(gains)
 
-    def _forward(self, phases: np.ndarray):
-        """Loss plus the intermediates its gradient reuses."""
-        phases = self._check(phases)
-        budget = self.goal.budget
-        x = self.amplitudes * np.exp(1j * phases)
-        h = self.form.evaluate(x)  # (K, M)
-        power = np.sum(np.abs(h) ** 2, axis=1)  # ‖h_k‖²
-        snr = budget.tx_power_watts * power / budget.noise_watts
-        loss = -float(np.sum(self._weights * np.log2(1.0 + snr)))
-        return loss, x, h, snr
-
-    def value(self, phases: np.ndarray) -> float:
-        return self._forward(phases)[0]
-
-    def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
-        loss, x, h, snr = self._forward(phases)
-        budget = self.goal.budget
-        # ∂loss/∂P_k, then ∂P_k/∂φ via the linear form.
-        dloss_dpower = -(
-            self._weights
-            * (budget.tx_power_watts / budget.noise_watts)
-            / ((1.0 + snr) * _LN2)
-        )
-        # ∂P_k/∂h_km (Wirtinger) = conj(h_km); accumulate through C.
-        w_h = dloss_dpower[:, None] * np.conj(h)  # (K, M)
-        acc = np.einsum("km,kme->e", w_h, self.form.coeffs)
-        return loss, _phase_gradient(x, acc)
-
 
 class PoweringObjective(_KernelObjective):
     """Negative mean harvested power (dB-scaled) at charging points.
@@ -206,36 +183,8 @@ class PoweringObjective(_KernelObjective):
         amplitudes: Optional[np.ndarray] = None,
         budget: Optional[LinkBudget] = None,
     ):
-        self.form = form
-        self.dim = form.num_elements
-        self.amplitudes = (
-            np.ones(self.dim)
-            if amplitudes is None
-            else np.asarray(amplitudes, dtype=float).reshape(-1)
-        )
+        super().__init__(form, amplitudes)
         self.budget = budget or LinkBudget()
-
-    def _forward(self, phases: np.ndarray):
-        """Loss plus the intermediates its gradient reuses."""
-        phases = self._check(phases)
-        x = self.amplitudes * np.exp(1j * phases)
-        h = self.form.evaluate(x)
-        power = np.sum(np.abs(h) ** 2, axis=1)
-        mean_power = float(np.mean(power)) + 1e-30
-        loss = -10.0 * math.log10(mean_power)
-        return loss, x, h, mean_power
-
-    def value(self, phases: np.ndarray) -> float:
-        return self._forward(phases)[0]
-
-    def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
-        loss, x, h, mean_power = self._forward(phases)
-        # d(-10·log10(mean P))/dP_k = -10 / (ln10 · mean P · K)
-        k = self.form.num_points
-        coef = -10.0 / (math.log(10.0) * mean_power * k)
-        w_h = coef * np.conj(h)
-        acc = np.einsum("km,kme->e", w_h, self.form.coeffs)
-        return loss, _phase_gradient(x, acc)
 
 
 class JointObjective(Objective):
@@ -259,13 +208,8 @@ class JointObjective(Objective):
         return _loss_pack(self, self.parts).value(self._check(phases))
 
     def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
-        total = 0.0
-        grad = np.zeros(self.dim)
-        for objective, weight in self.parts:
-            value, g = objective.value_and_gradient(phases)
-            total += weight * value
-            grad += weight * g
-        return total, grad
+        """``Σ w_i · part.value_and_gradient(phases)`` in part order, bit for bit."""
+        return _loss_pack(self, self.parts).value_and_gradient(self._check(phases))
 
     def value_many(self, phases_batch: np.ndarray) -> np.ndarray:
         """``Σ w_i · part.value_many(batch)`` in part order, bit for bit."""
@@ -291,15 +235,15 @@ class JointObjective(Objective):
 # the loss pack
 # ----------------------------------------------------------------------
 #
-# Every coverage/powering loss, lone or in a joint, runs through one
-# pack built lazily on the objective's first evaluation.  Its parts sit
-# in one flat part-major buffer, a ``(P, K_i, M_i)`` block each for a
-# ``P``-row batch, grouped by kernel key ``(kind, K, M)`` with coverage
-# first.  A batch costs one shared ``x = a·e^{jθ}`` (a row per distinct
-# amplitude vector; a panel's parts share one, and an all-ones row is
-# skipped), one ``np.matmul`` per group (``(G, P, E) @ (G, E, K·M)``)
-# into the buffer with the group's ``(G, 1, K·M)`` offsets added by
-# broadcasting, one elementwise pass over every point (``|h|²``,
+# Every coverage/powering loss and gradient, lone or in a joint, runs
+# through one pack built lazily on the objective's first evaluation.
+# Its parts sit in one flat part-major buffer, a ``(P, K_i, M_i)`` block
+# each for a ``P``-row batch, grouped by kernel key ``(kind, K, M)`` with
+# coverage first.  A batch costs one shared ``x = a·e^{jθ}`` (a row per
+# distinct amplitude vector; a panel's parts share one, and an all-ones
+# row is skipped), one ``np.matmul`` per group (``(G, P, E) @ (G, E,
+# K·M)``) into the buffer with the group's ``(G, 1, K·M)`` offsets added
+# by broadcasting, one elementwise pass over every point (``|h|²``,
 # ``Σ_M``, then ``·tx / noise + 1``, ``log2`` and point weights), one
 # ``Σ_K`` per group into a ``(parts, P)`` array, the powering rows'
 # ``mean → log10``, one negation, ``× w`` and a cumulative sum down the
@@ -308,6 +252,16 @@ class JointObjective(Objective):
 # fill their own row.  ``value`` is the one-row case with one stacked
 # ``(G, K, M, E) @ (E, 1)`` matmul per group, which NumPy runs as one
 # ``gemv`` per ``(M, E)`` slice: each part's own ``form.evaluate`` call.
+#
+# ``value_and_gradient`` runs that one-row pass, keeping each coverage
+# point's ``1 + snr`` and each powering part's mean before their logs.
+# They give ``∂L/∂‖h_k‖²``: ``−w·(tx/noise) / ((1 + snr)·ln2)``, or
+# ``−10 / (ln10·mean·K)``.  Per group it scales ``conj(h)`` by that
+# factor and takes one Wirtinger accumulation through the coefficients,
+# ``einsum("gkm,gkme->ge")``; each part's gradient is ``−2·Im(x·acc)``,
+# and a loose part gives its own.  The weighted gradients are added to
+# zeros in part order, as ``grad += w_i · g_i``; a lone objective's is
+# returned as it is.
 #
 # A reaction's later block-coordinate rounds change a panel's linear
 # form: its offset, and through the cascade legs its coefficients too.
@@ -324,12 +278,12 @@ class JointObjective(Objective):
 # The pack keeps one plan per row count: every buffer and view a pass
 # touches (phase, amplitude and channel buffers, ``|h|²``, point sums,
 # each group's GEMM ``out=`` and ``Σ_M``/``Σ_K`` views, loss rows,
-# per-point factors laid out for that row count).  Plans hold nothing a
-# refit changes.  A pass fills its plan in place; plans never point
-# back at the pack, so they are freed with it.  The pack also remembers
-# its last scalar score with the phase bytes it scored, until a refit:
-# a warm start's drift probe and the first incumbent of the solve it
-# seeds score the same phases once.
+# per-point factors laid out for that row count).  The gradient's
+# buffers are made on its first call.  Neither holds anything a refit
+# changes or points back at the pack, so both are freed with it.  The
+# pack also remembers its last scalar score with the phase bytes it
+# scored, until a refit: a warm start's drift probe and the first
+# incumbent of the solve it seeds score the same phases once.
 #
 # Determinism: a GEMM slice runs the *same* BLAS kernel on the *same*
 # operand shapes and layout as one objective's own GEMM, and ``Σ_M`` and
@@ -337,9 +291,12 @@ class JointObjective(Objective):
 # packing never changes bits (asserted in test_joint_grouped.py and
 # test_joint_pack_properties.py; refits in test_pack_refit.py).  The
 # ``out=`` forms run the same ufunc loops as the allocating ones, and a
-# broadcast offset adds the same two floats per entry as a laid-out one.  Parts are deliberately *not*
-# concatenated along K into one wider GEMM: a different GEMM shape may
-# take a different BLAS blocking and round differently.
+# broadcast offset adds the same two floats per entry as a laid-out one.
+# Parts are deliberately *not* concatenated along K into one wider GEMM:
+# a different GEMM shape may take a different BLAS blocking and round
+# differently.  Likewise the grouped ``einsum`` sums each part's
+# ``(K, M)`` terms in the order a part's own ``einsum("km,kme->e")``
+# does, which a ``matmul`` over the group does not.
 
 #: One kernel key's parts: entry/point bounds, first row, G, K, M, amplitude
 #: rows, ``(G, K, M, E)`` coefficients, their ``(G, E, K·M)`` GEMM operand and
@@ -349,8 +306,9 @@ _Group = namedtuple(
 )
 
 #: The scalar log each powering part's own ``value`` takes; ``np.log10``
-#: differs from it in the last bit on some inputs.
-_SCALAR_LOG10 = np.vectorize(math.log10, otypes=[float])
+#: differs from it in the last bit on some inputs.  Its object results
+#: are cast back to float where they are stored.
+_SCALAR_LOG10 = np.frompyfunc(math.log10, 1, 1)
 
 
 def _loss_pack(objective: Objective, parts) -> "_LossPack":
@@ -395,6 +353,32 @@ class _Plan:
         cover = [(g.p0, g.p1, g.size) for g in pack.groups if g.row < pack.coverage_rows]
         self.tx, self.noise, self.point_weights = (per_row(cover, f) for f in pack.factors)
         self.snr = points[: self.tx.size]  # the coverage points
+
+
+class _Backward:
+    """The gradient's buffers beside a pack's one-row plan.
+
+    ``snr`` and ``mean`` receive what a pass keeps and are turned in
+    place into the factors ``∂L/∂‖h_k‖²``.
+    """
+
+    def __init__(self, pack: "_LossPack"):
+        tx, noise, weights = pack.factors
+        #: ``−w·tx/noise`` per coverage point: the factor's numerator.
+        self.gain = -(weights * (tx / noise))
+        self.snr = np.empty(tx.size)
+        self.mean = np.empty((pack.kernel_rows - pack.coverage_rows, 1))
+        self.wh = np.empty(pack.entries, dtype=complex)  # factor · conj(h), one row
+        #: Each group's ``(G, K, M)`` slice of ``wh`` and its factor view.
+        self.groups = []
+        for g in pack.groups:
+            if g.row < pack.coverage_rows:
+                factor = self.snr[g.p0 : g.p1].reshape(g.size, g.points, 1)
+            else:
+                row = g.row - pack.coverage_rows
+                factor = self.mean[row : row + g.size, :, None]
+            wh = self.wh[g.e0 : g.e1].reshape(g.size, g.points, g.antennas)
+            self.groups.append((wh, factor))
 
 
 class _LossPack:
@@ -467,6 +451,8 @@ class _LossPack:
         self.refit(parts)
         #: One plan per batch row count.
         self._plans: dict = {}
+        #: The gradient's buffers, built on the first gradient.
+        self._backward: Optional[_Backward] = None
 
     def refit(self, parts: Sequence[Tuple[Objective, float]]) -> None:
         """Load ``parts``: the built parts, or parts of the same structure.
@@ -511,8 +497,42 @@ class _LossPack:
             self._scored = (key, float(self._pass(phases)[0]))
         return self._scored[1]
 
-    def _pass(self, phases: np.ndarray) -> np.ndarray:
-        """The one loss pass: a ``(P, E)`` batch or one ``(E,)`` vector → a plan row."""
+    def value_and_gradient(self, phases: np.ndarray) -> Tuple[float, np.ndarray]:
+        """The weighted loss of a checked ``(E,)`` phase vector and its gradient."""
+        back = self._backward
+        if back is None:
+            back = self._backward = _Backward(self)
+        grads = np.empty((self.rows, self.dim))
+        loss = float(self._pass(phases, grads)[0])
+        if self.groups:
+            plan = self._plans[1]
+            if self.coverage_rows:
+                back.snr *= _LN2
+                np.divide(back.gain, back.snr, out=back.snr)
+            if self.kernel_rows > self.coverage_rows:
+                back.mean *= _LN10
+                back.mean *= self.powering_points
+                np.divide(-10.0, back.mean, out=back.mean)
+            np.conjugate(plan.h, out=back.wh)
+            for g, x, (wh, factor) in zip(self.groups, plan.operands, back.groups):
+                np.multiply(factor, wh, out=wh)
+                acc = np.einsum("gkm,gkme->ge", wh, g.stack)
+                np.multiply(x[:, 0], acc, out=acc)
+                np.multiply(-2.0, acc.imag, out=grads[g.row : g.row + g.size])
+        if self.weights is None:
+            return loss, grads[0]
+        grads *= self.weights
+        grad = np.zeros(self.dim)
+        for row in range(self.rows) if self.order is None else self.order:
+            grad += grads[row]
+        return loss, grad
+
+    def _pass(self, phases: np.ndarray, grads: Optional[np.ndarray] = None) -> np.ndarray:
+        """The one loss pass: a ``(P, E)`` batch or one ``(E,)`` vector → a plan row.
+
+        Given ``grads``, a scalar pass also keeps the gradient's
+        intermediates and fills the loose parts' gradient rows.
+        """
         scalar = phases.ndim == 1
         rows = 1 if scalar else len(phases)
         plan = self._plans.get(rows)
@@ -532,10 +552,13 @@ class _LossPack:
                 else:
                     np.matmul(x, g.bts, out=out)
                 out += g.offset
-            self._losses(plan, _SCALAR_LOG10 if scalar else np.log10)
+            self._losses(plan, _SCALAR_LOG10 if scalar else np.log10, grads is not None)
         losses, spare = plan.losses, plan.spare
         for row, part in self.loose:
-            losses[row] = part.value(phases) if scalar else part.value_many(phases)
+            if grads is not None:
+                losses[row], grads[row] = part.value_and_gradient(phases)
+            else:
+                losses[row] = part.value(phases) if scalar else part.value_many(phases)
         # Σ w_i · v_i in part order, added sequentially.
         if self.weights is None:
             return losses[0]
@@ -544,8 +567,12 @@ class _LossPack:
             losses, spare = np.take(losses, self.order, axis=0, out=spare), losses
         return np.add.accumulate(losses, axis=0, out=spare)[-1]
 
-    def _losses(self, plan: _Plan, log10) -> None:
-        """Fill the kernel rows of the plan's losses from its channel buffer."""
+    def _losses(self, plan: _Plan, log10, keep: bool = False) -> None:
+        """Fill the kernel rows of the plan's losses from its channel buffer.
+
+        ``keep`` copies ``1 + snr`` and the powering means into the
+        gradient's buffers before their logs.
+        """
         power = np.abs(plan.h, out=plan.power)
         power *= power
         for source, sums in plan.m_sums:  # Σ_M
@@ -555,6 +582,8 @@ class _LossPack:
             snr *= plan.tx
             snr /= plan.noise
             snr += 1.0
+            if keep:
+                np.copyto(self._backward.snr, snr)
             np.log2(snr, out=snr)
             snr *= plan.point_weights
         for sums, losses in plan.k_sums:  # Σ_K
@@ -564,6 +593,8 @@ class _LossPack:
             mean = kernel[self.coverage_rows :]  # the powering rows
             mean /= self.powering_points
             mean += 1e-30
+            if keep:
+                np.copyto(self._backward.mean, mean)
             mean[...] = log10(mean)
             mean *= 10.0
         np.negative(kernel, out=kernel)

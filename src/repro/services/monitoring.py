@@ -72,11 +72,8 @@ class ChannelMonitor:
         if self._history and snrs.shape != self._history[0].snrs_db.shape:
             raise ServiceError("snapshot size changed mid-monitoring")
         new: List[Anomaly] = []
-        if len(self._history) >= 1:
-            window = self._history[-self.baseline_window :]
-            baseline = median(
-                np.stack([s.snrs_db for s in window]), axis=0
-            )
+        baseline = self.baseline()
+        if baseline is not None:
             drops = baseline - snrs
             for idx in np.flatnonzero(drops >= self.drop_threshold_db):
                 anomaly = Anomaly(

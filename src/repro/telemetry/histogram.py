@@ -15,7 +15,7 @@ what lets the sim-only JSONL determinism gates cover load runs too.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
@@ -89,20 +89,6 @@ class StreamingHistogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold another histogram with the same grid into this one."""
-        if (
-            other.bucket_width != self.bucket_width
-            or other.buckets != self.buckets
-            or other.lowest != self.lowest
-        ):
-            raise ValueError("cannot merge histograms with different grids")
-        self._counts += other._counts
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -136,10 +122,6 @@ class StreamingHistogram:
                     idx + 1, self.buckets
                 )
         return self.lowest + self.bucket_width * self.buckets
-
-    def percentiles(self, qs: Iterable[float]) -> Dict[float, float]:
-        """Several percentiles in one pass over the grid."""
-        return {q: self.percentile(q) for q in qs}
 
     def as_dict(self, prefix: str = "") -> Dict[str, float]:
         """Flat JSON-friendly summary (deterministic per run)."""

@@ -46,7 +46,7 @@ class TestConstruction:
     def test_sensor_registration(self, unbooted):
         sensor = Sensor("pd", vec3(6, 2, 1), "power", read=lambda: -42.0)
         unbooted.add_sensor(sensor)
-        assert unbooted.hardware.sensor("pd").measure() == -42.0
+        assert unbooted.hardware.sensor("pd").read() == -42.0
 
     def test_services_require_boot(self, unbooted):
         with pytest.raises(SurfOSError):

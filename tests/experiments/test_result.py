@@ -37,10 +37,6 @@ class TestMixin:
         assert json.loads(text) == {"value": 7, "b": 2, "a": 1}
         assert text.index('"a"') < text.index('"b"') < text.index('"value"')
 
-    def test_gate_exit_codes(self):
-        assert _FakeResult().gate() == 0
-        assert _FakeResult(failures=("boom",)).gate() == 1
-
     def test_default_gate_is_empty(self):
         class Bare(ExperimentResultBase):
             def summary(self):
@@ -50,7 +46,6 @@ class TestMixin:
                 return ""
 
         assert Bare().gate_failures() == []
-        assert Bare().gate() == 0
 
 
 class TestFinish:
@@ -126,7 +121,7 @@ class TestAdopters:
             interactive_served=2,
         )
         assert isinstance(good, ExperimentResult)
-        assert good.gate() == 0
+        assert good.gate_failures() == []
         bad = FleetResult(
             shards=2,
             requests=4,
@@ -156,9 +151,9 @@ class TestAdopters:
 
         good = make(recovered=18.0, failures=0)
         assert isinstance(good, ExperimentResult)
-        assert good.gate() == 0
+        assert good.gate_failures() == []
         assert good.summary()["recovered_within_bound"] is True
-        assert make(recovered=10.0, failures=0).gate() == 1
+        assert make(recovered=10.0, failures=0).gate_failures()
         assert (
             "reoptimize failures"
             in make(recovered=18.0, failures=2).gate_failures()[0]

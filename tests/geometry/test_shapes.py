@@ -44,9 +44,8 @@ class TestWall:
         p = vec3(1.3, 2.7, 0.8)
         assert wall.mirror_point(wall.mirror_point(p)) == pytest.approx(list(p))
 
-    def test_length_and_height(self, wall):
+    def test_length(self, wall):
         assert wall.length == pytest.approx(4.0)
-        assert wall.height == pytest.approx(3.0)
 
     def test_contains_footprint_point(self, wall):
         assert wall.contains_footprint_point(vec3(0, 2, 1))

@@ -106,7 +106,7 @@ class TestRegistry:
         manager.register_sensor(sensor)
         assert manager.access_point("ap1") is ap
         assert manager.client("phone") is client
-        assert manager.sensor("pd1").measure() == -40.0
+        assert manager.sensor("pd1").read() == -40.0
         with pytest.raises(UnknownDeviceError):
             manager.register_access_point(ap)
         with pytest.raises(UnknownDeviceError):

@@ -90,15 +90,13 @@ class TestBehavior:
 class TestGating:
     def test_slo_pass_and_fail(self):
         passing = _run(slo=SLOPolicy.parse("satisfaction=0.5"))
-        assert passing.gate() == 0
         assert passing.gate_failures() == []
         failing = _run(slo=SLOPolicy.parse("interactive=0.0001"))
-        assert failing.gate() == 1
         assert failing.gate_failures()
         assert failing.summary()["slo.ok"] is False
 
     def test_no_slo_means_no_gate(self):
-        assert _run().gate() == 0
+        assert _run().gate_failures() == []
 
     def test_protocol_conformance(self):
         result = _run(slo=SLOPolicy.parse("satisfaction=0.5"))

@@ -4,10 +4,14 @@
 parts into one batched GEMM per group.  Every loss must still equal,
 bit for bit, the per-part formulation it replaced: one ``tensordot``
 channel evaluation and one pass of loss math per part, accumulated as
-``total += w_i · v_i`` in part order.  The reference below re-derives
-that formulation in the test, independently of the shared kernels.
+``total += w_i · v_i`` in part order.  ``value_and_gradient`` takes one
+Wirtinger accumulation per group, and must equal each part's own
+forward and ``einsum("km,kme->e")`` backward pass, accumulated as
+``grad += w_i · g_i``.  The references below re-derive both
+formulations in the test, independently of the shared kernels.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +20,7 @@ import pytest
 from repro.channel import LinearChannelForm
 from repro.core.errors import OptimizationError
 from repro.em import LinkBudget
+from repro.orchestrator import objectives
 from repro.orchestrator.objectives import (
     CoverageGoal,
     CoverageObjective,
@@ -102,6 +107,62 @@ def reference_value_many(objective, batch):
         power = np.sum(np.abs(h) ** 2, axis=2)
         return -10.0 * np.log10(np.mean(power, axis=1) + 1e-30)
     return np.asarray(objective.value_many(batch))
+
+
+def reference_value_and_gradient(objective, phases):
+    """One phase vector's per-part loss and gradient.
+
+    Each kernel part runs its own ``form.evaluate`` forward pass and
+    ``einsum("km,kme->e")`` backward pass; a joint adds its parts'
+    results as ``total += w_i · v_i`` and ``grad += w_i · g_i``.
+    """
+    if type(objective) is JointObjective:
+        total, grad = 0.0, np.zeros(objective.dim)
+        for part, weight in objective.parts:
+            value, g = reference_value_and_gradient(part, phases)
+            total += weight * value
+            grad += weight * g
+        return total, grad
+    if type(objective) not in (CoverageObjective, PoweringObjective):
+        return objective.value_and_gradient(phases)
+    x = objective.amplitudes * np.exp(1j * phases)
+    h = objective.form.evaluate(x)  # (K, M)
+    power = np.sum(np.abs(h) ** 2, axis=1)  # ‖h_k‖²
+    if type(objective) is CoverageObjective:
+        budget = objective.goal.budget
+        snr = budget.tx_power_watts * power / budget.noise_watts
+        loss = -float(np.sum(objective._weights * np.log2(1.0 + snr)))
+        dloss_dpower = -(
+            objective._weights
+            * (budget.tx_power_watts / budget.noise_watts)
+            / ((1.0 + snr) * math.log(2.0))
+        )[:, None]
+    else:
+        mean_power = float(np.mean(power)) + 1e-30
+        loss = -10.0 * math.log10(mean_power)
+        k = objective.form.num_points
+        dloss_dpower = -10.0 / (math.log(10.0) * mean_power * k)
+    # ∂P_k/∂h_km (Wirtinger) = conj(h_km); accumulate through C.
+    acc = np.einsum("km,kme->e", dloss_dpower * np.conj(h), objective.form.coeffs)
+    return loss, -2.0 * np.imag(x * acc)
+
+
+def refit_to_new_forms(objective, rng):
+    """Refit every kernel part, nested ones too, to a fresh form of its shape."""
+    if type(objective) is JointObjective:
+        return objective.refit(
+            [refit_to_new_forms(part, rng) for part, _ in objective.parts]
+        )
+    if type(objective) in (CoverageObjective, PoweringObjective):
+        k, m, e = objective.form.coeffs.shape
+        return objective.refit(random_form(rng, k, m, e))
+    return objective
+
+
+def assert_same_bits(got, want):
+    (value, grad), (want_value, want_grad) = got, want
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def weights_for(rng, n):
@@ -438,21 +499,25 @@ class TestReusedBuffers:
         )
 
 
+BUILDS = [
+    lambda rng: coverage(rng, 12),
+    lambda rng: coverage(rng, 1, weighted=True),
+    lambda rng: powering(rng, 4),
+    localization,
+    security,
+    lambda rng: churn_joint(rng, 4),
+    lambda rng: JointObjective(
+        [(security(rng), 0.5), (localization(rng), 0.2), (powering(rng, 2), 0.3)]
+    ),
+]
+BUILD_IDS = [
+    "coverage", "weighted-link", "powering", "localization", "security",
+    "coverage+4links", "security+localization+powering",
+]
+
+
 class TestGradientFreeValue:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda rng: coverage(rng, 12),
-            lambda rng: coverage(rng, 1, weighted=True),
-            lambda rng: powering(rng, 4),
-            localization,
-            security,
-            lambda rng: churn_joint(rng, 4),
-            lambda rng: JointObjective(
-                [(security(rng), 0.5), (localization(rng), 0.2), (powering(rng, 2), 0.3)]
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
     def test_value_equals_value_and_gradient(self, rng, build):
         objective = build(rng)
         for _ in range(3):
@@ -460,3 +525,51 @@ class TestGradientFreeValue:
             value = objective.value(phases)
             reference = objective.value_and_gradient(phases)[0]
             assert np.float64(value).tobytes() == np.float64(reference).tobytes()
+
+    @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+    def test_value_and_gradient_equal_the_per_part_reference(self, rng, build):
+        objective = build(rng)
+        for _ in range(3):
+            phases = rng.uniform(0, 2 * np.pi, E)
+            assert_same_bits(
+                objective.value_and_gradient(phases),
+                reference_value_and_gradient(objective, phases),
+            )
+
+    @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+    def test_refitted_gradient_equals_the_per_part_reference(self, rng, build):
+        objective = build(rng)
+        phases = rng.uniform(0, 2 * np.pi, E)
+        objective.value_and_gradient(phases)  # build the pack and its gradient buffers
+        for _ in range(2):
+            objective = refit_to_new_forms(objective, rng)
+            assert_same_bits(
+                objective.value_and_gradient(phases),
+                reference_value_and_gradient(objective, phases),
+            )
+
+    @pytest.mark.parametrize("links", range(13))
+    def test_churn_joint_gradient_equals_the_per_part_reference(self, rng, links):
+        joint = churn_joint(rng, links)
+        for _ in range(2):
+            phases = rng.uniform(0, 2 * np.pi, E)
+            assert_same_bits(
+                joint.value_and_gradient(phases),
+                reference_value_and_gradient(joint, phases),
+            )
+
+    def test_a_lone_objective_scores_repeated_phases_in_one_pass(self, rng, monkeypatch):
+        passes = []
+        run = objectives._LossPack._pass
+
+        def counted(pack, *args):
+            passes.append(pack)
+            return run(pack, *args)
+
+        monkeypatch.setattr(objectives._LossPack, "_pass", counted)
+        for objective in (coverage(rng, 12), powering(rng, 3)):
+            phases = rng.uniform(0, 2 * np.pi, E)
+            first = objective.value(phases)
+            assert objective.value(phases.copy()) == first
+            assert passes == [objective._pack]
+            passes.clear()

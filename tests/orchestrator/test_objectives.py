@@ -98,6 +98,17 @@ class TestPowering:
         obj = PoweringObjective(form)
         check_gradient(obj, rng.uniform(0, 2 * np.pi, obj.dim))
 
+    def test_validation(self, rng):
+        # One amplitude per element, as for coverage: a short vector is
+        # not broadcast into a uniform amplitude.
+        form = random_form(rng)
+        for amplitudes in (np.array([0.5]), np.ones(3), np.ones((2, 6))):
+            with pytest.raises(OptimizationError, match="amplitudes shape mismatch"):
+                PoweringObjective(form, amplitudes=amplitudes)
+        obj = PoweringObjective(form)
+        with pytest.raises(OptimizationError):
+            obj.value_and_gradient(np.zeros(3))
+
 
 class TestJoint:
     def test_weighted_sum_value_and_gradient(self, rng):

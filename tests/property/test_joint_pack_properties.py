@@ -1,11 +1,13 @@
 """Properties of the loss pack and of RandomSearch's reused draws.
 
-A joint objective's ``value_many`` and ``value`` run every coverage
-and powering part through one loss pack.  On random joints — weighted
-and unweighted coverage, powering, loose localization, security and
-nested joints, over random shapes and shared or distinct amplitude
-rows — both must equal, bit for bit, the per-part formulation: each
-part's own loss accumulated as ``total += w_i · v_i`` in part order.
+A joint objective's ``value_many``, ``value`` and ``value_and_gradient``
+run every coverage and powering part through one loss pack.  On random
+joints — weighted and unweighted coverage, powering, loose
+localization, security and nested joints, over random shapes, weights
+of either sign and shared or distinct amplitude rows, before and after
+refits — all must equal, bit for bit, the per-part formulation: each
+part's own loss and gradient accumulated as ``total += w_i · v_i`` and
+``grad += w_i · g_i`` in part order.
 
 ``RandomSearch`` reseeds on every solve and reuses one cached block of
 standard normals per ``(seed, population, dim)``.  Every result field
@@ -30,7 +32,11 @@ from repro.orchestrator.optimizers import RandomSearch, _EarlyStop
 from repro.services.security import security_objective
 from repro.services.sensing import SurfaceAoAObjective
 
-from ..orchestrator.test_joint_grouped import reference_value_many
+from ..orchestrator.test_joint_grouped import (
+    reference_value_and_gradient,
+    reference_value_many,
+    refit_to_new_forms,
+)
 
 # ----------------------------------------------------------------------
 # random joints
@@ -110,19 +116,18 @@ def joints(draw):
     return joint, rng.uniform(0, 2 * np.pi, (rows, e))
 
 
-def reference_value(objective, phases):
-    """One phase vector's per-part loss: ``total += w_i · v_i`` over each
-    part's own ``value``, nested joints included."""
-    if type(objective) is JointObjective:
-        total = 0.0
-        for part, weight in objective.parts:
-            total += weight * reference_value(part, phases)
-        return total
-    return objective.value(phases)
-
-
 def bits(value):
     return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def gradient_bits(objective, phases):
+    value, grad = objective.value_and_gradient(phases)
+    return bits(value), bits(grad)
+
+
+def reference_gradient_bits(objective, phases):
+    value, grad = reference_value_and_gradient(objective, phases)
+    return bits(value), bits(grad)
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,8 +137,23 @@ def test_pack_equals_per_part_reference(case):
     assert bits(joint.value_many(batch)) == bits(reference_value_many(joint, batch))
     for phases in batch[:2]:
         value = joint.value(phases)
-        assert bits(value) == bits(reference_value(joint, phases))
+        assert bits(value) == bits(reference_value_and_gradient(joint, phases)[0])
         assert bits(value) == bits(joint.value_and_gradient(phases)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=joints(), refits=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_pack_gradient_equals_per_part_reference(case, refits, seed):
+    joint, batch = case
+    rng = np.random.default_rng(seed)
+    for round_ in range(refits + 1):
+        if round_:
+            joint = refit_to_new_forms(joint, rng)
+        for phases in batch[:2]:
+            assert gradient_bits(joint, phases) == reference_gradient_bits(joint, phases)
+            # Each part alone, lone coverage and powering objectives included.
+            for part, _ in joint.parts:
+                assert gradient_bits(part, phases) == reference_gradient_bits(part, phases)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from repro.orchestrator.objectives import JointObjective
 
-from ..orchestrator.test_joint_grouped import reference_value_many
-from .test_joint_pack_properties import KINDS, _leaf, bits, reference_value
+from ..orchestrator.test_joint_grouped import (
+    reference_value_and_gradient,
+    reference_value_many,
+)
+from .test_joint_pack_properties import KINDS, _leaf, bits
 
 ROWS = [1, 2, 7, 16, 33]
 
@@ -68,6 +71,6 @@ def test_interleaved_row_counts_equal_reference(objective, rows, seed):
         kept.append((got, bits(got)))
         # The one-row plan is shared with ``value``.
         value = objective.value(batch[0])
-        assert bits(value) == bits(reference_value(objective, batch[0]))
+        assert bits(value) == bits(reference_value_and_gradient(objective, batch[0])[0])
     for got, snapshot in kept:
         assert bits(got) == snapshot

@@ -2,10 +2,12 @@
 
 The scan parses each module under ``src/`` and lists its public
 module-level functions and classes and the public methods of its
-public classes.  A definition counts as used when its name appears, as
-a name, an attribute, an imported name or an identifier-valued string,
-in a program file under ``src/``, ``surfbench/``, ``benchmarks/`` or
-``examples/``.  A package ``__init__.py`` re-export and a module's
+public classes.  A function or class counts as used when its name
+appears, as a name, an attribute, an imported name or an
+identifier-valued string, in a program file under ``src/``,
+``surfbench/``, ``benchmarks/`` or ``examples/``.  A method counts as
+used only as an attribute or a string: a local variable that shares
+its name does not call it.  A package ``__init__.py`` re-export and a module's
 ``__all__`` list are not uses: they publish a name without calling it.
 A string constant counts, so a name reached through ``getattr`` or a
 string-keyed table is not reported.
@@ -27,7 +29,7 @@ ORACLE = "reference implementation a test compares the fast path against"
 FRONTEND = "ServiceFrontend protocol; the conformance tests hold every broker frontend to it"
 DRIVER_WRITE = "a surface modality's write primitive in the driver API (PAPER.md §3, DESIGN.md)"
 DEVICE_LIFECYCLE = "hardware manager device lifecycle (PAPER.md §3)"
-UNREVIEWED = "test-only helper not yet reviewed for deletion (ROADMAP item 7)"
+UNREVIEWED = "test-only helper not yet reviewed for deletion (ROADMAP item 9)"
 
 ALLOWED = {
     "repro.analysis.cdf.EmpiricalCDF.curve": UNREVIEWED,
@@ -45,6 +47,8 @@ ALLOWED = {
     "repro.channel.tracer.PanelObstacle.crossing_mask": ORACLE,
     "repro.channel.tracer.reflection_paths": ORACLE,
     "repro.core.configuration.Granularity.degrees_of_freedom": UNREVIEWED,
+    "repro.core.configuration.SurfaceConfiguration.quantized": ORACLE,
+    "repro.core.configuration.SurfaceConfiguration.tied": ORACLE,
     "repro.core.kernel.SurfOS.add_sensor": DEVICE_LIFECYCLE,
     "repro.core.kernel.SurfOS.handle_user_demand": (
         "README quickstart's natural-language demand call"
@@ -135,6 +139,9 @@ ALLOWED = {
     "repro.surfaces.catalog.get_design": UNREVIEWED,
     "repro.surfaces.panel.SurfacePanel.sees": UNREVIEWED,
     "repro.surfaces.specs.OperationMode.reflects": UNREVIEWED,
+    "repro.telemetry.core.Telemetry.events": (
+        "read side of event(): the only in-process view of recorded events"
+    ),
 }
 
 
@@ -162,7 +169,13 @@ def public_definitions(src: Path = SRC) -> dict[str, str]:
     return found
 
 
-def _names_used(tree: ast.AST, *, count_imports: bool) -> set[str]:
+def _names_used(tree: ast.AST, *, count_imports: bool) -> tuple[set[str], set[str]]:
+    """``(names, members)`` a module uses.
+
+    ``members`` are attribute accesses and identifier-valued strings, the
+    ways a method is reached; ``names`` adds bare names and imports, the
+    ways a module-level function or class is reached too.
+    """
     published = {
         id(sub)
         for node in ast.walk(tree)
@@ -170,33 +183,41 @@ def _names_used(tree: ast.AST, *, count_imports: bool) -> set[str]:
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         for sub in ast.walk(node.value)
     }
-    used: set[str] = set()
+    names: set[str] = set()
+    members: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.alias) and count_imports:
-            used.add(node.name.rpartition(".")[2])
+            names.add(node.name.rpartition(".")[2])
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in published
         ):
-            used.add(node.value)
-    return used
+            members.add(node.value)
+    return names | members, members
 
 
 def orphans(root: Path = ROOT) -> list[str]:
-    used: set[str] = set()
+    names: set[str] = set()
+    members: set[str] = set()
     for folder in CALLER_DIRS:
         for path in sorted((root / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             package_init = folder == "src" and path.name == "__init__.py"
-            used |= _names_used(tree, count_imports=not package_init)
+            found, reached = _names_used(tree, count_imports=not package_init)
+            names |= found
+            members |= reached
+    definitions = public_definitions(root / "src")
+    # A method (its class is a definition too) is reached only as a member.
     return sorted(
-        q for q, name in public_definitions(root / "src").items() if name not in used
+        q
+        for q, name in definitions.items()
+        if name not in (members if q.rpartition(".")[0] in definitions else names)
     )
 
 
@@ -262,6 +283,27 @@ def test_scan_counts_string_dispatch_as_a_use(tmp_path):
         },
     )
     assert orphans(root) == []
+
+
+def test_scan_needs_a_member_use_for_a_method(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/pkg/mod.py": (
+                "class Thing:\n    def tied(self):\n        pass\n\n"
+                "    def called(self):\n        pass\n\n"
+                "    def named(self):\n        pass\n\n\n"
+                "def helper():\n    pass\n"
+            ),
+            "src/pkg/user.py": (
+                "from .mod import Thing\n\n"
+                "tied = helper = named = 1\n"
+                "Thing().called()\nHANDLER = \"named\"\n"
+            ),
+        },
+    )
+    # A bare name reaches a function, but not a method of the same name.
+    assert orphans(root) == ["pkg.mod.Thing.tied"]
 
 
 def test_scan_skips_private_definitions(tmp_path):
