@@ -253,15 +253,13 @@ class JointObjective(Objective):
 # ``(G, K, M, E) @ (E, 1)`` matmul per group, which NumPy runs as one
 # ``gemv`` per ``(M, E)`` slice: each part's own ``form.evaluate`` call.
 #
-# ``value_and_gradient`` runs that one-row pass, keeping each coverage
-# point's ``1 + snr`` and each powering part's mean before their logs.
-# They give ``∂L/∂‖h_k‖²``: ``−w·(tx/noise) / ((1 + snr)·ln2)``, or
-# ``−10 / (ln10·mean·K)``.  Per group it scales ``conj(h)`` by that
-# factor and takes one Wirtinger accumulation through the coefficients,
-# ``einsum("gkm,gkme->ge")``; each part's gradient is ``−2·Im(x·acc)``,
-# and a loose part gives its own.  The weighted gradients are added to
-# zeros in part order, as ``grad += w_i · g_i``; a lone objective's is
-# returned as it is.
+# ``value_and_gradient`` runs the one-row pass, keeping each coverage
+# point's ``1 + snr`` and each powering part's mean before their logs
+# for ``∂L/∂‖h_k‖²``.  Per group, that factor times ``conj(h)`` takes one
+# Wirtinger accumulation, ``einsum("gkm,gkme->ge")``, and each part's
+# gradient is ``−2·Im(x·acc)``; a loose part gives its own.  The
+# weighted gradients are added to zeros in part order, as
+# ``grad += w_i · g_i``; a lone objective's is returned as it is.
 #
 # A reaction's later block-coordinate rounds change a panel's linear
 # form: its offset, and through the cascade legs its coefficients too.
@@ -358,27 +356,22 @@ class _Plan:
 class _Backward:
     """The gradient's buffers beside a pack's one-row plan.
 
-    ``snr`` and ``mean`` receive what a pass keeps and are turned in
-    place into the factors ``∂L/∂‖h_k‖²``.
+    A pass keeps each coverage point's ``1 + snr`` in ``snr`` and each
+    powering part's mean in ``mean``; the gradient turns both, in place,
+    into ``∂L/∂‖h_k‖²``, which ``factors`` views group by group.
     """
 
     def __init__(self, pack: "_LossPack"):
         tx, noise, weights = pack.factors
-        #: ``−w·tx/noise`` per coverage point: the factor's numerator.
-        self.gain = -(weights * (tx / noise))
+        self.gain = -(weights * (tx / noise))  # the coverage factors' numerators
         self.snr = np.empty(tx.size)
         self.mean = np.empty((pack.kernel_rows - pack.coverage_rows, 1))
-        self.wh = np.empty(pack.entries, dtype=complex)  # factor · conj(h), one row
-        #: Each group's ``(G, K, M)`` slice of ``wh`` and its factor view.
-        self.groups = []
-        for g in pack.groups:
-            if g.row < pack.coverage_rows:
-                factor = self.snr[g.p0 : g.p1].reshape(g.size, g.points, 1)
-            else:
-                row = g.row - pack.coverage_rows
-                factor = self.mean[row : row + g.size, :, None]
-            wh = self.wh[g.e0 : g.e1].reshape(g.size, g.points, g.antennas)
-            self.groups.append((wh, factor))
+        c = pack.coverage_rows
+        self.factors = [
+            self.snr[g.p0 : g.p1].reshape(g.size, g.points, 1) if g.row < c
+            else self.mean[g.row - c : g.row - c + g.size, :, None]
+            for g in pack.groups
+        ]
 
 
 class _LossPack:
@@ -513,9 +506,8 @@ class _LossPack:
                 back.mean *= _LN10
                 back.mean *= self.powering_points
                 np.divide(-10.0, back.mean, out=back.mean)
-            np.conjugate(plan.h, out=back.wh)
-            for g, x, (wh, factor) in zip(self.groups, plan.operands, back.groups):
-                np.multiply(factor, wh, out=wh)
+            for g, x, h, factor in zip(self.groups, plan.operands, plan.outs, back.factors):
+                wh = factor * np.conj(h).reshape(g.size, g.points, g.antennas)
                 acc = np.einsum("gkm,gkme->ge", wh, g.stack)
                 np.multiply(x[:, 0], acc, out=acc)
                 np.multiply(-2.0, acc.imag, out=grads[g.row : g.row + g.size])

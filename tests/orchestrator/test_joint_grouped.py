@@ -517,7 +517,7 @@ BUILD_IDS = [
 
 
 class TestGradientFreeValue:
-    @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
+    @pytest.mark.parametrize("build", BUILDS)
     def test_value_equals_value_and_gradient(self, rng, build):
         objective = build(rng)
         for _ in range(3):
@@ -525,6 +525,26 @@ class TestGradientFreeValue:
             value = objective.value(phases)
             reference = objective.value_and_gradient(phases)[0]
             assert np.float64(value).tobytes() == np.float64(reference).tobytes()
+
+    def test_a_lone_objective_scores_repeated_phases_in_one_pass(self, rng, monkeypatch):
+        passes = []
+        run = objectives._LossPack._pass
+
+        def counted(pack, *args):
+            passes.append(pack)
+            return run(pack, *args)
+
+        monkeypatch.setattr(objectives._LossPack, "_pass", counted)
+        for objective in (coverage(rng, 12), powering(rng, 3)):
+            phases = rng.uniform(0, 2 * np.pi, E)
+            first = objective.value(phases)
+            assert objective.value(phases.copy()) == first
+            assert passes == [objective._pack]
+            passes.clear()
+
+
+class TestGradientBitIdentity:
+    """``value_and_gradient`` equals the per-part reference bit for bit."""
 
     @pytest.mark.parametrize("build", BUILDS, ids=BUILD_IDS)
     def test_value_and_gradient_equal_the_per_part_reference(self, rng, build):
@@ -557,19 +577,3 @@ class TestGradientFreeValue:
                 joint.value_and_gradient(phases),
                 reference_value_and_gradient(joint, phases),
             )
-
-    def test_a_lone_objective_scores_repeated_phases_in_one_pass(self, rng, monkeypatch):
-        passes = []
-        run = objectives._LossPack._pass
-
-        def counted(pack, *args):
-            passes.append(pack)
-            return run(pack, *args)
-
-        monkeypatch.setattr(objectives._LossPack, "_pass", counted)
-        for objective in (coverage(rng, 12), powering(rng, 3)):
-            phases = rng.uniform(0, 2 * np.pi, E)
-            first = objective.value(phases)
-            assert objective.value(phases.copy()) == first
-            assert passes == [objective._pack]
-            passes.clear()
