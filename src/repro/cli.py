@@ -12,7 +12,6 @@ Usage::
     python -m repro.cli plan --room bedroom --target-snr 20
     python -m repro.cli trace --jsonl /tmp/trace.jsonl
     python -m repro.cli trace --report /tmp/trace.jsonl
-    python -m repro.cli pipeline --requests 10 --json /tmp/bench.json
     python -m repro.cli faults --seed 7 --jsonl /tmp/faults.jsonl
     python -m repro.cli fleet --shards 3 --requests 12 --seed 7
     python -m repro.cli mobility --adaptive-budget --churn-rate 0.4
@@ -26,9 +25,6 @@ Every experiment prints the same rendering its benchmark asserts on.
 ``trace`` runs one orchestrated pass on the two-room apartment and
 prints the telemetry summary (optionally exporting the raw event log
 as JSON lines); ``trace --report`` renders a previously exported file.
-``pipeline`` runs the open-loop arrival benchmark (serial vs pipelined
-admission) and exits nonzero if the pipelined p99 latency exceeds
-serial.
 
 :data:`SCENARIOS` is the one table of scenarios with a sim-only event
 log: ``faults`` (two of five panels die mid-run), ``fleet`` (quarantine
@@ -43,8 +39,6 @@ epilogue of :func:`repro.experiments.result.finish`: the rendering,
 ``--jsonl`` export strips wall-clock fields, so two runs with one seed
 write byte-identical files; ``determinism <scenario> [args...]`` runs a
 scenario twice in fresh interpreters and exits 1 when they differ.
-``pipeline`` is not in the table: its solves charge wall time to the sim
-clock, so it has no sim-only log.
 """
 
 from __future__ import annotations
@@ -272,18 +266,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         system.telemetry.export_jsonl(args.jsonl)
         print(f"\nevent log written to {args.jsonl}")
     return 0
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from .experiments import arrivals
-    from .experiments.result import finish
-
-    result = arrivals.run(
-        requests=args.requests,
-        rate_hz=args.rate,
-        seed=args.seed,
-    )
-    return finish(result, args.json, artifact_label="benchmark results")
 
 
 class _UsageError(Exception):
@@ -715,28 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the top-N telemetry spans by self-time (default 10)",
     )
     trace.set_defaults(fn=_cmd_trace)
-
-    pipeline = sub.add_parser(
-        "pipeline",
-        help="open-loop arrival benchmark: serial vs pipelined admission",
-    )
-    pipeline.add_argument(
-        "--requests", type=int, default=10, help="requests in the trace"
-    )
-    pipeline.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        metavar="HZ",
-        help="Poisson arrival rate; 0 = one burst (default)",
-    )
-    pipeline.add_argument(
-        "--seed", type=int, default=0, help="arrival/placement seed"
-    )
-    pipeline.add_argument(
-        "--json", metavar="FILE", help="write the comparison as JSON"
-    )
-    pipeline.set_defaults(fn=_cmd_pipeline)
 
     for name, scenario in SCENARIOS.items():
         command = sub.add_parser(name, help=scenario.help)

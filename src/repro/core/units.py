@@ -21,21 +21,6 @@ ROOM_TEMPERATURE_K = 290.0
 _MIN_LINEAR = 1e-30
 
 
-def db_to_linear(db: float) -> float:
-    """Convert a power ratio from decibels to linear scale."""
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    """Convert a linear power ratio to decibels.
-
-    Ratios at or below zero are clamped to a -300 dB floor rather than
-    raising, because they routinely appear as "no signal" placeholders
-    in coverage maps.
-    """
-    return 10.0 * math.log10(max(ratio, _MIN_LINEAR))
-
-
 def dbm_to_watts(dbm: float) -> float:
     """Convert power from dBm to watts."""
     return 10.0 ** (dbm / 10.0) / 1000.0

@@ -16,9 +16,7 @@ from .noise import (
 from .propagation import (
     complex_leg_gain,
     friis_amplitude,
-    fspl_db,
     path_phase,
-    propagation_delay_s,
 )
 from .steering import (
     beam_codebook_targets,
@@ -39,9 +37,7 @@ __all__ = [
     "db_gain_to_linear",
     "focus_configuration",
     "friis_amplitude",
-    "fspl_db",
     "path_phase",
-    "propagation_delay_s",
     "shannon_required_snr_db",
     "snr_db_from_channel",
     "steering_phases_toward_point",

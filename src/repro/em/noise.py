@@ -69,18 +69,6 @@ class LinkBudget:
             [10.0 * math.log10(v) for v in np.maximum(snr, _SNR_FLOOR).tolist()]
         )
 
-    def snr_linear(self, channel_power_gain: float) -> float:
-        """Linear SNR for a channel power gain."""
-        return self.tx_power_watts * max(channel_power_gain, 0.0) / self.noise_watts
-
-    def capacity_bps(self, channel_power_gain: float) -> float:
-        """Shannon capacity (bit/s) for a channel power gain."""
-        return self.bandwidth_hz * math.log2(1.0 + self.snr_linear(channel_power_gain))
-
-    def required_gain_for_snr(self, snr_db: float) -> float:
-        """Channel power gain needed to hit a target SNR."""
-        return 10.0 ** (snr_db / 10.0) * self.noise_watts / self.tx_power_watts
-
 
 def snr_db_from_channel(h: np.ndarray, budget: LinkBudget) -> float:
     """SNR with transmit MRT across the AP array.

@@ -11,15 +11,8 @@ from __future__ import annotations
 
 import math
 
-from ..core.units import SPEED_OF_LIGHT, wavelength
+from ..core.units import wavelength
 
-
-def fspl_db(distance_m: float, frequency_hz: float) -> float:
-    """Free-space path loss (dB) between isotropic antennas."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
-    lam = wavelength(frequency_hz)
-    return -20.0 * math.log10(lam / (4.0 * math.pi * distance_m))
 
 def friis_amplitude(
     distance_m: float,
@@ -47,13 +40,6 @@ def path_phase(distance_m: float, frequency_hz: float) -> float:
     """
     lam = wavelength(frequency_hz)
     return -2.0 * math.pi * distance_m / lam
-
-
-def propagation_delay_s(distance_m: float) -> float:
-    """Time of flight (s) over a distance."""
-    if distance_m < 0:
-        raise ValueError("distance must be non-negative")
-    return distance_m / SPEED_OF_LIGHT
 
 
 def complex_leg_gain(

@@ -7,8 +7,8 @@
 * :mod:`.fig6` — LLM translation of user demands into service calls.
 * :mod:`.degradation` — degraded-mode recovery: two of five panels die
   mid-run; the daemon re-optimizes around them.
-* :mod:`.arrivals` — open-loop arrival benchmark: serial admission vs
-  the concurrent request pipeline (batched + coalesced).
+* :mod:`.arrivals` — burst arrival benchmark: one real solve per
+  request vs the request pipeline (batched + coalesced).
 * :mod:`.fleet` — three zones behind one global broker: spill around a
   quarantined shard, roaming-client handoff, deterministic routing.
 * :mod:`.mobility` — continuous motion + churn scenario with

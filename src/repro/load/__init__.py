@@ -27,7 +27,6 @@ from .models import (
     PoissonArrivals,
     TraceReplay,
     build_model,
-    read_trace,
     write_trace,
 )
 from .slo import SLOPolicy, SLOReport
@@ -55,6 +54,5 @@ __all__ = [
     "SweepResult",
     "TraceReplay",
     "build_model",
-    "read_trace",
     "write_trace",
 ]

@@ -316,9 +316,6 @@ class LoadHarness:
                     else:
                         queue.append((now, pclass))
                         collectors.on_submitted(len(queue))
-                        if now >= core.busy_until:
-                            admit(now)
-                            solve(now)
                     next_arrival = next(arrivals, None)
                 elif depart_at is not None and (
                     deadline is None or depart_at <= deadline
@@ -326,9 +323,10 @@ class LoadHarness:
                     now = depart_at
                     active_tasks -= departures.popleft()[1]
                 elif deadline is not None:
-                    # The window closed or the solver freed: arrivals
-                    # that queued during a solve are admitted now (the
-                    # real pipeline's next tick).
+                    # Queued arrivals (all of one instant, since ties go
+                    # to arrivals) are admitted as one batch once the
+                    # solver is free, as the real pipeline's next tick
+                    # admits them; or a pending window closed.
                     now = deadline
                     admit(now)
                     solve(now)

@@ -18,9 +18,9 @@ Models:
 * :class:`FlashCrowdArrivals` — baseline Poisson with a multiplicative
   rate spike over a window (the flash crowd), also by thinning.
 * :class:`TraceReplay` — replays timestamps recorded in a JSONL trace
-  file (see :func:`write_trace` / :func:`read_trace`).
+  file (see :func:`write_trace`).
 * :class:`BurstArrivals` — every request at t=0 (the coalescing
-  stress case the pipeline benchmark uses).
+  stress case).
 
 :func:`build_model` maps CLI-ish names + knobs onto instances.
 """
@@ -31,7 +31,7 @@ import itertools
 import json
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "TraceReplay",
     "BurstArrivals",
     "build_model",
-    "read_trace",
     "write_trace",
     "MODEL_NAMES",
 ]
@@ -256,10 +255,9 @@ class BurstArrivals(ArrivalModel):
 class TraceReplay(ArrivalModel):
     """Replays arrival timestamps recorded in a JSONL trace file.
 
-    Each line is ``{"t": <seconds>}`` (extra keys are preserved by
-    :func:`read_trace` but ignored here).  The file is re-read on every
-    ``times()`` call, streaming line by line — a million-line trace is
-    never held in memory.
+    Each line is ``{"t": <seconds>}``; extra keys are ignored.  The
+    file is re-read on every ``times()`` call, streaming line by line —
+    a million-line trace is never held in memory.
     """
 
     name = "trace"
@@ -299,11 +297,6 @@ def write_trace(path: str, times: Sequence[float]) -> int:
             fh.write(json.dumps({"t": round(float(t), 9)}) + "\n")
             count += 1
     return count
-
-
-def read_trace(path: str) -> List[float]:
-    """All arrival times from a JSONL trace (convenience, eager)."""
-    return list(TraceReplay(path).times())
 
 
 #: CLI model names → constructor logic in :func:`build_model`.

@@ -1,11 +1,9 @@
 """Adaptive reoptimization coalescing: window sized by measured pressure.
 
-The fixed ``coalesce_window_s`` the pipeline shipped with is a blunt
-trade: on a burst it collapses N triggers into one joint solve (the
-3.6x headline), but at sparse steady-state arrival rates every lone
-request still pays the whole window as pure added latency — the
-rate-sweep regression (speedups 0.95/0.93 at 2–5 Hz) in
-``BENCH_pipeline.json`` was exactly that tax.
+A fixed ``coalesce_window_s`` is a blunt trade: on a burst it
+collapses N triggers into one joint solve, but at sparse steady-state
+arrival rates every lone request still pays the whole window as pure
+added latency.
 
 :class:`AdaptiveCoalescer` replaces the constant with a classic
 batch-while-busy controller, driven only by sim-clock observations so
@@ -24,13 +22,13 @@ it stays deterministic:
 * **Idle → zero.**  When the expected gap exceeds the solve cost the
   window is ``min_window_s`` (0 by default): a lone steady-state
   request is solved on the tick it is admitted, paying no window at
-  all (the "incremental admission" half of the rate-sweep fix).
+  all.
 
-Solve costs are observed from *charged* sim time only (the pipeline
-feeds measured wall time when ``charge_compute`` is on, and the load
-harness feeds its deterministic modeled cost); without charging the
-cost estimate stays at the configured prior, keeping byte-identical
-same-seed runs byte-identical.
+Solve costs are observed from *charged* sim time only: the load
+harness feeds its deterministic modeled cost, while the request
+pipeline's real solves take no sim time and charge nothing, so its cost
+estimate stays at the configured prior and same-seed runs stay
+byte-identical.
 
 :class:`CoalescingCore` wraps the controller in the bookkeeping both
 solve steps share — the request pipeline's real solve and the load
@@ -77,9 +75,9 @@ class AdaptiveCoalesceConfig:
             newest solve cost); higher reacts faster.
         busy_factor: the window opens when the pressure gap is at most
             ``busy_factor × solve-cost estimate``.
-        initial_cost_s: solve-cost prior used until real charged costs
-            are observed (and forever when compute is not charged to
-            the sim clock — determinism over adaptivity).
+        initial_cost_s: solve-cost prior used until charged costs are
+            observed (and forever in the request pipeline, whose solves
+            charge no sim time — determinism over adaptivity).
     """
 
     min_window_s: float = 0.0
@@ -217,9 +215,10 @@ class CoalescingCore:
     ) -> None:
         """Count one solve started at ``now``.
 
-        ``cost_s`` is the *charged* sim cost: it holds the solver busy
-        and feeds the controller's cost estimate.  ``None`` (compute not
-        charged) leaves both alone — wall time would make window sizing
+        ``cost_s`` is the *charged* sim cost (the load harness's modeled
+        solve): it holds the solver busy and feeds the controller's cost
+        estimate.  ``None`` (the request pipeline's real solves) leaves
+        both alone — wall time would make window sizing
         nondeterministic.
         """
         self.reoptimizations += 1

@@ -29,10 +29,9 @@ class PipelineConfig:
             widens under measured trigger pressure and collapses to
             (typically) zero when idle, so lone steady-state requests
             pay no window latency while bursts still coalesce.
-        charge_compute: when True, measured reoptimization wall time is
-            charged to the sim clock so latency benchmarks see compute
-            cost.  Off by default: wall time is nondeterministic, and
-            determinism tests diff sim-clocked telemetry.
+        charge_compute: accepts only False: a solve takes no sim time,
+            so same-seed runs stay byte-identical.  Kept for callers
+            that still pass it.
         reoptimize_rounds: block-coordinate rounds per coalesced solve.
         parallelism: accepts only 1, as candidate batches are
             evaluated on the calling thread.  Kept for callers that
@@ -56,5 +55,9 @@ class PipelineConfig:
             raise ServiceError("coalesce_window_s must be non-negative")
         if self.reoptimize_rounds < 1:
             raise ServiceError("reoptimize_rounds must be at least 1")
+        if self.charge_compute:
+            raise ServiceError(
+                "charge_compute must be False: a solve takes no sim time"
+            )
         if self.parallelism != 1:
             raise ServiceError("parallelism must be 1: evaluation is serial")

@@ -15,9 +15,9 @@ and window counters.  The pipeline supplies the two steps around it:
   one ``value_many`` call on the calling thread.
 
 The load harness (:mod:`repro.load.harness`) drives the same core with
-its own modeled solve.  Everything runs on the simulated clock; wall
-time only enters when ``charge_compute`` maps measured solve time onto
-it for latency benchmarking.
+its own modeled solve.  Everything runs on the simulated clock: a
+solve takes no sim time, and its measured wall time is only counted in
+:attr:`PipelineStats.reoptimize_wall_s`.
 """
 
 from __future__ import annotations
@@ -272,15 +272,9 @@ class RequestPipeline:
             self.telemetry.counter("pipeline.reoptimize_failures")
             outcome.failure_reason = str(exc)
             return
-        wall = time.perf_counter() - started
-        self.stats.reoptimize_wall_s += wall
-        charged = None
-        if self.config.charge_compute:
-            self.clock.advance(wall)
-            self.orchestrator.clock_now += wall
-            charged = wall
+        self.stats.reoptimize_wall_s += time.perf_counter() - started
         served_at = self.orchestrator.clock_now
-        self.core.solved(now, window, served_at, cost_s=charged)
+        self.core.solved(now, window, served_at)
         outcome.reoptimized = True
         outcome.coalesced = coalesced
         outcome.result = result

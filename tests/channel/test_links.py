@@ -11,7 +11,7 @@ from repro.channel import (
     single_antenna_node,
 )
 from repro.core.units import ghz, wavelength
-from repro.em import friis_amplitude
+from repro.em import PATCH, complex_leg_gain, friis_amplitude
 from repro.geometry import CONCRETE, Environment, vec3
 from repro.surfaces import (
     GENERIC_PROGRAMMABLE_28,
@@ -68,10 +68,28 @@ class TestNodeToPoints:
             FREQ,
             include_reflections=False,
         )
-        expected = friis_amplitude(3.0, FREQ) * CONCRETE.penetration_amplitude(
-            FREQ
+        expected = complex_leg_gain(
+            3.0, FREQ, extra_amplitude=CONCRETE.penetration_amplitude(FREQ)
         )
-        assert abs(h[0, 0]) == pytest.approx(expected, rel=1e-9)
+        assert h[0, 0] == pytest.approx(expected, rel=1e-9)
+
+    def test_pattern_matches_scalar_amplitude(self, empty_env):
+        # On boresight, off axis, and behind the front-only patch.
+        node = single_antenna_node(
+            "tx", vec3(0, 0, 1), pattern=PATCH, boresight=(1.0, 0.0, 0.0)
+        )
+        points = np.array(
+            [[3.0, 0.0, 1.0], [2.0, 2.0, 1.0], [1.0, -3.0, 2.0], [-2.0, 1.0, 1.0]]
+        )
+        h = node_to_points(
+            empty_env, node, points, FREQ, include_reflections=False
+        )
+        for k, point in enumerate(points):
+            distance = float(np.linalg.norm(point - node.positions[0]))
+            expected = friis_amplitude(distance, FREQ) * PATCH.amplitude_toward(
+                node.positions[0], node.boresight, point
+            )
+            assert abs(h[k, 0]) == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_reflections_add_paths(self, empty_env):
         empty_env.add_wall_2d((0, 2), (6, 2), CONCRETE, name="mirror")

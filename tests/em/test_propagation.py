@@ -1,4 +1,4 @@
-"""Friis / FSPL / phase conventions."""
+"""Friis / path-loss / phase conventions."""
 
 import cmath
 import math
@@ -6,32 +6,33 @@ import math
 import pytest
 
 from repro.core.units import ghz, wavelength
-from repro.em import (
-    complex_leg_gain,
-    friis_amplitude,
-    fspl_db,
-    path_phase,
-    propagation_delay_s,
-)
+from repro.em import complex_leg_gain, friis_amplitude, path_phase
+
+
+def _path_loss_db(distance_m, frequency_hz):
+    return -20.0 * math.log10(friis_amplitude(distance_m, frequency_hz))
 
 
 def test_fspl_textbook_value():
     # 2.4 GHz over 1 m is the classic ~40.05 dB.
-    assert fspl_db(1.0, ghz(2.4)) == pytest.approx(40.05, abs=0.1)
+    assert _path_loss_db(1.0, ghz(2.4)) == pytest.approx(40.05, abs=0.1)
 
 
 def test_fspl_20db_per_decade():
-    assert fspl_db(100.0, ghz(5)) - fspl_db(10.0, ghz(5)) == pytest.approx(20.0)
+    assert _path_loss_db(100.0, ghz(5)) - _path_loss_db(
+        10.0, ghz(5)
+    ) == pytest.approx(20.0)
 
 
 def test_fspl_increases_with_frequency():
-    assert fspl_db(10, ghz(60)) > fspl_db(10, ghz(2.4))
+    assert _path_loss_db(10, ghz(60)) > _path_loss_db(10, ghz(2.4))
 
 
 def test_friis_power_matches_fspl():
-    amp = friis_amplitude(10.0, ghz(5))
-    power_db = 20.0 * math.log10(amp)
-    assert power_db == pytest.approx(-fspl_db(10.0, ghz(5)))
+    # FSPL = 20 log10(4πd / λ).
+    lam = wavelength(ghz(5))
+    fspl = 20.0 * math.log10(4.0 * math.pi * 10.0 / lam)
+    assert _path_loss_db(10.0, ghz(5)) == pytest.approx(fspl)
 
 
 def test_friis_gains_scale_amplitude():
@@ -44,18 +45,12 @@ def test_friis_rejects_nonpositive_distance():
     with pytest.raises(ValueError):
         friis_amplitude(0.0, ghz(5))
     with pytest.raises(ValueError):
-        fspl_db(-1.0, ghz(5))
+        friis_amplitude(-1.0, ghz(5))
 
 
 def test_path_phase_one_wavelength():
     lam = wavelength(ghz(28))
     assert path_phase(lam, ghz(28)) == pytest.approx(-2 * math.pi)
-
-
-def test_propagation_delay():
-    assert propagation_delay_s(299_792_458.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        propagation_delay_s(-1.0)
 
 
 def test_complex_leg_gain_composition():

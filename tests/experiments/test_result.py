@@ -4,8 +4,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List
 
-import pytest
-
 from repro.experiments.result import (
     ExperimentResult,
     ExperimentResultBase,
@@ -74,40 +72,6 @@ class TestFinish:
 
 class TestAdopters:
     """Every CLI-gated experiment result implements the protocol."""
-
-    def test_arrival_sweep_result(self):
-        from repro.experiments.arrivals import ArrivalSweepResult, ModeResult
-
-        fast = ModeResult(
-            mode="pipelined",
-            served=2,
-            latencies_s=[0.1, 0.2],
-            reoptimizations=1,
-            span_s=1.0,
-        )
-        slow = ModeResult(
-            mode="serial",
-            served=2,
-            latencies_s=[0.3, 0.4],
-            reoptimizations=2,
-            span_s=2.0,
-        )
-        result = ArrivalSweepResult(
-            serial=slow,
-            pipelined=fast,
-            requests=2,
-            rate_hz=0.0,
-            seed=0,
-            coalesce_ratio=2.0,
-        )
-        assert isinstance(result, ExperimentResult)
-        assert result.gate_failures() == []
-        assert result.summary()["speedup"] == pytest.approx(2.0)
-        # Flip the tails: pipelined worse than serial must gate.
-        bad = ArrivalSweepResult(
-            serial=fast, pipelined=slow, requests=2, rate_hz=0.0, seed=0
-        )
-        assert "exceeds" in bad.gate_failures()[0]
 
     def test_fleet_result(self):
         from repro.experiments.fleet import FleetResult

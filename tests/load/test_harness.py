@@ -65,6 +65,24 @@ class TestBehavior:
         assert reopt.reoptimizations < 32
         assert reopt.coalesce_ratio >= 1.0
 
+    def test_simultaneous_arrivals_share_one_admission(self):
+        # Ties go to arrivals: the whole burst queues before the first
+        # admission, so one batch and one solve serve it.
+        result = _run(BurstArrivals(10))
+        core = result.collectors.core
+        assert core.triggers == 1
+        assert core.reoptimizations == 1
+        assert result.collectors.satisfaction.total_served == 10
+
+    def test_burst_beyond_max_batch_is_still_one_solve(self):
+        # 40 arrivals at one instant: two batches of at most 32, one
+        # trigger each, and one solve for all of them.
+        result = _run(BurstArrivals(40))
+        core = result.collectors.core
+        assert core.triggers == 2
+        assert core.reoptimizations == 1
+        assert result.collectors.satisfaction.total_served == 40
+
     def test_flash_crowd_degrades_not_collapses(self):
         model = FlashCrowdArrivals(
             3000, rate_hz=20.0, seed=0, multiplier=10.0

@@ -12,7 +12,6 @@ from repro.load import (
     PoissonArrivals,
     TraceReplay,
     build_model,
-    read_trace,
     write_trace,
 )
 
@@ -104,7 +103,7 @@ class TestTrace:
             PoissonArrivals(200, rate_hz=8.0, seed=11).times()
         )
         assert write_trace(path, original) == 200
-        replayed = read_trace(path)
+        replayed = list(TraceReplay(path).times())
         np.testing.assert_allclose(replayed, original, atol=1e-9)
         # A second write of the replay is byte-identical (stable
         # nanosecond rounding).

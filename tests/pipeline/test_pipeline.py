@@ -55,6 +55,24 @@ class TestBatchedAdmission:
         # Wall time varies run to run: it must not reach the summary.
         assert "reoptimize_wall_s" not in pipeline.stats.summary()
 
+    def test_solve_takes_no_sim_time(self, system):
+        pipeline = system.attach_pipeline(
+            PipelineConfig(coalesce_window_s=0.0)
+        )
+        for i in range(2):
+            pipeline.submit(demand(i))
+        pipeline.clock.advance(0.5)
+        tick = pipeline.tick()
+        assert tick.reoptimized
+        # The clock stays at the tick; served latency is the hardware
+        # settle the push paid, not the solve's wall time.
+        assert pipeline.clock.now == 0.5
+        assert pipeline.core.busy_until == 0.0
+        settle = tick.result.settle_s
+        assert pipeline.stats.latencies == [
+            pytest.approx(0.5 + settle)
+        ] * 2
+
     def test_max_batch_spills_to_next_tick(self, system):
         pipeline = system.attach_pipeline(
             PipelineConfig(max_batch=2, coalesce_window_s=0.0)

@@ -108,6 +108,13 @@ class TestConfigValidation:
             with pytest.raises(ServiceError):
                 PipelineConfig(**kw)
 
+    def test_compute_charging_rejected(self):
+        from repro.core.errors import ServiceError
+
+        assert PipelineConfig(charge_compute=False).charge_compute is False
+        with pytest.raises(ServiceError, match="no sim time"):
+            PipelineConfig(charge_compute=True)
+
     @pytest.mark.parametrize("parallelism", [-1, 4, 16])
     def test_parallelism_other_than_one_rejected(self, parallelism):
         from repro.core.errors import ServiceError

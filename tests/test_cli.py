@@ -209,7 +209,15 @@ def test_determinism_rejects_a_caller_jsonl(flag, capsys):
 
 def test_determinism_scenarios_come_from_the_table():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["determinism", "pipeline"])
+        build_parser().parse_args(["determinism", "trace"])
+
+
+def test_pipeline_subcommand_is_gone():
+    # The arrival comparison is a pytest bench only; there is no CLI
+    # command for it.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["pipeline", "--requests", "10"])
+    assert exc.value.code != 0
 
 
 def test_mobility_rejects_unknown_scene():

@@ -56,8 +56,6 @@ ALLOWED = {
     "repro.core.kernel.SurfOS.serve_application": (
         "the kernel's app-facing broker call (PAPER.md §3)"
     ),
-    "repro.core.units.db_to_linear": UNREVIEWED,
-    "repro.core.units.linear_to_db": UNREVIEWED,
     "repro.drivers.amplitude.AmplitudeDriver.greedy_mask": "RFocus on/off mask selection (Table 1)",
     "repro.drivers.amplitude.AmplitudeDriver.set_amplitudes": DRIVER_WRITE,
     "repro.drivers.base.SurfaceDriver.apply_feedback": (
@@ -68,13 +66,9 @@ ALLOWED = {
     ),
     "repro.drivers.phase.ProgrammablePhaseDriver.set_phase_shifts": DRIVER_WRITE,
     "repro.drivers.polarization.PolarizationDriver.set_polarizations": DRIVER_WRITE,
-    "repro.em.antenna.AntennaPattern.amplitude_toward": UNREVIEWED,
-    "repro.em.noise.LinkBudget.capacity_bps": UNREVIEWED,
-    "repro.em.noise.LinkBudget.required_gain_for_snr": UNREVIEWED,
-    "repro.em.noise.snr_db_from_channel": UNREVIEWED,
-    "repro.em.propagation.complex_leg_gain": UNREVIEWED,
-    "repro.em.propagation.fspl_db": UNREVIEWED,
-    "repro.em.propagation.propagation_delay_s": UNREVIEWED,
+    "repro.em.antenna.AntennaPattern.amplitude_toward": ORACLE,
+    "repro.em.noise.snr_db_from_channel": ORACLE,
+    "repro.em.propagation.complex_leg_gain": ORACLE,
     "repro.em.steering.beam_codebook_targets": (
         "the beam grid the beam-tracking integration test switches through"
     ),
@@ -110,7 +104,6 @@ ALLOWED = {
     "repro.llm.datasheet.driver_from_datasheet": (
         "LLM driver generation from a datasheet (PAPER.md §4)"
     ),
-    "repro.load.models.read_trace": UNREVIEWED,
     "repro.mobility.models.write_mobility_trace": UNREVIEWED,
     "repro.orchestrator.objectives.FiniteDifferenceObjective": ORACLE,
     "repro.orchestrator.orchestrator.SurfaceOrchestrator.activate_task_slot": (
