@@ -7,8 +7,8 @@ the identical seeded motion:
 * **fixed** — every reaction pays the optimizer's full iteration
   budget, warm-started only from the live hardware configuration (the
   pre-adaptive control plane);
-* **adaptive** — the solution store warm-starts each solve from last
-  reaction's converged phases, a one-evaluation drift probe scales the
+* **adaptive** — each solve warm-starts from the phases its unit kept
+  from last reaction's converged solve, a one-evaluation drift probe scales the
   iteration budget between floor and ceiling, and quiescent dwell
   reactions (the objective goes static while the endpoint pauses) drop
   to the floor budget.

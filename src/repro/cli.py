@@ -241,8 +241,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     system.orchestrator.enhance_link("phone", snr=25.0)
     result = system.reoptimize(rounds=args.rounds)
     if args.adaptive_budget:
-        # A second pass hits the solution store warm: the drift probe
-        # and the budget clamp both show up in solver.*.
+        # A second pass warm-starts from the phases the first one kept:
+        # the drift probe and the budget clamp both show up in solver.*.
         result = system.reoptimize(rounds=args.rounds)
 
     passes = "two reoptimize() passes" if args.adaptive_budget else (

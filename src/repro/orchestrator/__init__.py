@@ -19,12 +19,7 @@ from .optimizers import (
 )
 from .orchestrator import ReoptimizationResult, SurfaceOrchestrator
 from .scheduler import Scheduler
-from .solvebudget import (
-    BudgetController,
-    SolutionStore,
-    SolveBudgetConfig,
-    objective_digest,
-)
+from .solvebudget import SolveBudgetConfig
 from .virtualization import (
     Hypervisor,
     TenantOrchestrator,
@@ -35,7 +30,6 @@ from .tasks import ServiceTask, ServiceType, TaskState
 
 __all__ = [
     "Adam",
-    "BudgetController",
     "CoverageGoal",
     "CoverageObjective",
     "GradientDescent",
@@ -54,13 +48,11 @@ __all__ = [
     "ServiceType",
     "SimulatedAnnealing",
     "SliceAllocator",
-    "SolutionStore",
     "SolveBudgetConfig",
     "SurfaceOrchestrator",
     "TenantOrchestrator",
     "TenantPolicy",
     "TaskState",
-    "objective_digest",
     "panel_projection",
     "propose_slices",
 ]

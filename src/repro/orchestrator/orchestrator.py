@@ -20,7 +20,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -45,14 +44,7 @@ from .multiplex import MultiplexStrategy, propose_slices
 from .objectives import JointObjective, Objective
 from .optimizers import Adam, Optimizer, panel_projection
 from .scheduler import Scheduler
-from .solvebudget import (
-    BudgetController,
-    SolutionStore,
-    SolveBudgetConfig,
-    group_key,
-    objective_digest,
-    relative_drift,
-)
+from .solvebudget import SolveBudgetConfig, group_key, relative_drift
 from .tasks import ServiceTask, ServiceType, TaskState
 
 #: Candidate angles in a sensing task's AoA grid.
@@ -83,25 +75,45 @@ class _TaskContext:
 class _SolveUnit:
     """One independent solve: a co-served group or one time-division slot.
 
-    ``key`` names the unit in the solution store (the joint group's
+    ``key`` names the unit's solve records (the joint group's
     :func:`group_key`, or a slotted task's id); ``phases`` is the
     unit's own flat phase state per optimizable surface, ``budgets``
     its round-0 drift budget per surface, and ``objectives`` its loss
     per surface with the linear form it was fitted to (``None`` for an
     objective kept from an earlier reaction), kept for later rounds and
-    reactions.  ``signature`` is what a kept objective must match: the
-    members' task ids, services, point counts and weights in order, the
-    link budget, and each optimizable panel's id and amplitudes.
+    reactions.  ``signature`` is ``(common, members)``: the link budget
+    and each optimizable panel's id and amplitudes, then the members'
+    task ids, services, point counts and weights in order.
     """
 
     key: str
     contexts: List[_TaskContext]
     phases: Dict[str, np.ndarray]
-    signature: tuple = ()
+    signature: Tuple[tuple, tuple]
     budgets: Dict[str, Optional[int]] = field(default_factory=dict)
     objectives: Dict[str, Tuple[Optional[LinearChannelForm], Objective]] = field(
         default_factory=dict
     )
+
+
+@dataclass
+class _SolveRecord:
+    """What one ``(unit, panel)`` solve keeps for later reactions.
+
+    ``phases`` and ``loss`` are the last converged solve (adaptive
+    budgets only).  They seed a warm start while the members part of
+    the unit's ``signature`` and the panel's element count hold, and
+    outlive failed reactions and reactions that skip the unit.
+    ``objective`` is the fitted loss; only the next successful reaction
+    reuses it, and only while the whole signature holds.  The record
+    goes when one of its ``members`` completes or expires.
+    """
+
+    members: Tuple[str, ...]
+    signature: Tuple[tuple, tuple]
+    phases: Optional[np.ndarray] = None
+    loss: float = 0.0
+    objective: Optional[Objective] = None
 
 
 @dataclass
@@ -113,13 +125,8 @@ class _AdmissionBatch:
     outcomes: Dict[str, Optional[str]] = field(default_factory=dict)
 
 
-class ReoptimizationResult(Mapping):
+class ReoptimizationResult:
     """Typed outcome of one :meth:`SurfaceOrchestrator.reoptimize` call.
-
-    A :class:`Mapping` over the *live* configurations per surface (the
-    joint group's when one exists, otherwise the first time-division
-    slot's) for drop-in compatibility with the old dict return — plus
-    the full picture as attributes:
 
     Attributes:
         joint: joint-group configurations per surface id (may be empty).
@@ -160,24 +167,13 @@ class ReoptimizationResult(Mapping):
 
     @property
     def live(self) -> Dict[str, SurfaceConfiguration]:
-        """The configurations actually serving after this pass."""
+        """The configurations actually serving after this pass: the
+        joint group's when one exists, otherwise the first slot's."""
         if self.joint:
             return self.joint
         if self.slots:
             return next(iter(self.slots.values()))
         return {}
-
-    # Mapping duck-compat with the old ``Dict[str, SurfaceConfiguration]``
-    # return value: iteration, lookup, and membership hit ``live``.
-
-    def __getitem__(self, surface_id: str) -> SurfaceConfiguration:
-        return self.live[surface_id]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.live)
-
-    def __len__(self) -> int:
-        return len(self.live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -222,11 +218,9 @@ class SurfaceOrchestrator:
         self._dirty_tasks: set = set()
         self._admission_batch: Optional[_AdmissionBatch] = None
         self.solve_budget = solve_budget or SolveBudgetConfig()
-        self._solutions = SolutionStore(self.solve_budget.store_size)
-        #: ``(unit key, panel id) → (unit signature, objective)`` of the
-        #: latest reaction's units, refitted by the next reaction.
-        self._kept: Dict[Tuple[str, str], Tuple[tuple, Objective]] = {}
-        self._budget_controller = BudgetController(self.solve_budget)
+        #: ``(unit key, panel id) → record`` of what earlier reactions
+        #: solved, for warm starts and refitted objectives.
+        self._records: Dict[Tuple[str, str], _SolveRecord] = {}
         aps = hardware.access_points()
         if ap_id is None and len(aps) != 1:
             raise ServiceError(
@@ -573,40 +567,97 @@ class SurfaceOrchestrator:
             panels.append(panel)
         return panels
 
+    @property
+    def _kept(self) -> Dict[Tuple[str, str], Tuple[tuple, Objective]]:
+        """``(unit key, panel id) → (signature, objective)`` of the
+        records that keep an objective: the latest successful
+        reaction's units."""
+        return {
+            key: (record.signature, record.objective)
+            for key, record in self._records.items()
+            if record.objective is not None
+        }
+
+    def _take_objectives(self) -> Dict[Tuple[str, str], Tuple[tuple, Objective]]:
+        """Take every kept objective out of the records for one reaction.
+
+        A reaction that fails keeps none of them; a successful one puts
+        its own units' back (:meth:`_keep_objectives`).  A record left
+        with no phases goes.
+        """
+        kept = self._kept
+        for key, record in list(self._records.items()):
+            record.objective = None
+            if record.phases is None:
+                del self._records[key]
+        return kept
+
+    def _record(self, unit: _SolveUnit, sid: str) -> _SolveRecord:
+        """The unit's record on one panel, under its current signature."""
+        record = self._records.get((unit.key, sid))
+        if record is None:
+            record = self._records[(unit.key, sid)] = _SolveRecord(
+                tuple(ctx.task.task_id for ctx in unit.contexts),
+                unit.signature,
+            )
+        record.signature = unit.signature
+        return record
+
+    def _keep_objectives(self, units: Sequence[_SolveUnit]) -> None:
+        """Keep each solved unit's objectives for the next reaction."""
+        for unit in units:
+            for sid, (_, objective) in unit.objectives.items():
+                self._record(unit, sid).objective = objective
+
+    def _forget_task(self, task_id: str) -> None:
+        """Drop the records of every unit a finished task belonged to."""
+        for key in [
+            key
+            for key, record in self._records.items()
+            if task_id in record.members
+        ]:
+            del self._records[key]
+
     def _warm_start(
         self,
-        task_key: str,
+        unit: _SolveUnit,
         sid: str,
         objective: Objective,
         fallback: np.ndarray,
         solver_stats: Dict[str, int],
     ) -> Tuple[np.ndarray, Optional[int]]:
-        """Adaptive-budget lookup for one (task, panel) solve.
+        """Adaptive-budget lookup for one (unit, panel) solve.
 
-        Re-scores the cached phases under the new objective, measures
-        drift against the cached score, and returns warm initial phases
-        plus the drift-scaled iteration budget.  A miss (no entry,
-        shape change, or an optimizer with no iteration limit) returns
-        the fallback phases and a full budget (``None``).
+        Re-scores the kept phases under the new objective, measures
+        drift against the kept score, and returns warm initial phases
+        plus the drift-scaled iteration budget.  A miss (no kept phases,
+        changed members or element count, or an optimizer with no
+        iteration limit) returns the fallback phases and a full budget
+        (``None``).
         """
-        digest = objective_digest(objective)
-        entry = self._solutions.lookup(task_key, sid, digest)
+        record = self._records.get((unit.key, sid))
         full = self.optimizer.full_budget
-        if entry is None or full is None:
+        if (
+            record is None
+            or record.phases is None
+            or record.signature[1] != unit.signature[1]
+            or record.phases.size != fallback.size
+            or full is None
+        ):
             self.telemetry.counter("solver.cold_starts")
             solver_stats["cold_starts"] = solver_stats.get("cold_starts", 0) + 1
             return fallback, None
-        # One deterministic probe evaluation: the cached phases under
-        # the *new* objective.  Its distance from the cached score is
-        # the drift the budget scales with.
-        drift = relative_drift(float(objective.value(entry.phases)), entry.loss)
-        budget = self._budget_controller.budget(drift, full)
+        # One deterministic probe evaluation: the kept phases under the
+        # *new* objective.  Its distance from the kept score is the
+        # drift the budget scales with.
+        drift = relative_drift(float(objective.value(record.phases)), record.loss)
+        budget = self.solve_budget.budget(drift, full)
         self.telemetry.counter("solver.drift_probes")
         self.telemetry.counter("solver.warm_hits")
         self.telemetry.gauge("solver.drift", round(drift, 9))
         solver_stats["drift_probes"] = solver_stats.get("drift_probes", 0) + 1
         solver_stats["warm_hits"] = solver_stats.get("warm_hits", 0) + 1
-        return entry.phases.copy(), budget
+        return record.phases.copy(), budget
 
     def _account_solver(
         self, result, solver_stats: Dict[str, int]
@@ -725,7 +776,7 @@ class SurfaceOrchestrator:
                         if adaptive:
                             if round_index == 0:
                                 initial, budget = self._warm_start(
-                                    unit.key, sid, objective, initial,
+                                    unit, sid, objective, initial,
                                     solver_stats,
                                 )
                                 unit.budgets[sid] = budget
@@ -762,16 +813,14 @@ class SurfaceOrchestrator:
                                 eval_counts.get(task_id, 0) + result.evaluations
                             )
                     if adaptive:
-                        for unit, objective, result in zip(
-                            units, objectives, results
-                        ):
+                        for unit, result in zip(units, results):
                             self._account_solver(result, solver_stats)
                             if round_index == rounds - 1:
-                                self._solutions.store(
-                                    unit.key, sid,
-                                    objective_digest(objective),
-                                    result.phases, result.loss,
-                                )
+                                record = self._record(unit, sid)
+                                record.phases = np.asarray(
+                                    result.phases, dtype=float
+                                ).reshape(-1).copy()
+                                record.loss = float(result.loss)
 
     def _phases_to_config(
         self, panel: SurfacePanel, phases: np.ndarray, name: str
@@ -798,11 +847,9 @@ class SurfaceOrchestrator:
         speed by :meth:`activate_task_slot` — the §3.2 time-division
         multiplexing.
 
-        Returns a :class:`ReoptimizationResult`: a mapping over the
-        live configurations per surface (joint ones when a joint group
-        exists, else the first slot's) carrying the full joint/slot
-        breakdown, a per-phase timing summary from the telemetry spans,
-        and per-task objective-evaluation counts.
+        Returns a :class:`ReoptimizationResult`: the joint and per-slot
+        configurations, a per-phase timing summary from the telemetry
+        spans, and per-task objective-evaluation counts.
 
         With ``push`` the configurations are queued through the hardware
         manager; passive surfaces are fabricated on first optimization
@@ -810,8 +857,7 @@ class SurfaceOrchestrator:
         """
         if now is not None:
             self.clock_now = now
-        # A reaction that fails keeps nothing.
-        kept, self._kept = self._kept, {}
+        kept = self._take_objectives()
         contexts = self.active_contexts()
         if not contexts:
             raise ServiceError("no active tasks to optimize for")
@@ -850,10 +896,10 @@ class SurfaceOrchestrator:
             )
 
             def unit(key: str, members: List[_TaskContext]) -> _SolveUnit:
-                signature = common + tuple(
+                signature = (common, tuple(
                     (c.task.task_id, c.task.service, c.points.shape[0], c.weight)
                     for c in members
-                )
+                ))
                 solve = _SolveUnit(key, members, {
                     p.panel_id: p.configuration.flat_phases()
                     for p in optimizable
@@ -885,12 +931,6 @@ class SurfaceOrchestrator:
                             model, units, optimizable, rounds,
                             eval_counts, solver_stats,
                         )
-                # Only this reaction's units are kept for the next one.
-                solved = {
-                    (u.key, sid): (u.signature, objective)
-                    for u in joint + slots
-                    for sid, (_, objective) in u.objectives.items()
-                }
                 new_configs: Dict[str, SurfaceConfiguration] = {
                     panel.panel_id: self._phases_to_config(
                         panel,
@@ -932,7 +972,8 @@ class SurfaceOrchestrator:
         timing["total_s"] = root.wall_duration_s
         if not self.telemetry.enabled:
             timing = {}
-        self._kept = solved
+        # Only this reaction's units keep objectives for the next one.
+        self._keep_objectives(joint + slots)
         self.telemetry.counter("orchestrator.reoptimizations")
         # Every active task was just (re)optimized: the dirty set is
         # clean until the next admission/motion/degradation trigger.
@@ -1124,7 +1165,7 @@ class SurfaceOrchestrator:
         self.scheduler.complete(task_id)
         self._contexts.pop(task_id, None)
         self._dirty_tasks.discard(task_id)
-        self._solutions.forget_task(task_id)
+        self._forget_task(task_id)
 
     def tick(self, now: float) -> List[str]:
         """Advance time: commit in-flight writes, reap expired tasks."""
@@ -1134,5 +1175,5 @@ class SurfaceOrchestrator:
         for task_id in finished:
             self._contexts.pop(task_id, None)
             self._dirty_tasks.discard(task_id)
-            self._solutions.forget_task(task_id)
+            self._forget_task(task_id)
         return finished

@@ -202,14 +202,3 @@ class Scheduler:
         if finished and self.telemetry is not None:
             self.telemetry.counter("scheduler.reaped", len(finished))
         return finished
-
-    def shared_groups(self) -> Dict[str, List[str]]:
-        """Configuration-multiplexing groups → member task ids."""
-        groups: Dict[str, List[str]] = {}
-        for task_id, slices in self._slices.items():
-            for s in slices:
-                if s.shared_group:
-                    groups.setdefault(s.shared_group, [])
-                    if task_id not in groups[s.shared_group]:
-                        groups[s.shared_group].append(task_id)
-        return {g: sorted(ids) for g, ids in groups.items()}

@@ -96,17 +96,6 @@ class SliceAllocator:
         """Slices currently held on a surface."""
         return [s for _, s in self._held.get(surface_id, [])]
 
-    def holders(self, surface_id: str) -> List[str]:
-        """Task ids holding slices on a surface."""
-        return sorted({t for t, _ in self._held.get(surface_id, [])})
-
-    def tasks_with_allocations(self) -> List[str]:
-        """All task ids holding any slice."""
-        out = set()
-        for entries in self._held.values():
-            out.update(t for t, _ in entries)
-        return sorted(out)
-
     def _overcommitted(
         self, requested: ResourceSlice
     ) -> List[Tuple[str, ResourceSlice]]:

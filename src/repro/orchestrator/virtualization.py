@@ -226,8 +226,7 @@ class TenantOrchestrator:
 
     def complete_task(self, task_id: str) -> None:
         """Finish one of the tenant's own tasks (isolation enforced)."""
-        owner = self._hypervisor._owners.get(task_id)
-        if owner != self.policy.name:
+        if self._hypervisor.owner_of(task_id) != self.policy.name:
             raise ServiceError(
                 f"tenant {self.policy.name!r} does not own task {task_id!r}"
             )

@@ -119,5 +119,5 @@ class TestDelegation:
         system = unbooted.boot()
         system.orchestrator.enhance_link("phone")
         configs = system.reoptimize(rounds=1)
-        assert "s1" in configs
-        assert configs["s1"].shape == (8, 8)
+        assert "s1" in configs.live
+        assert configs.live["s1"].shape == (8, 8)

@@ -71,8 +71,10 @@ class TestServiceAPIs:
         orch.reoptimize()
         for t in (t1, t2, t3):
             assert t.state is TaskState.RUNNING
-        groups = orch.scheduler.shared_groups()
-        assert len(groups["joint"]) == 3
+        for t in (t1, t2, t3):
+            assert [s.shared_group for s in orch.scheduler.slices_of(t.task_id)] == [
+                "joint"
+            ]
 
     def test_powering_task(self, deployment):
         _, _, orch = deployment

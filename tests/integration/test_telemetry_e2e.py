@@ -110,19 +110,17 @@ class TestDisabledTelemetry:
         snap = system.telemetry.snapshot()
         assert snap.spans == {} and snap.counters == {}
         # The pass itself still works end to end.
-        assert "s1" in result
+        assert "s1" in result.live
 
 
 class TestReoptimizationResult:
-    def test_mapping_compat_with_old_dict_return(self, system):
+    def test_live_is_the_joint_configuration(self, system):
         system.orchestrator.optimize_coverage("bedroom")
         result = system.reoptimize()
         assert isinstance(result, ReoptimizationResult)
-        assert "s1" in result
-        assert result["s1"].shape == (16, 16)
-        assert set(result) == {"s1"}
-        assert len(result) == 1
-        assert dict(result) == result.joint
+        assert set(result.live) == {"s1"}
+        assert result.live["s1"].shape == (16, 16)
+        assert result.live == result.joint
 
     def test_timing_and_eval_counts_populated(self, system):
         task = system.orchestrator.optimize_coverage("bedroom")
@@ -148,10 +146,10 @@ class TestReoptimizationResult:
         result = system.reoptimize()
         assert result.joint == {}
         assert set(result.slots) == {t1.task_id, t2.task_id}
-        # Mapping view falls back to the first (highest-priority)
-        # slot's configurations.
+        # With no joint group the first (highest-priority) slot's
+        # configurations are live.
         assert result.live == next(iter(result.slots.values()))
-        assert "s1" in result
+        assert "s1" in result.live
 
     def test_no_push_pass_reports_unpushed(self, system):
         system.orchestrator.optimize_coverage("bedroom")

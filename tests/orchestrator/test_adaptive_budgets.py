@@ -1,12 +1,19 @@
-"""Adaptive solve budgets through the orchestrator: warm starts,
-solver accounting, and the feature-off byte-identity contract."""
+"""Adaptive solve budgets through the orchestrator: warm starts, kept
+solve records, solver accounting, and the feature-off byte-identity
+contract."""
+
+import gc
+import weakref
 
 import numpy as np
+import pytest
 
 from repro import SurfOS, ghz
+from repro.core.errors import ServiceError
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.hwmgr import AccessPoint, ClientDevice
 from repro.orchestrator import RandomSearch, SolveBudgetConfig
+from repro.orchestrator.solvebudget import group_key
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
 
 FREQ = ghz(28)
@@ -20,6 +27,19 @@ class SpyRandomSearch(RandomSearch):
             (np.asarray(initial_phases, dtype=float).copy(), budget)
         )
         return super().optimize(objective, initial_phases, projection, budget)
+
+
+class KeepingSearch(RandomSearch):
+    """Keeps every phase array it returns, for the caller to scribble on."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.returned = []
+
+    def optimize(self, objective, initial_phases, projection=None, budget=None):
+        result = super().optimize(objective, initial_phases, projection, budget)
+        self.returned.append(result.phases)
+        return result
 
 
 def build_system(solve_budget=None, optimizer=None):
@@ -125,9 +145,88 @@ class TestSolverAccounting:
         system = build_system(SolveBudgetConfig(enabled=True))
         task = system.orchestrator.optimize_coverage("bedroom")
         system.reoptimize(rounds=1)
-        assert len(system.orchestrator._solutions) > 0
+        assert len(system.orchestrator._records) > 0
         system.orchestrator.complete_task(task.task_id)
-        assert len(system.orchestrator._solutions) == 0
+        assert len(system.orchestrator._records) == 0
+
+
+class TestKeptRecords:
+    """A record's phases and its objective live for different spans."""
+
+    def test_joint_unit_warm_starts_from_phases_kept_before_a_guest(self):
+        system, spy = spy_system(SolveBudgetConfig(enabled=True))
+        orch = system.orchestrator
+        task = orch.optimize_coverage("bedroom")
+        system.reoptimize(rounds=1)
+        record = orch._records[(group_key([task.task_id]), "s1")]
+        kept = record.phases.copy()
+        # The guest's reaction solves joint:A+G and skips joint:A, whose
+        # objective goes while its phases stay.
+        guest = orch.enhance_link("phone", snr=25.0)
+        system.reoptimize(rounds=1)
+        orch.complete_task(guest.task_id)
+        assert list(orch._records) == [(group_key([task.task_id]), "s1")]
+        assert record.objective is None
+        live = system.hardware.panel("s1").configuration.flat_phases()
+        assert not np.array_equal(live, kept)
+        calls = len(spy.calls)
+        result = system.reoptimize(rounds=1)
+        initial, budget = spy.calls[calls]
+        np.testing.assert_array_equal(initial, kept)
+        assert result.solver["drift_probes"] == 1
+        assert result.solver.get("cold_starts", 0) == 0
+        assert budget < orch.optimizer.full_budget
+
+    def test_failed_reaction_keeps_warm_phases_and_frees_objectives(self):
+        system, spy = spy_system(SolveBudgetConfig(enabled=True))
+        orch = system.orchestrator
+        orch.optimize_coverage("bedroom")
+        system.reoptimize(rounds=1)
+        (record,) = orch._records.values()
+        kept = record.phases.copy()
+        objective = weakref.ref(record.objective)
+        system.hardware.quarantine("s1")
+        with pytest.raises(ServiceError, match="no optimizable surfaces"):
+            system.reoptimize(rounds=1)
+        gc.collect()
+        assert objective() is None
+        assert list(orch._records.values()) == [record]
+        np.testing.assert_array_equal(record.phases, kept)
+        system.hardware.reinstate("s1")
+        calls = len(spy.calls)
+        result = system.reoptimize(rounds=1)
+        np.testing.assert_array_equal(spy.calls[calls][0], kept)
+        assert result.solver["warm_hits"] == 1
+        assert result.solver["drift_probes"] == 1
+
+    @pytest.mark.parametrize("change", ["points", "elements"])
+    def test_changed_members_or_element_count_starts_cold(self, change):
+        # Channel coefficients may drift under kept phases (the probe
+        # measures that); a changed problem shape may not.
+        system = build_system(SolveBudgetConfig(enabled=True))
+        orch = system.orchestrator
+        task = orch.optimize_coverage("bedroom")
+        system.reoptimize(rounds=1)
+        (record,) = orch._records.values()
+        if change == "points":
+            ctx = orch._contexts[task.task_id]
+            ctx.points = ctx.points[:-1]
+        else:
+            record.phases = record.phases[:-1]
+        result = system.reoptimize(rounds=1)
+        assert result.solver["cold_starts"] == 1
+        assert "warm_hits" not in result.solver
+
+    def test_kept_phases_are_the_records_own_copy(self):
+        search = KeepingSearch(max_iterations=12, population=6, seed=0)
+        system = build_system(SolveBudgetConfig(enabled=True), optimizer=search)
+        system.orchestrator.optimize_coverage("bedroom")
+        system.reoptimize(rounds=1)
+        (record,) = system.orchestrator._records.values()
+        kept = record.phases.copy()
+        for phases in search.returned:
+            phases[...] = 0.0
+        np.testing.assert_array_equal(record.phases, kept)
 
 
 def sim_only_export(system, tmp_path, name):

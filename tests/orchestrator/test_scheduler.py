@@ -62,10 +62,12 @@ class TestAdmission:
         assert len(sched.tasks(TaskState.READY)) == 2
 
     def test_shared_group_coexists(self, sched):
-        sched.admit(make_task(), [full_slice(group="joint")])
-        sched.admit(make_task(), [full_slice(group="joint")])
-        groups = sched.shared_groups()
-        assert len(groups["joint"]) == 2
+        a = sched.admit(make_task(), [full_slice(group="joint")])
+        b = sched.admit(make_task(), [full_slice(group="joint")])
+        assert a.state is TaskState.READY and b.state is TaskState.READY
+        assert [s.shared_group for s in sched.allocator.held_slices("s1")] == [
+            "joint", "joint"
+        ]
 
 
 class TestPreemption:
@@ -129,7 +131,8 @@ class TestLifecycleOps:
         assert a.state is TaskState.COMPLETED
         assert b.state is TaskState.FAILED
         assert b.failure_reason == "hardware fault"
-        assert sched.allocator.tasks_with_allocations() == []
+        assert sched.allocator.held_slices("s1") == []
+        assert sched.allocator.held_slices("s2") == []
 
     def test_reap_expired(self, sched):
         short = sched.admit(make_task(duration=5.0), [full_slice("s1")])
@@ -165,7 +168,7 @@ class TestReapReadyRegression:
         assert parked.state is TaskState.COMPLETED
         # The leak: before the fix these slices stayed registered
         # forever, blocking every future admission on the surface.
-        assert sched.allocator.tasks_with_allocations() == []
+        assert sched.allocator.held_slices("s1") == []
         replacement = sched.admit(make_task(), [full_slice("s1")])
         assert replacement.state is TaskState.READY
 

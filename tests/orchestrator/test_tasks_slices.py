@@ -116,7 +116,7 @@ class TestAllocator:
     def test_allocate_and_release(self):
         alloc = SliceAllocator()
         alloc.allocate("t1", [full_slice()])
-        assert alloc.holders("s1") == ["t1"]
+        assert alloc.conflicting_tasks(full_slice()) == ["t1"]
         assert not alloc.can_allocate(full_slice())
         assert alloc.release("t1") == 1
         assert alloc.can_allocate(full_slice())
@@ -134,7 +134,7 @@ class TestAllocator:
         with pytest.raises(AdmissionError):
             alloc.allocate("t2", [full_slice("s1"), full_slice("s2")])
         # s1 must not be partially held after the failed allocation.
-        assert alloc.holders("s1") == []
+        assert alloc.held_slices("s1") == []
 
     def test_mutually_conflicting_request_rejected(self):
         from repro.core.errors import AdmissionError

@@ -273,7 +273,8 @@ class TestStopAndReap:
         task = system.orchestrator.scheduler.task(handle.task_id)
         finished = system.orchestrator.tick(now=task.created_at + 1e6)
         assert handle.task_id in finished
-        assert (
-            system.orchestrator.scheduler.allocator.tasks_with_allocations()
-            == []
+        allocator = system.orchestrator.scheduler.allocator
+        assert all(
+            allocator.held_slices(p.panel_id) == []
+            for p in system.hardware.panels()
         )

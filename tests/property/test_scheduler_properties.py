@@ -68,7 +68,7 @@ def test_release_restores_capacity(requests):
             continue
     for name in names:
         allocator.release(name)
-    assert allocator.tasks_with_allocations() == []
+    assert allocator.held_slices("s1") == []
     # A full-surface exclusive slice now fits again.
     full = ResourceSlice(
         surface_id="s1",

@@ -29,6 +29,10 @@ ORACLE = "reference implementation a test compares the fast path against"
 FRONTEND = "ServiceFrontend protocol; the conformance tests hold every broker frontend to it"
 DRIVER_WRITE = "a surface modality's write primitive in the driver API (PAPER.md §3, DESIGN.md)"
 DEVICE_LIFECYCLE = "hardware manager device lifecycle (PAPER.md §3)"
+IDLE_RECLAIM = (
+    "the scheduler's idle reclaim (paper §3.2, quoted in scheduler.py): an idle "
+    "task frees its slices and resumes on fresh ones; no workload parks a task yet"
+)
 UNREVIEWED = "test-only helper not yet reviewed for deletion (ROADMAP item 9)"
 
 ALLOWED = {
@@ -112,15 +116,11 @@ ALLOWED = {
     "repro.orchestrator.orchestrator.SurfaceOrchestrator.evaluate_task": (
         "the per-task SNR probe the integration tests measure with"
     ),
-    "repro.orchestrator.scheduler.Scheduler.resume": UNREVIEWED,
-    "repro.orchestrator.scheduler.Scheduler.set_idle": UNREVIEWED,
-    "repro.orchestrator.scheduler.Scheduler.shared_groups": UNREVIEWED,
-    "repro.orchestrator.slices.SliceAllocator.holders": UNREVIEWED,
-    "repro.orchestrator.slices.SliceAllocator.tasks_with_allocations": UNREVIEWED,
+    "repro.orchestrator.scheduler.Scheduler.resume": IDLE_RECLAIM,
+    "repro.orchestrator.scheduler.Scheduler.set_idle": IDLE_RECLAIM,
     "repro.orchestrator.virtualization.Hypervisor.create_frontend": (
         "multi-tenant frontend of the §5 virtualization roadmap"
     ),
-    "repro.orchestrator.virtualization.Hypervisor.owner_of": UNREVIEWED,
     "repro.runtime.events.EventBus.events_of": UNREVIEWED,
     "repro.services.connectivity.CoverageReport.from_snrs": UNREVIEWED,
     "repro.services.connectivity.link_objective": UNREVIEWED,
