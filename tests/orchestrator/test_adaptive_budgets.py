@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from repro import SurfOS, ghz
+from repro.core.configuration import SurfaceConfiguration
 from repro.core.errors import ServiceError
 from repro.geometry import apartment_sites, two_room_apartment
 from repro.hwmgr import AccessPoint, ClientDevice
 from repro.orchestrator import RandomSearch, SolveBudgetConfig
+from repro.orchestrator.orchestrator import _SolveRecord
 from repro.orchestrator.solvebudget import group_key
 from repro.surfaces import GENERIC_PROGRAMMABLE_28, SurfacePanel
 
@@ -199,7 +201,60 @@ class TestKeptRecords:
         assert result.solver["warm_hits"] == 1
         assert result.solver["drift_probes"] == 1
 
-    @pytest.mark.parametrize("change", ["points", "elements"])
+    def test_record_keeps_the_converged_phases_and_loss(self):
+        system = build_system(SolveBudgetConfig(enabled=True))
+        orch = system.orchestrator
+        task = orch.optimize_coverage("bedroom")
+        system.reoptimize(rounds=1)
+        record = orch._records[(group_key([task.task_id]), "s1")]
+        assert record.members == (task.task_id,)
+        live = system.hardware.panel("s1").configuration.flat_phases()
+        np.testing.assert_array_equal(record.phases, live)
+        assert record.loss == pytest.approx(
+            float(record.objective.value(record.phases)), rel=1e-9
+        )
+
+    def test_completing_a_task_drops_its_singleton_and_group_records(self):
+        # Members are read from the record, not parsed from its key.
+        orch = build_system(SolveBudgetConfig(enabled=True)).orchestrator
+        for key, sid, members in [
+            ("t1", "s1", ("t1",)),
+            (group_key(["t1", "t2"]), "s1", ("t1", "t2")),
+            ("t2", "s2", ("t2",)),
+        ]:
+            orch._records[(key, sid)] = _SolveRecord(
+                members, ((), ()), np.zeros(2), 0.0
+            )
+        orch._forget_task("t1")
+        assert list(orch._records) == [("t2", "s2")]
+
+    def test_changed_amplitudes_rebuild_the_objective_and_stay_warm(self):
+        # The common part of the signature (link budget, panel
+        # amplitudes) gates only the kept objective; the kept phases
+        # still seed a probed warm start.
+        system, spy = spy_system(SolveBudgetConfig(enabled=True))
+        orch = system.orchestrator
+        orch.optimize_coverage("bedroom")
+        system.reoptimize(rounds=1)
+        (record,) = orch._records.values()
+        kept = record.phases.copy()
+        objective = record.objective
+        panel = system.hardware.panel("s1")
+        config = panel.configuration
+        panel.impair(SurfaceConfiguration(
+            phases=config.phases, amplitudes=np.full(config.shape, 0.5)
+        ))
+        calls = len(spy.calls)
+        result = system.reoptimize(rounds=1)
+        np.testing.assert_array_equal(spy.calls[calls][0], kept)
+        assert result.solver["warm_hits"] == 1
+        assert "cold_starts" not in result.solver
+        assert list(orch._records.values()) == [record]
+        assert record.objective is not None
+        assert record.objective is not objective
+        assert system.telemetry.gauges["solver.drift"] > 0.0
+
+    @pytest.mark.parametrize("change", ["points", "weight", "elements"])
     def test_changed_members_or_element_count_starts_cold(self, change):
         # Channel coefficients may drift under kept phases (the probe
         # measures that); a changed problem shape may not.
@@ -211,6 +266,8 @@ class TestKeptRecords:
         if change == "points":
             ctx = orch._contexts[task.task_id]
             ctx.points = ctx.points[:-1]
+        elif change == "weight":
+            orch._contexts[task.task_id].weight *= 0.5
         else:
             record.phases = record.phases[:-1]
         result = system.reoptimize(rounds=1)

@@ -20,6 +20,7 @@ class TestConfigValidation:
             {"floor": 8, "ceiling": 4},
             {"drift_low": 0.5, "drift_high": 0.5},
             {"drift_low": -0.1},
+            {"drift_low": 0.6},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
